@@ -7,7 +7,7 @@ over pair constraints, with exact rational arithmetic available
 end-to-end for the linear cases.
 """
 
-from .cli import ExperimentConfig
+from . import cli
 from .core import (
     MODE_FLOAT,
     MODE_RATIONAL,
@@ -77,7 +77,6 @@ __all__ = [
     "MODE_FLOAT",
     "MODE_RATIONAL",
     "DeltaVector",
-    "ExperimentConfig",
     "ExtensionMetric",
     "GromovSpec",
     "LinearProgram",

@@ -1,61 +1,6 @@
-"""Numerical backend selection.
-
-The hot kernels (simplex pivoting, active-set linear algebra, Floyd-Warshall,
-the four-point scan) exist twice: a numba ``@njit`` version and a vectorized
-pure-numpy version with identical semantics.  Which one runs is controlled by
-the ``TREEGROMOV_BACKEND`` environment variable:
-
-* ``auto`` (default) - numba when importable, numpy otherwise
-* ``numba``          - require numba, raise if it is not installed
-* ``numpy``          - force the pure-numpy path
-
-Both paths are deterministic and produce the same pivots, so results agree
-bitwise up to the usual floating-point reassociation (tested in
-``tests/test_backends.py``).
-"""
-
-from __future__ import annotations
-
-import os
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised on numba-free installs
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        """Identity decorator used when numba is absent."""
-
-        def wrap(func):
-            return func
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-_VALID = ("auto", "numba", "numpy")
+"""Name of the numerical backend: every kernel has one numpy implementation."""
 
 
 def active_backend() -> str:
-    """Resolve the backend name to use right now.
-
-    Reads the environment on every call so tests and callers can switch
-    backends without reimporting.  Returns ``"numba"`` or ``"numpy"``.
-    """
-    choice = os.environ.get("TREEGROMOV_BACKEND", "auto").strip().lower()
-    if choice not in _VALID:
-        raise ValueError(
-            f"TREEGROMOV_BACKEND must be one of {_VALID}, got {choice!r}"
-        )
-    if choice == "numba" and not HAS_NUMBA:
-        raise ValueError("TREEGROMOV_BACKEND=numba but numba is not installed")
-    if choice == "auto":
-        return "numba" if HAS_NUMBA else "numpy"
-    return choice
-
-
-def use_numba() -> bool:
-    return active_backend() == "numba"
+    # Kept for perfbench/run.py, which records it in each run's environment.
+    return "numpy"

@@ -1,8 +1,7 @@
-"""Hot numerical kernels, each with a numba and a pure-numpy implementation.
+"""Hot numerical kernels, one vectorized numpy implementation each.
 
 Kernels here operate on plain float64 arrays and never touch the domain
-types.  Dispatch happens in the calling modules via
-:func:`treegromov._backend.active_backend`.
+types; the calling modules convert to and from them.
 
 Constraint rows and dual columns share one sparse encoding: each row/column
 has one or two nonzero entries, stored as ``(idx1, val1, idx2, val2)`` with
@@ -22,9 +21,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._backend import njit
-
-# Status codes shared by both backends.
 LP_OPTIMAL = 0
 LP_DUAL_UNBOUNDED = 1  # primal infeasible
 LP_ITER_LIMIT = 2
@@ -37,29 +33,13 @@ QP_ITER_LIMIT = 2
 # Floyd-Warshall
 # ---------------------------------------------------------------------------
 
-def floyd_warshall_numpy(dist: np.ndarray) -> np.ndarray:
+def floyd_warshall(dist: np.ndarray) -> np.ndarray:
     """All-pairs shortest paths; ``dist`` is a square matrix with np.inf
     for missing edges.  Returns a new array."""
     d = dist.copy()
     n = d.shape[0]
     for k in range(n):
         np.minimum(d, d[:, k : k + 1] + d[k : k + 1, :], out=d)
-    return d
-
-
-@njit(cache=True)
-def floyd_warshall_numba(dist: np.ndarray) -> np.ndarray:  # pragma: no cover
-    d = dist.copy()
-    n = d.shape[0]
-    for k in range(n):
-        for i in range(n):
-            dik = d[i, k]
-            if dik == np.inf:
-                continue
-            for j in range(n):
-                alt = dik + d[k, j]
-                if alt < d[i, j]:
-                    d[i, j] = alt
     return d
 
 
@@ -70,11 +50,11 @@ def floyd_warshall_numba(dist: np.ndarray) -> np.ndarray:  # pragma: no cover
 # For each unordered quadruple the three pairing sums are
 #   s1 = d(i,j)+d(k,l),  s2 = d(i,k)+d(j,l),  s3 = d(i,l)+d(j,k)
 # and the condition holds iff the largest does not exceed the second
-# largest by more than ``tol``.  Both backends scan quadruples in
+# largest by more than ``tol``.  Quadruples are scanned in
 # lexicographic order (i<j<k<l) and report the first violation as
 # (i, j, k, l); (-1, -1, -1, -1) means the condition holds.
 
-def four_point_numpy(d: np.ndarray, tol: float):
+def four_point(d: np.ndarray, tol: float):
     n = d.shape[0]
     if n < 4:
         return (-1, -1, -1, -1)
@@ -96,38 +76,11 @@ def four_point_numpy(d: np.ndarray, tol: float):
     return (-1, -1, -1, -1)
 
 
-@njit(cache=True)
-def four_point_numba(d: np.ndarray, tol: float):  # pragma: no cover
-    n = d.shape[0]
-    for i in range(n - 3):
-        for j in range(i + 1, n - 2):
-            dij = d[i, j]
-            for k in range(j + 1, n - 1):
-                for l in range(k + 1, n):
-                    s1 = dij + d[k, l]
-                    s2 = d[i, k] + d[j, l]
-                    s3 = d[i, l] + d[j, k]
-                    hi = s1
-                    if s2 > hi:
-                        hi = s2
-                    if s3 > hi:
-                        hi = s3
-                    lo = s1
-                    if s2 < lo:
-                        lo = s2
-                    if s3 < lo:
-                        lo = s3
-                    mid = s1 + s2 + s3 - hi - lo
-                    if hi - mid > tol:
-                        return (i, j, k, l)
-    return (-1, -1, -1, -1)
-
-
 # ---------------------------------------------------------------------------
-# Revised simplex on the dual (shared helpers)
+# Revised simplex on the dual
 # ---------------------------------------------------------------------------
 
-def _dense_basis_numpy(ci1, cv1, ci2, cv2, basis, n):
+def dense_basis(ci1, cv1, ci2, cv2, basis, n):
     B = np.zeros((n, n))
     pos = np.arange(n)
     B[ci1[basis], pos] = cv1[basis]
@@ -136,7 +89,7 @@ def _dense_basis_numpy(ci1, cv1, ci2, cv2, basis, n):
     return B
 
 
-def dual_simplex_numpy(
+def dual_simplex(
     ci1, cv1, ci2, cv2, g, c_rhs, bland_after: int, tol: float, max_iter: int
 ):
     """Primal simplex on the dual problem; see module docstring.
@@ -157,7 +110,7 @@ def dual_simplex_numpy(
     no_ray = np.zeros(n)
 
     for it in range(1, max_iter + 1):
-        B = _dense_basis_numpy(ci1, cv1, ci2, cv2, basis, n)
+        B = dense_basis(ci1, cv1, ci2, cv2, basis, n)
         xB = np.linalg.solve(B, c_rhs)
         pi = np.linalg.solve(B.T, g[basis])
         red = g - cv1 * pi[ci1] - np.where(has2, cv2 * pi[ci2_safe], 0.0)
@@ -197,111 +150,27 @@ def dual_simplex_numpy(
     return (LP_ITER_LIMIT, basis, max_iter, -1, no_ray)
 
 
-@njit(cache=True)
-def dual_simplex_numba(
-    ci1, cv1, ci2, cv2, g, c_rhs, bland_after: int, tol: float, max_iter: int
-):  # pragma: no cover - mirrored by the numpy path
-    n = c_rhs.shape[0]
-    ncol = g.shape[0]
-    basis = np.empty(n, dtype=np.int64)
-    for t in range(n):
-        basis[t] = ncol - n + t
-    in_basis = np.zeros(ncol, dtype=np.bool_)
-    for t in range(n):
-        in_basis[basis[t]] = True
-    degenerate_streak = 0
-    no_ray = np.zeros(n)
-
-    B = np.zeros((n, n))
-    a = np.zeros(n)
-    gB = np.zeros(n)
-
-    for it in range(1, max_iter + 1):
-        B[:, :] = 0.0
-        for t in range(n):
-            col = basis[t]
-            B[ci1[col], t] = cv1[col]
-            if ci2[col] >= 0:
-                B[ci2[col], t] = cv2[col]
-            gB[t] = g[col]
-        xB = np.linalg.solve(B, c_rhs)
-        pi = np.linalg.solve(B.T.copy(), gB)
-
-        entering = -1
-        if degenerate_streak > bland_after:
-            for jcol in range(ncol):
-                if in_basis[jcol]:
-                    continue
-                r = g[jcol] - cv1[jcol] * pi[ci1[jcol]]
-                if ci2[jcol] >= 0:
-                    r -= cv2[jcol] * pi[ci2[jcol]]
-                if r < -tol:
-                    entering = jcol
-                    break
-        else:
-            best = -tol
-            for jcol in range(ncol):
-                if in_basis[jcol]:
-                    continue
-                r = g[jcol] - cv1[jcol] * pi[ci1[jcol]]
-                if ci2[jcol] >= 0:
-                    r -= cv2[jcol] * pi[ci2[jcol]]
-                if r < best:
-                    best = r
-                    entering = jcol
-        if entering < 0:
-            return (LP_OPTIMAL, basis, it, -1, no_ray)
-
-        a[:] = 0.0
-        a[ci1[entering]] = cv1[entering]
-        if ci2[entering] >= 0:
-            a[ci2[entering]] += cv2[entering]
-        d = np.linalg.solve(B, a)
-
-        theta = np.inf
-        for t in range(n):
-            if d[t] > 1e-11:
-                r = xB[t] / d[t]
-                if r < theta:
-                    theta = r
-        if theta == np.inf:
-            return (LP_DUAL_UNBOUNDED, basis, it, entering, d)
-        leave = -1
-        leave_var = ncol
-        for t in range(n):
-            if d[t] > 1e-11 and xB[t] / d[t] <= theta + 1e-12:
-                if basis[t] < leave_var:
-                    leave_var = basis[t]
-                    leave = t
-
-        if theta <= 1e-11:
-            degenerate_streak += 1
-        else:
-            degenerate_streak = 0
-        in_basis[basis[leave]] = False
-        in_basis[entering] = True
-        basis[leave] = entering
-
-    return (LP_ITER_LIMIT, basis, max_iter, -1, no_ray)
-
-
 # ---------------------------------------------------------------------------
 # Primal active-set method for  min sum_j w_j x_j^2  s.t.  A x >= b
 # ---------------------------------------------------------------------------
 #
 # The working set stays linearly independent automatically: a blocking row
 # satisfies a.p != 0 while every working row satisfies a.p == 0, so a
-# blocking row can never be a combination of working rows.  Hence the small
-# KKT systems below are nonsingular.
+# blocking row can never be a combination of working rows.  Hence, in exact
+# arithmetic, the small KKT systems below are nonsingular.  The step and tie
+# tolerances are absolute, so on badly scaled data a nearly dependent row
+# can still enter and np.linalg.solve raises; solve_qp reports that as a
+# TreegromovError.
 
-def _row_dot_numpy(ri1, rv1, ri2, rv2, vec):
+def row_dot(ri1, rv1, ri2, rv2, vec):
+    """A x for the sparse row encoding: one value per row."""
     out = rv1 * vec[ri1]
     second = ri2 >= 0
     out[second] += rv2[second] * vec[ri2[second]]
     return out
 
 
-def active_set_qp_numpy(
+def active_set_qp(
     ri1, rv1, ri2, rv2, b, w, x0, tol: float, max_iter: int
 ):
     """Returns (status, x, work_rows, iterations)."""
@@ -345,8 +214,8 @@ def active_set_qp_numpy(
             x = xhat
             continue
 
-        ap = _row_dot_numpy(ri1, rv1, ri2, rv2, p)
-        ax = _row_dot_numpy(ri1, rv1, ri2, rv2, x)
+        ap = row_dot(ri1, rv1, ri2, rv2, p)
+        ax = row_dot(ri1, rv1, ri2, rv2, x)
         desc = (~in_work) & (ap < -1e-12)
         alpha = 1.0
         blocking = -1
@@ -365,95 +234,3 @@ def active_set_qp_numpy(
             in_work[blocking] = True
 
     return (QP_ITER_LIMIT, x, np.array(work, dtype=np.int64), max_iter)
-
-
-@njit(cache=True)
-def active_set_qp_numba(
-    ri1, rv1, ri2, rv2, b, w, x0, tol: float, max_iter: int
-):  # pragma: no cover - mirrored by the numpy path
-    m = b.shape[0]
-    n = w.shape[0]
-    x = x0.copy()
-    work = np.empty(n + 1, dtype=np.int64)
-    k = 0
-    in_work = np.zeros(m, dtype=np.bool_)
-    winv = 1.0 / w
-    xhat = np.zeros(n)
-
-    for it in range(1, max_iter + 1):
-        if k == 0:
-            for jj in range(n):
-                xhat[jj] = 0.0
-            nu = np.zeros(0)
-        else:
-            AW = np.zeros((k, n))
-            for t in range(k):
-                r = work[t]
-                AW[t, ri1[r]] = rv1[r]
-                if ri2[r] >= 0:
-                    AW[t, ri2[r]] += rv2[r]
-            AWD = AW * winv.reshape(1, n)
-            G = AWD @ AW.T
-            bW = np.empty(k)
-            for t in range(k):
-                bW[t] = b[work[t]]
-            sol = np.linalg.solve(G, bW)
-            xhat = AWD.T @ sol
-            nu = 2.0 * sol
-
-        pmax = 0.0
-        xmax = 0.0
-        for jj in range(n):
-            ap_ = abs(xhat[jj] - x[jj])
-            if ap_ > pmax:
-                pmax = ap_
-            ax_ = abs(x[jj])
-            if ax_ > xmax:
-                xmax = ax_
-        if pmax <= tol * (1.0 + xmax):
-            if k == 0:
-                return (QP_OPTIMAL, xhat, work[:0], it)
-            worst = 0
-            for t in range(1, k):
-                if nu[t] < nu[worst]:
-                    worst = t
-            if nu[worst] >= -tol:
-                return (QP_OPTIMAL, xhat, work[:k].copy(), it)
-            drop_pos = -1
-            drop_row = m
-            for t in range(k):
-                if nu[t] <= nu[worst] + 1e-12 and work[t] < drop_row:
-                    drop_row = work[t]
-                    drop_pos = t
-            in_work[work[drop_pos]] = False
-            for t in range(drop_pos, k - 1):
-                work[t] = work[t + 1]
-            k -= 1
-            x = xhat.copy()
-            continue
-
-        alpha = 1.0
-        blocking = -1
-        for r in range(m):
-            if in_work[r]:
-                continue
-            ap = rv1[r] * (xhat[ri1[r]] - x[ri1[r]])
-            ax = rv1[r] * x[ri1[r]]
-            if ri2[r] >= 0:
-                ap += rv2[r] * (xhat[ri2[r]] - x[ri2[r]])
-                ax += rv2[r] * x[ri2[r]]
-            if ap < -1e-12:
-                step = (ax - b[r]) / (-ap)
-                if step < 0.0:
-                    step = 0.0
-                if step < alpha - 1e-12:
-                    alpha = step
-                    blocking = r
-        for jj in range(n):
-            x[jj] = x[jj] + alpha * (xhat[jj] - x[jj])
-        if blocking >= 0 and alpha < 1.0 - 1e-12:
-            work[k] = blocking
-            in_work[blocking] = True
-            k += 1
-
-    return (QP_ITER_LIMIT, x, work[:k].copy(), max_iter)

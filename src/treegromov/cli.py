@@ -12,7 +12,6 @@ import os
 import statistics
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -346,14 +345,6 @@ def _experiment_row(config, trial, mode):
     return _equality_row(config, trial, mode)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("TREEGROMOV_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ValidationError(f"TREEGROMOV_THREADS must be an integer, got {raw!r}")
-
-
 def run_experiment(config: ExperimentConfig, mode=MODE_FLOAT, extra_column=None, out=None):
     """Write the experiment CSV to `out` (a writable handle)."""
     header = _experiment_header(config)
@@ -366,13 +357,7 @@ def run_experiment(config: ExperimentConfig, mode=MODE_FLOAT, extra_column=None,
                 f"need {config.trials}"
             )
         header = header + (extra_name,)
-    threads = _thread_count()
-    trials = range(config.trials)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda t: _experiment_row(config, t, mode), trials))
-    else:
-        rows = [_experiment_row(config, t, mode) for t in trials]
+    rows = [_experiment_row(config, t, mode) for t in range(config.trials)]
     out.write(SCHEMA_LINE + "\n")
     out.write(",".join(header) + "\n")
     for trial, row in enumerate(rows):

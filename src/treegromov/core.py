@@ -209,6 +209,12 @@ class Semimetric:
         n = len(taxa)
         if d.shape != (n, n):
             raise ValidationError(f"table shape {d.shape} does not match {n} taxa")
+        if mode == MODE_FLOAT and not np.isfinite(d).all():
+            # checked even without validate: no solver or check is defined on nan/inf
+            i, j = np.argwhere(~np.isfinite(d))[0]
+            raise ValidationError(
+                f"non-finite entry d({taxa.labels[i]},{taxa.labels[j]})={d[i, j]}"
+            )
         if validate:
             self._validate(taxa, d, mode)
         d.flags.writeable = False

@@ -16,7 +16,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels
-from ._backend import use_numba
 from .core import (
     MODE_FLOAT,
     MODE_RATIONAL,
@@ -105,10 +104,7 @@ def _all_pairs(graph: WeightedGraph):
         np.fill_diagonal(d, 0.0)
         for iu, iv, w in graph.edges:
             d[iu, iv] = d[iv, iu] = float(w)
-        if use_numba():
-            d = _kernels.floyd_warshall_numba(d)
-        else:
-            d = _kernels.floyd_warshall_numpy(d)
+        d = _kernels.floyd_warshall(d)
         if not np.isfinite(d).all():
             raise ValidationError("graph is disconnected")
         return d

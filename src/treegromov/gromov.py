@@ -23,8 +23,6 @@ by realize_extension via shortest paths.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -172,65 +170,37 @@ def _assemble_rows(rho, rho_prime, variant, upper_value):
     return rows, upper
 
 
-def gromov_distance(
-    rho: Semimetric,
-    rho_prime: Semimetric,
-    spec: GromovSpec,
-    inf_route: str = "closed",
-    lp_method: str = "auto",
-) -> OptResult:
+def gromov_distance(rho: Semimetric, rho_prime: Semimetric, spec: GromovSpec) -> OptResult:
     """Distance between two semimetrics under the given spec.
 
-    norm inf uses the closed form by default; inf_route="lp" solves the
-    epigraph LP instead (cross-check plumbing).  The returned OptResult
-    carries the achieved value, the optimal DeltaVector, and solver
-    certificates; for norm 2 the value is the square root of the QP
-    optimum, which itself is kept in certificate["raw_objective"].
+    norm inf uses the closed form.  The returned OptResult carries the
+    achieved value, the optimal DeltaVector, and solver certificates; for
+    norm 2 the value is the square root of the QP optimum, which itself is
+    kept in certificate["raw_objective"].
     """
     _check_pair(rho, rho_prime)
     mode = rho.mode
     taxa = rho.taxa
     n = len(taxa)
-    if inf_route not in ("closed", "lp"):
-        raise ValidationError(f"inf_route must be 'closed' or 'lp', got {inf_route!r}")
-
-    upper_value = None
-    if spec.bounded:
-        upper_value = 2 * dinf_closed_form(rho, rho_prime)
 
     if spec.norm == "inf":
         if spec.taxon_weights is not None:
             raise ValidationError("taxon weights are supported for norms 1 and 2 only")
         value = dinf_closed_form(rho, rho_prime)
-        if inf_route == "closed":
-            const = np.full(n, value) if mode == MODE_FLOAT else [value] * n
-            delta = DeltaVector(taxa, const, mode)
-            return OptResult(
-                STATUS_OPTIMAL,
-                value,
-                delta,
-                0,
-                mode,
-                "closed-form",
-                certificate={"tight_pair": _argmax_pair(rho, rho_prime)},
-            )
-        rows, upper = _assemble_rows(rho, rho_prime, spec.variant, upper_value)
-        # epigraph variable t is index n; t >= delta_x for every taxon
-        for i in range(n):
-            rows.append((((n, 1), (i, -1)), GE, 0))
-        if upper is not None:
-            upper = upper + [None]
-        objective = [0] * n + [1]
-        lp = LinearProgram.from_sparse(objective, rows, upper=upper, mode=mode)
-        result = solve_lp(lp, method=lp_method)
-        if result.status != STATUS_OPTIMAL:
-            raise TreegromovError(
-                f"norm-inf epigraph LP reported {result.status}; "
-                f"instance: {n} taxa, variant={spec.variant}"
-            )
-        delta = DeltaVector(taxa, result.argmin[:n], mode)
-        return result.with_updates(argmin=delta)
+        const = np.full(n, value) if mode == MODE_FLOAT else [value] * n
+        return OptResult(
+            STATUS_OPTIMAL,
+            value,
+            DeltaVector(taxa, const, mode),
+            0,
+            mode,
+            "closed-form",
+            certificate={"tight_pair": _argmax_pair(rho, rho_prime)},
+        )
 
+    upper_value = None
+    if spec.bounded:
+        upper_value = 2 * dinf_closed_form(rho, rho_prime)
     weights = spec.taxon_weights or tuple([1] * n)
     if len(weights) != n:
         raise ValidationError(f"need {n} taxon weights, got {len(weights)}")
@@ -239,7 +209,7 @@ def gromov_distance(
     if spec.norm == "1":
         objective = [as_scalar(w, mode) for w in weights]
         lp = LinearProgram.from_sparse(objective, rows, upper=upper, mode=mode)
-        result = solve_lp(lp, method=lp_method)
+        result = solve_lp(lp)
         if result.status != STATUS_OPTIMAL:
             raise TreegromovError(
                 f"norm-1 program reported {result.status} on valid semimetrics; "
@@ -284,15 +254,13 @@ def _argmax_pair(rho, rho_prime):
     return best[1], best[2]
 
 
-def tree_distance(t1: PhyloTree, t2: PhyloTree, spec: GromovSpec, **kwargs) -> OptResult:
+def tree_distance(t1: PhyloTree, t2: PhyloTree, spec: GromovSpec) -> OptResult:
     """Distance between the induced semimetrics of two trees on one taxon set."""
     if t1.taxa != t2.taxa:
         raise ValidationError("taxon sets differ")
     if t1.mode != t2.mode:
         raise ValidationError("modes differ")
-    return gromov_distance(
-        tree_to_semimetric(t1), tree_to_semimetric(t2), spec, **kwargs
-    )
+    return gromov_distance(tree_to_semimetric(t1), tree_to_semimetric(t2), spec)
 
 
 def quadrangle_feasible(rho: Semimetric, rho_prime: Semimetric, delta: DeltaVector):
@@ -423,13 +391,9 @@ def _max_abs_gap(a, b, mode):
     return worst
 
 
-def pairwise_matrix(trees, spec: GromovSpec, **kwargs) -> np.ndarray:
-    """Symmetric matrix of tree_distance values over a tree list.
-
-    Cells are independent solves; TREEGROMOV_THREADS > 1 evaluates them in
-    a thread pool (numpy releases the GIL in the kernels), results are
-    deterministic either way.
-    """
+def pairwise_matrix(trees, spec: GromovSpec) -> np.ndarray:
+    """Symmetric matrix of tree_distance values over a tree list, one
+    solve per unordered pair, in row-major order on one thread."""
     trees = list(trees)
     if not trees:
         raise ValidationError("need at least one tree")
@@ -444,31 +408,10 @@ def pairwise_matrix(trees, spec: GromovSpec, **kwargs) -> np.ndarray:
     metrics = [tree_to_semimetric(t) for t in trees]
     zero = 0.0 if mode == MODE_FLOAT else Fraction(0)
     out = np.zeros((k, k)) if mode == MODE_FLOAT else np.full((k, k), zero, dtype=object)
-    cells = [(i, j) for i in range(k) for j in range(i + 1, k)]
-
-    def solve_cell(cell):
-        i, j = cell
-        return gromov_distance(metrics[i], metrics[j], spec, **kwargs).value
-
-    workers = _thread_count()
-    if workers > 1 and len(cells) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(solve_cell, cells))
-    else:
-        values = [solve_cell(c) for c in cells]
-    for (i, j), v in zip(cells, values):
-        out[i, j] = v
-        out[j, i] = v
+    for i in range(k):
+        for j in range(i + 1, k):
+            out[i, j] = out[j, i] = gromov_distance(metrics[i], metrics[j], spec).value
     return out
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("TREEGROMOV_THREADS", "1").strip()
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValidationError(f"TREEGROMOV_THREADS must be an integer, got {raw!r}")
-    return max(1, value)
 
 
 def format_certificate(

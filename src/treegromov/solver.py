@@ -1,21 +1,23 @@
 """Dense LP and convex-QP solvers sized for a few hundred variables.
 
-The linear solver's default route solves the dual of
+The linear solver solves the dual of
 
     min c.x   s.t.  A x >= b,  0 <= x <= u
 
 with a revised primal simplex, because the dual's basis is only n x n no
 matter how many rows the primal has (rows here grow quadratically in the
 taxon count while variables grow linearly).  The all-slack dual basis is
-feasible exactly when c >= 0, which holds for every program this package
-assembles; general objectives fall back to a dense two-phase primal
-simplex (method="primal").  Exact-rational solves mirror the dual route
-with Fraction arithmetic and Bland's rule throughout.
+feasible exactly when c >= 0, so solve_lp accepts nonnegative objectives
+only; every program this package assembles has one.  Exact-rational solves
+follow the same route with Fraction arithmetic and Bland's rule throughout.
 
 The quadratic solver is a primal active-set method for strictly convex
 diagonal objectives sum w_j x_j^2.  Working-set rows stay linearly
 independent automatically (a blocking row has a.p != 0 while working rows
 have a.p == 0), so the small KKT systems never need rank checks.
+
+A singular linear system inside either float solver is reported as a
+TreegromovError with an instance summary, never as a bare numpy error.
 
 Constraint rows carry 1 or 2 nonzero coefficients of +-1; that structure
 is validated at construction and is what the sparse kernels exploit.
@@ -24,12 +26,12 @@ is validated at construction and is what the sparse kernels exploit.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
 
 from . import _kernels
-from ._backend import use_numba
 from .core import (
     MODE_FLOAT,
     MODE_RATIONAL,
@@ -293,13 +295,6 @@ def _float_rows_with_bounds(prog):
     )
 
 
-def _row_values(i1, v1, i2, v2, x):
-    out = v1 * x[i1]
-    second = i2 >= 0
-    out[second] += v2[second] * x[i2[second]]
-    return out
-
-
 def _scatter_rows(i1, v1, i2, v2, y, n_vars):
     """A^T y for the sparse row encoding."""
     out = np.zeros(n_vars)
@@ -318,28 +313,21 @@ def _lp_float_dual(i1, v1, i2, v2, b, c):
     n = len(c)
     m = len(b)
     c = np.asarray(c, dtype=np.float64)
-    if (c < 0).any():
-        raise ValidationError("dual-route simplex requires a nonnegative objective")
     ci1 = np.concatenate([i1, np.arange(n, dtype=np.int64)])
     cv1 = np.concatenate([v1, np.ones(n)])
     ci2 = np.concatenate([i2, np.full(n, -1, dtype=np.int64)])
     cv2 = np.concatenate([v2, np.zeros(n)])
     g = np.concatenate([-b, np.zeros(n)])
     max_iter = 20000 + 100 * n
-    if use_numba():
-        status, basis, iters, ray_col, ray_d = _kernels.dual_simplex_numba(
-            ci1, cv1, ci2, cv2, g, c, BLAND_AFTER, PIVOT_TOL, max_iter
-        )
-    else:
-        status, basis, iters, ray_col, ray_d = _kernels.dual_simplex_numpy(
-            ci1, cv1, ci2, cv2, g, c, BLAND_AFTER, PIVOT_TOL, max_iter
-        )
+    status, basis, iters, ray_col, ray_d = _kernels.dual_simplex(
+        ci1, cv1, ci2, cv2, g, c, BLAND_AFTER, PIVOT_TOL, max_iter
+    )
     if status == _kernels.LP_ITER_LIMIT:
         raise TreegromovError(
             f"simplex iteration limit ({max_iter}) hit on {m} rows x {n} vars"
         )
     basis = np.asarray(basis, dtype=np.int64)
-    B = _kernels._dense_basis_numpy(ci1, cv1, ci2, cv2, basis, n)
+    B = _kernels.dense_basis(ci1, cv1, ci2, cv2, basis, n)
     if status == _kernels.LP_DUAL_UNBOUNDED:
         ray = np.zeros(m + n)
         ray[ray_col] = 1.0
@@ -362,109 +350,6 @@ def _lp_float_dual(i1, v1, i2, v2, b, c):
         "y": y,
         "primal_value": float(np.dot(c, np.maximum(x, 0.0))),
         "dual_value": float(np.dot(b, y)),
-    }
-
-
-# ---------------------------------------------------------------------------
-# Float LP, dense primal route (cross-check path, general objectives)
-# ---------------------------------------------------------------------------
-
-_PRIMAL_ROW_CAP = 3000
-
-
-def _lp_float_primal(i1, v1, i2, v2, b, c):
-    """Two-phase dense tableau simplex with Bland's rule throughout."""
-    n = len(c)
-    m = len(b)
-    if m > _PRIMAL_ROW_CAP:
-        raise ValidationError(
-            f"primal route is capped at {_PRIMAL_ROW_CAP} rows (got {m}); "
-            "use the dual route"
-        )
-    A = np.zeros((m, n))
-    rows = np.arange(m)
-    A[rows, i1] = v1
-    second = i2 >= 0
-    A[rows[second], i2[second]] += v2[second]
-    b = np.asarray(b, dtype=np.float64).copy()
-    # orient every row to b >= 0; >= rows keep a -1 surplus, flipped rows a +1 slack
-    flip = b < 0
-    A[flip] *= -1.0
-    b[flip] *= -1.0
-    surplus = np.where(flip, 1.0, -1.0)
-    # columns: n structural | m surplus/slack | artificials for unflipped rows
-    art_rows = np.nonzero(~flip)[0]
-    n_art = len(art_rows)
-    total = n + m + n_art
-    T = np.zeros((m, total + 1))
-    T[:, :n] = A
-    T[rows, n + rows] = surplus
-    for k, r in enumerate(art_rows):
-        T[r, n + m + k] = 1.0
-    T[:, total] = b
-    basis = np.empty(m, dtype=np.int64)
-    basis[flip] = n + rows[flip]
-    basis[art_rows] = n + m + np.arange(n_art)
-
-    def pivot(T, basis, r, col):
-        T[r] /= T[r, col]
-        for rr in range(m):
-            if rr != r and T[rr, col] != 0.0:
-                T[rr] -= T[rr, col] * T[r]
-        basis[r] = col
-
-    def run_phase(T, basis, cost, allowed, max_iter):
-        iters = 0
-        for _ in range(max_iter):
-            cb = cost[basis]
-            red = cost[:total] - cb @ T[:, :total]
-            red[basis] = 0.0
-            entering = -1
-            for j in range(total):  # Bland: lowest improving index
-                if allowed[j] and red[j] < -PIVOT_TOL:
-                    entering = j
-                    break
-            if entering < 0:
-                return iters
-            col = T[:, entering]
-            ratios = np.where(col > PIVOT_TOL, T[:, total] / np.where(col > PIVOT_TOL, col, 1.0), np.inf)
-            if not np.isfinite(ratios).any():
-                raise TreegromovError("primal simplex detected an unbounded objective")
-            theta = ratios.min()
-            close = np.nonzero(ratios <= theta + 1e-12)[0]
-            r = int(close[np.argmin(basis[close])])
-            pivot(T, basis, r, entering)
-            iters += 1
-        raise TreegromovError("primal simplex iteration limit hit")
-
-    max_iter = 20000 + 50 * total
-    allowed = np.ones(total, dtype=bool)
-    phase1_cost = np.zeros(total + 1)
-    phase1_cost[n + m :] = 1.0
-    it1 = run_phase(T, basis, phase1_cost[: total + 1], allowed, max_iter)
-    infeas = float(np.sum(T[:, total][basis >= n + m]))
-    if infeas > 1e-7 * max(1.0, float(np.abs(b).max(initial=0.0))):
-        return {"status": STATUS_INFEASIBLE, "iterations": it1}
-    # drive any zero-level artificials out of the basis
-    for r in range(m):
-        if basis[r] >= n + m:
-            row = T[r, : n + m]
-            cand = np.nonzero(np.abs(row) > PIVOT_TOL)[0]
-            if cand.size:
-                pivot(T, basis, r, int(cand[0]))
-    allowed[n + m :] = False
-    phase2_cost = np.zeros(total + 1)
-    phase2_cost[:n] = c
-    it2 = run_phase(T, basis, phase2_cost[: total + 1], allowed, max_iter)
-    x = np.zeros(n)
-    for r in range(m):
-        if basis[r] < n:
-            x[basis[r]] = T[r, total]
-    return {
-        "status": STATUS_OPTIMAL,
-        "iterations": it1 + it2,
-        "x": x,
-        "primal_value": float(np.dot(c, x)),
     }
 
 
@@ -501,8 +386,6 @@ def _lp_rational_dual(i1, v1, i2, v2, b, c):
     n = len(c)
     m = len(b)
     zero = Fraction(0)
-    if any(x < 0 for x in c):
-        raise ValidationError("dual-route simplex requires a nonnegative objective")
     ci1 = list(i1) + list(range(n))
     cv1 = list(v1) + [Fraction(1)] * n
     ci2 = list(i2) + [-1] * n
@@ -606,9 +489,23 @@ def _rational_rows_with_bounds(prog):
 # solve_lp
 # ---------------------------------------------------------------------------
 
+@contextmanager
+def _singular_as_error(route, b, n_vars):
+    """Re-raise a LinAlgError from the float kernels or the certificate
+    solves as a TreegromovError carrying an instance summary."""
+    try:
+        yield
+    except np.linalg.LinAlgError as exc:
+        raise TreegromovError(
+            f"{route} hit a singular linear system ({exc}); instance: "
+            f"rows={len(b)}, vars={n_vars}, "
+            f"max|b|={float(np.abs(b).max(initial=0.0)):.6g}"
+        ) from exc
+
+
 def _verify_primal_float(i1, v1, i2, v2, b, x, upper_n):
     x = np.maximum(x, 0.0)
-    vals = _row_values(i1, v1, i2, v2, x)
+    vals = _kernels.row_dot(i1, v1, i2, v2, x)
     worst = float((b - vals).max(initial=0.0))
     scale = max(1.0, float(np.abs(b).max(initial=0.0)))
     if worst > FEAS_ATOL * scale:
@@ -620,29 +517,25 @@ def _verify_primal_float(i1, v1, i2, v2, b, x, upper_n):
     return x
 
 
-def solve_lp(lp: LinearProgram, mode: str | None = None, method: str = "auto") -> OptResult:
-    """Globally solve the LP.
+def solve_lp(lp: LinearProgram, mode: str | None = None) -> OptResult:
+    """Globally solve the LP with the dual-route simplex.
 
     mode defaults to the program's own mode; a rational program may be
     solved in float mode (exact data converted down), never the reverse.
-    method: "dual" (default for c >= 0), "primal" (dense two-phase,
-    general c), or "auto".
+    The objective must be nonnegative; a negative entry is a
+    ValidationError in both modes.
     """
     if mode is None:
         mode = lp.mode
     check_mode(mode)
     if mode == MODE_RATIONAL and lp.mode == MODE_FLOAT:
         raise ValidationError("cannot solve a float program in rational mode")
-    if method not in ("auto", "dual", "primal"):
-        raise ValidationError(f"unknown method {method!r}")
+    if any(x < 0 for x in lp.c):
+        raise ValidationError(
+            "solve_lp requires a nonnegative objective (dual-route simplex)"
+        )
 
     if mode == MODE_RATIONAL:
-        if method == "primal":
-            raise ValidationError("rational mode implements the dual route only")
-        if any(x < 0 for x in lp.c):
-            raise ValidationError(
-                "rational mode requires a nonnegative objective (dual route)"
-            )
         i1, v1, i2, v2, b = _rational_rows_with_bounds(lp)
         c = [as_scalar(x, MODE_RATIONAL) for x in lp.c]
         out = _lp_rational_dual(i1, v1, i2, v2, b, c)
@@ -680,53 +573,36 @@ def solve_lp(lp: LinearProgram, mode: str | None = None, method: str = "auto") -
     # float mode
     i1, v1, i2, v2, b = _float_rows_with_bounds(lp)
     c = np.array([float(x) for x in lp.c])
-    if method == "auto":
-        method = "dual" if (c >= 0).all() else "primal"
-    if method == "dual":
+    with _singular_as_error("simplex", b, lp.n_vars):
         out = _lp_float_dual(i1, v1, i2, v2, b, c)
-    else:
-        out = _lp_float_primal(i1, v1, i2, v2, b, c)
     if out["status"] == STATUS_INFEASIBLE:
-        cert = {}
-        if "farkas" not in out:
-            # primal route found infeasibility; the zero-objective dual route
-            # supplies the ray
-            aux = _lp_float_dual(i1, v1, i2, v2, b, np.zeros(lp.n_vars))
-            if aux["status"] == STATUS_INFEASIBLE:
-                cert["farkas_ray"] = aux["farkas"]
-        else:
-            cert["farkas_ray"] = out["farkas"]
-        ray = cert.get("farkas_ray")
-        if ray is not None:
-            # audit: ray >= 0, A^T ray <= 0, b.ray > 0
-            back = _scatter_rows(i1, v1, i2, v2, ray, lp.n_vars)
-            if back.max(initial=0.0) > 1e-7 or float(np.dot(b, ray)) <= 0:
-                raise TreegromovError("invalid Farkas certificate produced")
+        ray = out["farkas"]
+        # audit: ray >= 0, A^T ray <= 0, b.ray > 0
+        back = _scatter_rows(i1, v1, i2, v2, ray, lp.n_vars)
+        if back.max(initial=0.0) > 1e-7 or float(np.dot(b, ray)) <= 0:
+            raise TreegromovError("invalid Farkas certificate produced")
         return OptResult(
             STATUS_INFEASIBLE,
             None,
             None,
             out["iterations"],
             MODE_FLOAT,
-            method,
-            certificate=cert,
+            "dual",
+            certificate={"farkas_ray": ray},
         )
     x = _verify_primal_float(i1, v1, i2, v2, b, out["x"], lp.n_vars)
     value = float(np.dot(c, x))
-    cert = {}
-    if "y" in out:
-        gap = abs(out["dual_value"] - value)
-        if gap > GAP_RTOL * max(1.0, abs(value)):
-            raise TreegromovError(f"duality gap {gap:.3e} exceeds tolerance")
-        cert = {"dual": out["y"], "duality_gap": gap}
+    gap = abs(out["dual_value"] - value)
+    if gap > GAP_RTOL * max(1.0, abs(value)):
+        raise TreegromovError(f"duality gap {gap:.3e} exceeds tolerance")
     return OptResult(
         STATUS_OPTIMAL,
         value,
         x,
         out["iterations"],
         MODE_FLOAT,
-        method,
-        certificate=cert,
+        "dual",
+        certificate={"dual": out["y"], "duality_gap": gap},
     )
 
 
@@ -743,7 +619,7 @@ def _feasible_start(i1, v1, i2, v2, b, n):
         return np.zeros(n)
     tbar = float(b.max()) / 2.0
     x = np.full(n, tbar)
-    if (_row_values(i1, v1, i2, v2, x) >= b - tol).all():
+    if (_kernels.row_dot(i1, v1, i2, v2, x) >= b - tol).all():
         return x
     out = _lp_float_dual(i1, v1, i2, v2, b, np.zeros(n))
     if out["status"] == STATUS_INFEASIBLE:
@@ -758,25 +634,21 @@ def solve_qp(qp: QuadraticProgram, mode: str = MODE_FLOAT) -> OptResult:
     i1, v1, i2, v2, b = _float_rows_with_bounds(qp)
     n = qp.n_vars
     w = np.array(qp.weights)
-    x0 = _feasible_start(i1, v1, i2, v2, b, n)
-    if x0 is None:
-        aux = _lp_float_dual(i1, v1, i2, v2, b, np.zeros(n))
-        return OptResult(
-            STATUS_INFEASIBLE,
-            None,
-            None,
-            aux["iterations"],
-            MODE_FLOAT,
-            "active-set",
-            certificate={"farkas_ray": aux.get("farkas")},
-        )
-    max_iter = 1000 + 20 * (len(b) + n)
-    if use_numba():
-        status, x, work, iters = _kernels.active_set_qp_numba(
-            i1, v1, i2, v2, b, w, x0, 1e-11, max_iter
-        )
-    else:
-        status, x, work, iters = _kernels.active_set_qp_numpy(
+    with _singular_as_error("active-set QP", b, n):
+        x0 = _feasible_start(i1, v1, i2, v2, b, n)
+        if x0 is None:
+            aux = _lp_float_dual(i1, v1, i2, v2, b, np.zeros(n))
+            return OptResult(
+                STATUS_INFEASIBLE,
+                None,
+                None,
+                aux["iterations"],
+                MODE_FLOAT,
+                "active-set",
+                certificate={"farkas_ray": aux.get("farkas")},
+            )
+        max_iter = 1000 + 20 * (len(b) + n)
+        status, x, work, iters = _kernels.active_set_qp(
             i1, v1, i2, v2, b, w, x0, 1e-11, max_iter
         )
     if status == _kernels.QP_ITER_LIMIT:
@@ -793,11 +665,12 @@ def solve_qp(qp: QuadraticProgram, mode: str = MODE_FLOAT) -> OptResult:
         AW[np.nonzero(second)[0], i2[work[second]]] += v2[work[second]]
         AWD = AW / w[None, :]
         G = AWD @ AW.T
-        nu = 2.0 * np.linalg.solve(G, b[work])
+        with _singular_as_error("active-set QP multipliers", b, n):
+            nu = 2.0 * np.linalg.solve(G, b[work])
         mu[work] = nu
     grad = 2.0 * w * x
     stationarity = float(np.abs(grad - _scatter_rows(i1, v1, i2, v2, mu, n)).max(initial=0.0))
-    resid = _row_values(i1, v1, i2, v2, x) - b
+    resid = _kernels.row_dot(i1, v1, i2, v2, x) - b
     primal = float(np.maximum(-resid, 0.0).max(initial=0.0))
     dual = float(np.maximum(-mu, 0.0).max(initial=0.0))
     comp = float(np.abs(mu * resid).max(initial=0.0))

@@ -10,7 +10,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels
-from ._backend import use_numba
 from .core import (
     MODE_FLOAT,
     MODE_RATIONAL,
@@ -85,10 +84,7 @@ def four_point_check(rho: Semimetric):
     if rho.mode == MODE_FLOAT:
         d = rho.table
         tol = FOUR_POINT_RTOL * max(1.0, float(d.max(initial=0.0)))
-        if use_numba():
-            i, j, k, l = _kernels.four_point_numba(d, tol)
-        else:
-            i, j, k, l = _kernels.four_point_numpy(d, tol)
+        i, j, k, l = _kernels.four_point(d, tol)
         if i < 0:
             return True, None
         labs = rho.taxa.labels

@@ -5,6 +5,11 @@ vertex of the constraint polyhedron, QP minima from minimizing over every
 face, tree metrics from Dijkstra, and the four-point test from checking
 every quadruple.  Slow on purpose; used to pin expected values for the
 fast implementations.
+
+Two reference routes that the package no longer runs live here as well: a
+dense two-phase primal simplex (independent of the package's dual route),
+and the norm-inf epigraph LP, built as a package LinearProgram so that
+solve_lp can be checked against the closed form max|rho - rho'| / 2.
 """
 
 from __future__ import annotations
@@ -249,6 +254,122 @@ def qp_face_oracle(w, A, b, upper=None, tol=FEAS_TOL):
         if best_val is None or vals[j] < best_val:
             best_val, best_x = float(vals[j]), cands[feas][j]
     return best_val, best_x
+
+
+# ---------------------------------------------------------------------------
+# LP by the dense two-phase primal simplex
+
+PRIMAL_ROW_CAP = 3000
+PRIMAL_PIVOT_TOL = 1e-9
+
+
+def lp_primal_oracle(c, A, b):
+    """Minimum of c.x over A x >= b, x >= 0 by a two-phase dense tableau
+    simplex with Bland's rule throughout; any sign of c is allowed.
+    Returns (value, x) or (None, None) when the program is infeasible."""
+    A = np.array(A, dtype=float)
+    b = np.array(b, dtype=float)
+    c = np.asarray(c, dtype=float)
+    m, n = A.shape
+    if m > PRIMAL_ROW_CAP:
+        raise ValueError(f"primal oracle is capped at {PRIMAL_ROW_CAP} rows (got {m})")
+    rows = np.arange(m)
+    # orient every row to b >= 0; >= rows keep a -1 surplus, flipped rows a +1 slack
+    flip = b < 0
+    A[flip] *= -1.0
+    b[flip] *= -1.0
+    surplus = np.where(flip, 1.0, -1.0)
+    # columns: n structural | m surplus/slack | artificials for unflipped rows
+    art_rows = np.nonzero(~flip)[0]
+    n_art = len(art_rows)
+    total = n + m + n_art
+    T = np.zeros((m, total + 1))
+    T[:, :n] = A
+    T[rows, n + rows] = surplus
+    for k, r in enumerate(art_rows):
+        T[r, n + m + k] = 1.0
+    T[:, total] = b
+    basis = np.empty(m, dtype=np.int64)
+    basis[flip] = n + rows[flip]
+    basis[art_rows] = n + m + np.arange(n_art)
+
+    def pivot(r, col):
+        T[r] /= T[r, col]
+        for rr in range(m):
+            if rr != r and T[rr, col] != 0.0:
+                T[rr] -= T[rr, col] * T[r]
+        basis[r] = col
+
+    def run_phase(cost, allowed, max_iter):
+        for _ in range(max_iter):
+            red = cost[:total] - cost[basis] @ T[:, :total]
+            red[basis] = 0.0
+            entering = -1
+            for j in range(total):  # Bland: lowest improving index
+                if allowed[j] and red[j] < -PRIMAL_PIVOT_TOL:
+                    entering = j
+                    break
+            if entering < 0:
+                return
+            col = T[:, entering]
+            pos = col > PRIMAL_PIVOT_TOL
+            ratios = np.where(pos, T[:, total] / np.where(pos, col, 1.0), np.inf)
+            if not np.isfinite(ratios).any():
+                raise RuntimeError("primal simplex detected an unbounded objective")
+            theta = ratios.min()
+            close = np.nonzero(ratios <= theta + 1e-12)[0]
+            pivot(int(close[np.argmin(basis[close])]), entering)
+        raise RuntimeError("primal simplex iteration limit hit")
+
+    max_iter = 20000 + 50 * total
+    allowed = np.ones(total, dtype=bool)
+    phase1_cost = np.zeros(total + 1)
+    phase1_cost[n + m :] = 1.0
+    run_phase(phase1_cost, allowed, max_iter)
+    infeas = float(np.sum(T[:, total][basis >= n + m]))
+    if infeas > 1e-7 * max(1.0, float(np.abs(b).max(initial=0.0))):
+        return None, None
+    # drive any zero-level artificials out of the basis
+    for r in range(m):
+        if basis[r] >= n + m:
+            cand = np.nonzero(np.abs(T[r, : n + m]) > PRIMAL_PIVOT_TOL)[0]
+            if cand.size:
+                pivot(r, int(cand[0]))
+    allowed[n + m :] = False
+    phase2_cost = np.zeros(total + 1)
+    phase2_cost[:n] = c
+    run_phase(phase2_cost, allowed, max_iter)
+    x = np.zeros(n)
+    for r in range(m):
+        if basis[r] < n:
+            x[basis[r]] = T[r, total]
+    return float(np.dot(c, x)), x
+
+
+# ---------------------------------------------------------------------------
+# the norm-inf epigraph LP, as a program for the package's solve_lp
+
+
+def epigraph_lp(rho, rho_prime, variant="full"):
+    """min t over the relabeling rows plus t >= delta_x for every taxon,
+    as a LinearProgram in the semimetrics' mode (variable n is t)."""
+    from treegromov import LinearProgram
+    from treegromov.solver import GE
+
+    n = len(rho.taxa)
+    d, dp = rho.table, rho_prime.table
+    rows = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows.append((((i, 1), (j, 1)), GE, abs(d[i, j] - dp[i, j])))
+    if variant == "full":
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows.append((((i, 1), (j, -1)), GE, -(d[i, j] + dp[i, j])))
+                rows.append((((j, 1), (i, -1)), GE, -(d[i, j] + dp[i, j])))
+    for i in range(n):
+        rows.append((((n, 1), (i, -1)), GE, 0))
+    return LinearProgram.from_sparse([0] * n + [1], rows, mode=rho.mode)
 
 
 # ---------------------------------------------------------------------------

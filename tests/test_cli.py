@@ -314,20 +314,6 @@ def test_experiment_extra_column_bad_spec(capsys):
     assert code == 2
 
 
-def test_experiment_threads_identical_output(tmp_path, capsys, monkeypatch):
-    args = ["experiment", "compare", "--n", "6", "--trials", "4", "--seed", "7"]
-    _, serial, _ = run(capsys, args)
-    monkeypatch.setenv("TREEGROMOV_THREADS", "3")
-    _, threaded, _ = run(capsys, args)
-    assert serial == threaded
-
-
-def test_experiment_bad_thread_env(capsys, monkeypatch):
-    monkeypatch.setenv("TREEGROMOV_THREADS", "many")
-    code, _, err = run(capsys, ["experiment", "compare", "--trials", "1", "--n", "5"])
-    assert code == 3
-
-
 def test_experiment_invalid_n(capsys):
     code, _, err = run(capsys, ["experiment", "compare", "--n", "3"])
     assert code == 3
@@ -395,6 +381,20 @@ def test_validate_asymmetric_table(tmp_path, capsys):
     code, out, _ = run(capsys, ["validate", str(p)])
     assert code == 3
     assert "symmetric: FAIL" in out
+
+
+@pytest.mark.parametrize("token", ["inf", "nan"])
+def test_non_finite_table_cell_is_validation_error(tmp_path, capsys, token):
+    p = tmp_path / "nonfinite.csv"
+    p.write_text(f"a,b,c\n0,1,2\n1,0,{token}\n2,{token},0\n")
+    code, out, err = run(capsys, ["validate", str(p)])
+    assert code == 3
+    assert "PASS" not in out
+    assert f"non-finite entry d(b,c)={token}" in err
+    code, out, err = run(capsys, ["dist", str(p), str(p)])
+    assert code == 3
+    assert out == ""
+    assert f"non-finite entry d(b,c)={token}" in err
 
 
 def test_validate_missing_file(capsys):

@@ -148,6 +148,15 @@ def test_semimetric_validation_failures():
         semimetric_from_table(list("abcd"), bad)
 
 
+@pytest.mark.parametrize("bad_value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("validate", [True, False])
+def test_semimetric_rejects_non_finite_entries(bad_value, validate):
+    bad = _quartet_table()
+    bad[1, 3] = bad[3, 1] = bad_value
+    with pytest.raises(ValidationError, match=r"non-finite entry d\(b,d\)="):
+        semimetric_from_table(list("abcd"), bad, validate=validate)
+
+
 def test_semimetric_table_frozen():
     rho = semimetric_from_table(list("abcd"), _quartet_table())
     with pytest.raises(ValueError):

@@ -111,7 +111,19 @@ def test_lp_mode_guards():
         solve_lp(lp, mode="rational")
 
 
+def test_lp_rejects_negative_objective():
+    rows = [([(0, 1)], GE, 1)]
+    with pytest.raises(ValidationError, match="nonnegative objective"):
+        solve_lp(LinearProgram.from_sparse([1.0, -0.5], rows))
+    lp = LinearProgram.from_sparse([Fraction(1), Fraction(-1, 2)], rows, mode="rational")
+    for mode in ("rational", "float"):
+        with pytest.raises(ValidationError, match="nonnegative objective"):
+            solve_lp(lp, mode=mode)
+
+
 def test_lp_methods_agree():
+    # the dual-route simplex against two independent references: the dense
+    # two-phase primal simplex and vertex enumeration
     rng = np.random.default_rng(11)
     for _ in range(20):
         nv = int(rng.integers(2, 5))
@@ -121,15 +133,24 @@ def test_lp_methods_agree():
             entries = [(int(i), 1), (int(j), int(rng.choice([-1, 1])))]
             rows.append((entries, GE, float(rng.integers(-4, 8))))
         c = rng.integers(1, 5, size=nv).astype(float)
-        lp = LinearProgram.from_sparse(list(c), rows)
-        res_d = solve_lp(lp, method="dual")
-        res_p = solve_lp(lp, method="primal")
-        assert res_d.status == res_p.status
-        if res_d.status == STATUS_OPTIMAL:
-            assert res_d.value == pytest.approx(res_p.value, abs=1e-8)
-            A, b = _dense_from_rows(rows, nv)
+        res = solve_lp(LinearProgram.from_sparse(list(c), rows))
+        A, b = _dense_from_rows(rows, nv)
+        primal, _ = orc.lp_primal_oracle(c, A, b)
+        assert (res.status == STATUS_OPTIMAL) == (primal is not None)
+        if res.status == STATUS_OPTIMAL:
+            assert res.value == pytest.approx(primal, abs=1e-8)
             want, _ = orc.lp_vertex_oracle(c, A, b)
-            assert res_d.value == pytest.approx(want, abs=1e-8)
+            assert res.value == pytest.approx(want, abs=1e-8)
+
+
+def test_primal_oracle_handles_negative_objective():
+    # the reference keeps the general-objective case the package dropped:
+    # min -x0 - x1 over x0 + x1 <= 3, x0 <= 2 is -3
+    A = np.array([[-1.0, -1.0], [-1.0, 0.0]])
+    value, x = orc.lp_primal_oracle([-1.0, -1.0], A, [-3.0, -2.0])
+    assert value == pytest.approx(-3.0)
+    want, _ = orc.lp_vertex_oracle([-1.0, -1.0], A, [-3.0, -2.0])
+    assert value == pytest.approx(want)
 
 
 def test_lp_oracle_sweep_with_bounds():
