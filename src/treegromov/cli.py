@@ -52,9 +52,9 @@ WEIGHT_MODELS = ("unit", "uniform01")
 class ExperimentConfig:
     """Validated bundle of experiment parameters."""
 
-    __slots__ = ("experiment", "n", "trials", "seed", "weight_model", "out")
+    __slots__ = ("experiment", "n", "trials", "seed", "weight_model")
 
-    def __init__(self, experiment, n=10, trials=10, seed=0, weight_model="unit", out=None):
+    def __init__(self, experiment, n=10, trials=10, seed=0, weight_model="unit"):
         if experiment not in EXPERIMENTS:
             raise ValidationError(f"unknown experiment {experiment!r}")
         if n < 4:
@@ -68,7 +68,6 @@ class ExperimentConfig:
         self.trials = int(trials)
         self.seed = int(seed)
         self.weight_model = weight_model
-        self.out = out
 
 
 def _fmt(value) -> str:
@@ -177,8 +176,6 @@ def cmd_dist(args) -> int:
 def cmd_matrix(args) -> int:
     text = _read_text(args.input)
     trees = parse_newick_file(text, mode=args.mode)
-    if not trees:
-        raise ParseError("no trees in input")
     spec = GromovSpec(norm=args.norm, variant=args.variant, bounded=args.bounded)
     if args.norm == "2" and args.mode == MODE_RATIONAL:
         trees = [t.with_mode(MODE_FLOAT) for t in trees]
@@ -208,7 +205,6 @@ def _metric_row(rho1, rho2, t1, t2, mode):
     for nm in NORMS_ALL:
         vals.append(_pd_value(rho1, rho2, nm))
     vals.append(robinson_foulds(t1, t2))
-    # reorder from (D1,D2,Dinf,Dt1,...) build order to METRIC_COLUMNS order
     return vals
 
 
@@ -377,7 +373,6 @@ def cmd_experiment(args) -> int:
         trials=args.trials,
         seed=args.seed,
         weight_model=args.weights,
-        out=args.out,
     )
     extra = None
     if args.extra_column is not None:

@@ -100,19 +100,16 @@ def format_scalar(value, mode: str) -> str:
 
 
 def scalar_array(table, mode: str) -> np.ndarray:
-    """Build the mode's array type from a nested sequence or ndarray."""
+    """Build a new array of the mode's type from a nested sequence or
+    ndarray; never a view of the input, so callers may freeze it."""
     check_mode(mode)
     if mode == MODE_FLOAT:
-        return np.asarray(table, dtype=np.float64)
+        return np.array(table, dtype=np.float64)
     arr = np.asarray(table, dtype=object)
     out = np.empty(arr.shape, dtype=object)
     for idx in np.ndindex(arr.shape):
         out[idx] = as_scalar(arr[idx], MODE_RATIONAL)
     return out
-
-
-def to_float_array(arr: np.ndarray) -> np.ndarray:
-    return np.asarray(arr, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +302,7 @@ class Semimetric:
     def to_float(self) -> "Semimetric":
         if self.mode == MODE_FLOAT:
             return self
-        return Semimetric(self.taxa, to_float_array(self.table), MODE_FLOAT, validate=False)
+        return Semimetric(self.taxa, self.table, MODE_FLOAT, validate=False)
 
     def __add__(self, other):
         if not isinstance(other, Semimetric):

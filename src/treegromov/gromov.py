@@ -15,6 +15,15 @@ max|rho - rho'| / 2: the constant vector at that value is feasible for
 both variants, and any feasible delta has max delta >= (delta_x +
 delta_y)/2 >= |rho - rho'|(x, y)/2 at the maximizing pair.
 
+Both programs are assembled from one set of pair arrays: the upper-triangle
+pairs i < j in row-major order (np.triu_indices), with |rho - rho'| and
+rho + rho' on them.  In rational mode these are object arrays of
+Fractions, so both modes run the same expressions.  The rows are the pair
+rows in pair order, then, for the full variant, the two difference rows of
+each pair in turn; the same arrays feed the tight pair of the norm-inf
+closed form, quadrangle_feasible and the active-row list of
+format_certificate.
+
 Every optimum delta* is realizable: an actual semimetric on the disjoint
 union of the two copies with matched distances delta* exists and is built
 by realize_extension via shortest paths.
@@ -38,7 +47,6 @@ from .core import (
     as_scalar,
 )
 from .solver import (
-    GE,
     STATUS_OPTIMAL,
     LinearProgram,
     OptResult,
@@ -136,38 +144,37 @@ def _check_pair(rho: Semimetric, rho_prime: Semimetric):
         raise ValidationError("modes differ")
 
 
+def _pair_arrays(rho, rho_prime):
+    """(iu, ju, gap, total): the pairs iu < ju in row-major order with
+    |rho - rho'| and rho + rho' on them, in the semimetrics' mode."""
+    iu, ju = np.triu_indices(len(rho.taxa), 1)
+    d, dp = rho.table[iu, ju], rho_prime.table[iu, ju]
+    return iu, ju, np.abs(d - dp), d + dp
+
+
 def dinf_closed_form(rho: Semimetric, rho_prime: Semimetric):
-    """max |rho - rho'| / 2, the exact norm-inf optimum of both variants."""
+    """max |rho - rho'| / 2, the exact norm-inf optimum of both variants.
+
+    The max runs over the whole table rather than the pair arrays: float
+    tables from tree_to_semimetric can differ from their transpose in the
+    last bit, and either triangle may hold the larger gap."""
     _check_pair(rho, rho_prime)
-    n = len(rho.taxa)
-    if rho.mode == MODE_FLOAT:
-        return float(np.abs(rho.table - rho_prime.table).max(initial=0.0)) / 2.0
-    best = Fraction(0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            gap = abs(rho.table[i, j] - rho_prime.table[i, j])
-            if gap > best:
-                best = gap
-    return best / 2
+    return _max_abs_gap(rho.table, rho_prime.table, rho.mode) / 2
 
 
-def _assemble_rows(rho, rho_prime, variant, upper_value):
-    """Sparse constraint rows in deterministic order: pair rows for i < j,
-    then the two difference rows per pair for the full variant."""
-    n = len(rho.taxa)
-    d, dp = rho.table, rho_prime.table
-    rows = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            rows.append((((i, 1), (j, 1)), GE, abs(d[i, j] - dp[i, j])))
-    if variant == VARIANT_FULL:
-        for i in range(n):
-            for j in range(i + 1, n):
-                total = d[i, j] + dp[i, j]
-                rows.append((((i, 1), (j, -1)), GE, -total))
-                rows.append((((j, 1), (i, -1)), GE, -total))
-    upper = None if upper_value is None else [upper_value] * n
-    return rows, upper
+def _assemble_rows(rho, rho_prime, variant):
+    """Rows (i1, v1, i2, v2, b) for solver.from_sparse: the pair rows
+    x_i + x_j >= gap, then for the full variant x_i - x_j >= -total and
+    x_j - x_i >= -total, interleaved pair by pair."""
+    iu, ju, gap, total = _pair_arrays(rho, rho_prime)
+    m = len(iu)
+    if variant == VARIANT_LOWER:
+        return iu, np.ones(m), ju, np.ones(m), gap
+    i1 = np.concatenate([iu, np.column_stack([iu, ju]).ravel()])
+    i2 = np.concatenate([ju, np.column_stack([ju, iu]).ravel()])
+    v2 = np.concatenate([np.ones(m), np.full(2 * m, -1.0)])
+    b = np.concatenate([gap, np.repeat(-total, 2)])
+    return i1, np.ones(3 * m), i2, v2, b
 
 
 def gromov_distance(rho: Semimetric, rho_prime: Semimetric, spec: GromovSpec) -> OptResult:
@@ -204,7 +211,8 @@ def gromov_distance(rho: Semimetric, rho_prime: Semimetric, spec: GromovSpec) ->
     weights = spec.taxon_weights or tuple([1] * n)
     if len(weights) != n:
         raise ValidationError(f"need {n} taxon weights, got {len(weights)}")
-    rows, upper = _assemble_rows(rho, rho_prime, spec.variant, upper_value)
+    rows = _assemble_rows(rho, rho_prime, spec.variant)
+    upper = None if upper_value is None else [upper_value] * n
 
     if spec.norm == "1":
         objective = [as_scalar(w, mode) for w in weights]
@@ -241,17 +249,13 @@ def gromov_distance(rho: Semimetric, rho_prime: Semimetric, spec: GromovSpec) ->
 
 
 def _argmax_pair(rho, rho_prime):
-    n = len(rho.taxa)
-    labs = rho.taxa.labels
-    best = None
-    for i in range(n):
-        for j in range(i + 1, n):
-            gap = abs(rho.table[i, j] - rho_prime.table[i, j])
-            if best is None or gap > best[0]:
-                best = (gap, labs[i], labs[j])
-    if best is None:
+    """Labels of the first pair, in row-major order, with the largest gap."""
+    iu, ju, gap, _ = _pair_arrays(rho, rho_prime)
+    if not len(gap):
         return None
-    return best[1], best[2]
+    k = int(np.argmax(gap))
+    labs = rho.taxa.labels
+    return labs[iu[k]], labs[ju[k]]
 
 
 def tree_distance(t1: PhyloTree, t2: PhyloTree, spec: GromovSpec) -> OptResult:
@@ -274,7 +278,6 @@ def quadrangle_feasible(rho: Semimetric, rho_prime: Semimetric, delta: DeltaVect
     _check_pair(rho, rho_prime)
     if delta.taxa != rho.taxa:
         raise ValidationError("delta taxa differ from the semimetrics'")
-    n = len(rho.taxa)
     labs = rho.taxa.labels
     d, dp, dv = rho.table, rho_prime.table, delta.values
     if rho.mode == MODE_FLOAT:
@@ -283,16 +286,16 @@ def quadrangle_feasible(rho: Semimetric, rho_prime: Semimetric, delta: DeltaVect
         )
     else:
         tol = 0
+    iu, ju, gap, total = _pair_arrays(rho, rho_prime)
+    short = gap - (dv[iu] + dv[ju])
+    excess = np.abs(dv[iu] - dv[ju]) - total
     violations = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            gap = abs(d[i, j] - dp[i, j])
-            short = gap - (dv[i] + dv[j])
-            if short > tol:
-                violations.append(("pair", labs[i], labs[j], short))
-            excess = abs(dv[i] - dv[j]) - (d[i, j] + dp[i, j])
-            if excess > tol:
-                violations.append(("difference", labs[i], labs[j], excess))
+    for k in np.flatnonzero((short > tol) | (excess > tol)):
+        pair = labs[iu[k]], labs[ju[k]]
+        if short[k] > tol:
+            violations.append(("pair", *pair, short[k]))
+        if excess[k] > tol:
+            violations.append(("difference", *pair, excess[k]))
     return not violations, violations
 
 
@@ -381,14 +384,7 @@ def realize_extension(
 
 
 def _max_abs_gap(a, b, mode):
-    if mode == MODE_FLOAT:
-        return float(np.abs(a - b).max(initial=0.0))
-    worst = Fraction(0)
-    for idx in np.ndindex(a.shape):
-        gap = abs(a[idx] - b[idx])
-        if gap > worst:
-            worst = gap
-    return worst
+    return as_scalar(np.abs(a - b).max(initial=0), mode)
 
 
 def pairwise_matrix(trees, spec: GromovSpec) -> np.ndarray:
@@ -438,14 +434,11 @@ def format_certificate(
         if rho is not None and rho_prime is not None:
             lines.append("active pair rows (delta_x + delta_y = |rho - rho'|):")
             labs = delta.taxa.labels
-            n = len(labs)
             tol = 0 if result.mode == MODE_RATIONAL else 1e-7
-            for i in range(n):
-                for j in range(i + 1, n):
-                    gap = abs(rho.table[i, j] - rho_prime.table[i, j])
-                    slack = delta.values[i] + delta.values[j] - gap
-                    if slack <= tol:
-                        lines.append(f"  ({labs[i]},{labs[j]}): rhs {gap}")
+            iu, ju, gap, _ = _pair_arrays(rho, rho_prime)
+            dv = delta.values
+            for k in np.flatnonzero(dv[iu] + dv[ju] - gap <= tol):
+                lines.append(f"  ({labs[iu[k]]},{labs[ju[k]]}): rhs {gap[k]}")
     cert = result.certificate
     if "duality_gap" in cert:
         lines.append(f"duality gap : {cert['duality_gap']}")

@@ -1,5 +1,17 @@
 """Dense LP and convex-QP solvers sized for a few hundred variables.
 
+A program is stored as arrays, one entry per constraint row:
+
+    v1[r] * x[i1[r]] + v2[r] * x[i2[r]] >= b[r],    i2[r] = -1 for one entry
+
+with coefficients +-1 (the sparse kernels exploit that structure; v2 is
+stored as 0 where i2 = -1), plus
+0 <= x <= upper.  LinearProgram.from_sparse and QuadraticProgram.from_sparse
+are the only constructors; they validate the arrays in vectorised checks and
+store them read-only.  Each solve appends the finite upper bounds as rows
+-x_j >= -u_j: float64 arrays for the float kernels, Python lists of
+Fractions for the exact simplex.
+
 The linear solver solves the dual of
 
     min c.x   s.t.  A x >= b,  0 <= x <= u
@@ -14,18 +26,18 @@ follow the same route with Fraction arithmetic and Bland's rule throughout.
 The quadratic solver is a primal active-set method for strictly convex
 diagonal objectives sum w_j x_j^2.  Working-set rows stay linearly
 independent automatically (a blocking row has a.p != 0 while working rows
-have a.p == 0), so the small KKT systems never need rank checks.
+have a.p == 0), so the small KKT systems never need rank checks.  Its KKT
+residuals are audited relative to the data scale s = max(1, max|b|,
+max|2wx|): stationarity, primal and dual parts against KKT_TOL * s,
+complementarity against KKT_TOL * s^2.
 
-A singular linear system inside either float solver is reported as a
-TreegromovError with an instance summary, never as a bare numpy error.
-
-Constraint rows carry 1 or 2 nonzero coefficients of +-1; that structure
-is validated at construction and is what the sparse kernels exploit.
+A singular linear system inside either float solver, or a failed KKT audit,
+is reported as a TreegromovError with an instance summary, never as a bare
+numpy error.
 """
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -50,85 +62,73 @@ KKT_TOL = 1e-9
 PIVOT_TOL = 1e-9
 BLAND_AFTER = 50
 
-GE = ">="
-LE = "<="
-
 
 # ---------------------------------------------------------------------------
 # Problem containers
 # ---------------------------------------------------------------------------
 
-def _normalize_entries(entries, n_vars, mode):
-    """Validate a sparse row (1-2 entries, coefficients +-1, indices in
-    range) and return (i1, v1, i2, v2) with i2 = -1 for single-entry rows."""
-    entries = list(entries)
-    if not 1 <= len(entries) <= 2:
-        raise ValidationError(
-            f"constraint rows need 1 or 2 nonzeros, got {len(entries)}"
-        )
-    out = []
-    seen = set()
-    for j, val in entries:
-        j = int(j)
-        if not 0 <= j < n_vars:
-            raise ValidationError(f"variable index {j} out of range")
-        if j in seen:
-            raise ValidationError(f"variable {j} appears twice in one row")
-        seen.add(j)
-        if val == 1:
-            out.append((j, as_scalar(1, mode)))
-        elif val == -1:
-            out.append((j, as_scalar(-1, mode)))
-        else:
-            raise ValidationError(f"coefficients must be +-1, got {val}")
-    if len(out) == 1:
-        return out[0][0], out[0][1], -1, as_scalar(0, mode)
-    return out[0][0], out[0][1], out[1][0], out[1][1]
+def _scalars(values, mode):
+    """1-D array of values in the mode's type: float64, or Fractions in an
+    object array (as_scalar rejects floats there)."""
+    if mode == MODE_FLOAT:
+        return np.array(values, dtype=np.float64)
+    return np.array([as_scalar(x, mode) for x in values], dtype=object)
+
+
+def _check(ok, message):
+    """Raise ValidationError naming the first entry where ok is False."""
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        raise ValidationError(f"{message} (entry {bad[0]})")
 
 
 class _RowProgram:
-    """Shared storage: >=-normalized sparse rows plus optional upper bounds."""
+    """Shared storage: read-only row arrays (i1, v1, i2, v2, b) and an
+    optional upper-bound array, None where a variable has no bound."""
 
     __slots__ = ("n_vars", "i1", "v1", "i2", "v2", "b", "upper", "mode")
 
     def _init_rows(self, n_vars, rows, upper, mode):
         check_mode(mode)
-        i1, v1, i2, v2, b = [], [], [], [], []
-        for entries, rel, rhs in rows:
-            if rel not in (GE, LE):
-                raise ValidationError(f"relation must be '>=' or '<=', got {rel!r}")
-            rhs = as_scalar(rhs, mode)
-            if mode == MODE_FLOAT and not math.isfinite(rhs):
-                raise ValidationError(f"rhs must be finite, got {rhs}")
-            a1, w1, a2, w2 = _normalize_entries(entries, n_vars, mode)
-            if rel == LE:
-                w1, w2, rhs = -w1, -w2, -rhs
-            i1.append(a1)
-            v1.append(w1)
-            i2.append(a2)
-            v2.append(w2)
-            b.append(rhs)
+        try:
+            i1, v1, i2, v2, b = (np.array(a) for a in rows)
+            index_kinds = {a.dtype.kind for a in (i1, i2) if a.size}
+            v1 = v1.astype(np.float64)
+            v2 = v2.astype(np.float64)
+            b = _scalars(b, mode)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(
+                f"rows must be five arrays (i1, v1, i2, v2, b): {exc}"
+            ) from None
+        if i1.ndim != 1 or len({a.shape for a in (i1, v1, i2, v2, b)}) != 1:
+            raise ValidationError("row arrays must be 1-D and of equal length")
+        if not index_kinds <= {"i", "u"}:
+            raise ValidationError("row indices must be integers")
+        i1, i2 = i1.astype(np.int64), i2.astype(np.int64)
+        two = i2 >= 0
+        v2 = np.where(two, v2, 0.0)
+        _check((0 <= i1) & (i1 < n_vars) & (-1 <= i2) & (i2 < n_vars),
+               "variable index out of range")
+        _check(i1 != i2, "variable appears twice in one row")
+        _check((np.abs(v1) == 1) & ((np.abs(v2) == 1) | ~two), "coefficients must be +-1")
+        if mode == MODE_FLOAT:
+            _check(np.isfinite(b), "rhs must be finite")
         if upper is not None:
-            upper = list(upper)
             if len(upper) != n_vars:
                 raise ValidationError("upper bound vector length mismatch")
-            checked = []
-            for u in upper:
-                if u is None or (mode == MODE_FLOAT and u == math.inf):
-                    checked.append(None)
-                    continue
-                u = as_scalar(u, mode)
-                if u < 0:
-                    raise ValidationError(f"upper bound {u} is below the lower bound 0")
-                checked.append(u)
-            upper = checked
+            # None (or inf in float mode) means no bound
+            upper = np.array(
+                [None if u is None or u == np.inf else as_scalar(u, mode) for u in upper],
+                dtype=object,
+            )
+            bounds = np.where(np.not_equal(upper, None), upper, 0)
+            _check(bounds >= 0, "upper bound is below the lower bound 0")
+            upper.flags.writeable = False
+        for name, arr in (("i1", i1), ("v1", v1), ("i2", i2), ("v2", v2), ("b", b)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "n_vars", int(n_vars))
-        object.__setattr__(self, "i1", tuple(i1))
-        object.__setattr__(self, "v1", tuple(v1))
-        object.__setattr__(self, "i2", tuple(i2))
-        object.__setattr__(self, "v2", tuple(v2))
-        object.__setattr__(self, "b", tuple(b))
-        object.__setattr__(self, "upper", None if upper is None else tuple(upper))
+        object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "mode", mode)
 
     def __setattr__(self, name, value):
@@ -138,42 +138,21 @@ class _RowProgram:
     def n_rows(self):
         return len(self.b)
 
-    def row_matrix(self) -> np.ndarray:
-        """Dense float copy of the >=-normalized rows (debugging/tests)."""
-        A = np.zeros((len(self.b), self.n_vars))
-        for r in range(len(self.b)):
-            A[r, self.i1[r]] = float(self.v1[r])
-            if self.i2[r] >= 0:
-                A[r, self.i2[r]] += float(self.v2[r])
-        return A
-
-    @staticmethod
-    def _dense_to_sparse(constraints):
-        rows = []
-        for coeffs, rel, rhs in constraints:
-            entries = [(j, val) for j, val in enumerate(coeffs) if val != 0]
-            rows.append((entries, rel, rhs))
-        return rows
-
 
 class LinearProgram(_RowProgram):
     """min c.x subject to the stored rows and 0 <= x (<= upper)."""
 
     __slots__ = ("c",)
 
-    def __init__(self, objective, constraints, upper=None, mode=MODE_FLOAT):
-        objective = list(objective)
-        rows = self._dense_to_sparse(constraints)
-        self._init_rows(len(objective), rows, upper, mode)
-        object.__setattr__(self, "c", tuple(as_scalar(x, mode) for x in objective))
-
     @classmethod
     def from_sparse(cls, objective, rows, upper=None, mode=MODE_FLOAT):
-        """rows: iterable of (entries, rel, rhs) with entries = [(var, +-1), ...]."""
+        """rows: (i1, v1, i2, v2, b), see the module docstring; upper: one
+        bound per variable, None for no bound."""
         self = object.__new__(cls)
-        objective = list(objective)
-        self._init_rows(len(objective), rows, upper, mode)
-        object.__setattr__(self, "c", tuple(as_scalar(x, mode) for x in objective))
+        c = _scalars(objective, mode)
+        self._init_rows(len(c), rows, upper, mode)
+        c.flags.writeable = False
+        object.__setattr__(self, "c", c)
         return self
 
     def __repr__(self):
@@ -189,22 +168,15 @@ class QuadraticProgram(_RowProgram):
 
     __slots__ = ("weights",)
 
-    def __init__(self, weights, constraints, upper=None):
-        weights = [float(w) for w in weights]
-        if any(w <= 0 for w in weights):
-            raise ValidationError("quadratic weights must be strictly positive")
-        rows = self._dense_to_sparse(constraints)
-        self._init_rows(len(weights), rows, upper, MODE_FLOAT)
-        object.__setattr__(self, "weights", tuple(weights))
-
     @classmethod
     def from_sparse(cls, weights, rows, upper=None):
         self = object.__new__(cls)
-        weights = [float(w) for w in weights]
-        if any(w <= 0 for w in weights):
+        w = _scalars(weights, MODE_FLOAT)
+        if not (w > 0).all():
             raise ValidationError("quadratic weights must be strictly positive")
-        self._init_rows(len(weights), rows, upper, MODE_FLOAT)
-        object.__setattr__(self, "weights", tuple(weights))
+        self._init_rows(len(w), rows, upper, MODE_FLOAT)
+        w.flags.writeable = False
+        object.__setattr__(self, "weights", w)
         return self
 
     def __repr__(self):
@@ -266,33 +238,26 @@ class OptResult:
 
 
 # ---------------------------------------------------------------------------
-# Row arithmetic helpers (float)
+# Row arithmetic helpers
 # ---------------------------------------------------------------------------
 
-def _float_rows_with_bounds(prog):
-    """Arrays (i1, v1, i2, v2, b) in float64 with upper bounds appended as
-    -x_j >= -u_j rows."""
-    i1 = list(prog.i1)
-    v1 = [float(v) for v in prog.v1]
-    i2 = list(prog.i2)
-    v2 = [float(v) for v in prog.v2]
-    b = [float(x) for x in prog.b]
+def _rows_with_bounds(prog, mode):
+    """The stored rows followed by -x_j >= -u_j for each bounded variable:
+    float64 arrays in float mode, Python lists in rational mode (values as
+    Fractions, so the exact simplex never divides two ints)."""
+    i1, v1, i2, v2, b = prog.i1, prog.v1, prog.i2, prog.v2, prog.b
     if prog.upper is not None:
-        for j, u in enumerate(prog.upper):
-            if u is None:
-                continue
-            i1.append(j)
-            v1.append(-1.0)
-            i2.append(-1)
-            v2.append(0.0)
-            b.append(-float(u))
-    return (
-        np.array(i1, dtype=np.int64),
-        np.array(v1),
-        np.array(i2, dtype=np.int64),
-        np.array(v2),
-        np.array(b),
-    )
+        j = np.flatnonzero(np.not_equal(prog.upper, None))
+        i1 = np.concatenate([i1, j])
+        v1 = np.concatenate([v1, np.full(len(j), -1.0)])
+        i2 = np.concatenate([i2, np.full(len(j), -1, dtype=np.int64)])
+        v2 = np.concatenate([v2, np.zeros(len(j))])
+        b = np.concatenate([b, -prog.upper[j]])
+    if mode == MODE_FLOAT:
+        return i1, v1, i2, v2, np.asarray(b, dtype=np.float64)
+    v1 = [Fraction(v) for v in v1.tolist()]
+    v2 = [Fraction(v) for v in v2.tolist()]
+    return i1.tolist(), v1, i2.tolist(), v2, b.tolist()
 
 
 def _scatter_rows(i1, v1, i2, v2, y, n_vars):
@@ -467,27 +432,13 @@ def _lp_rational_dual(i1, v1, i2, v2, b, c):
     raise TreegromovError(f"exact simplex iteration limit ({max_iter}) hit")
 
 
-def _rational_rows_with_bounds(prog):
-    i1 = list(prog.i1)
-    v1 = [as_scalar(v, MODE_RATIONAL) for v in prog.v1]
-    i2 = list(prog.i2)
-    v2 = [as_scalar(v, MODE_RATIONAL) if j >= 0 else Fraction(0) for j, v in zip(prog.i2, prog.v2)]
-    b = [as_scalar(x, MODE_RATIONAL) for x in prog.b]
-    if prog.upper is not None:
-        for j, u in enumerate(prog.upper):
-            if u is None:
-                continue
-            i1.append(j)
-            v1.append(Fraction(-1))
-            i2.append(-1)
-            v2.append(Fraction(0))
-            b.append(-as_scalar(u, MODE_RATIONAL))
-    return i1, v1, i2, v2, b
-
-
 # ---------------------------------------------------------------------------
 # solve_lp
 # ---------------------------------------------------------------------------
+
+def _instance(b, n_vars):
+    return f"rows={len(b)}, vars={n_vars}, max|b|={float(np.abs(b).max(initial=0.0)):.6g}"
+
 
 @contextmanager
 def _singular_as_error(route, b, n_vars):
@@ -498,8 +449,7 @@ def _singular_as_error(route, b, n_vars):
     except np.linalg.LinAlgError as exc:
         raise TreegromovError(
             f"{route} hit a singular linear system ({exc}); instance: "
-            f"rows={len(b)}, vars={n_vars}, "
-            f"max|b|={float(np.abs(b).max(initial=0.0)):.6g}"
+            f"{_instance(b, n_vars)}"
         ) from exc
 
 
@@ -511,8 +461,7 @@ def _verify_primal_float(i1, v1, i2, v2, b, x, upper_n):
     if worst > FEAS_ATOL * scale:
         raise TreegromovError(
             f"solver produced an infeasible point (violation {worst:.3e}); "
-            "instance dump: "
-            f"rows={len(b)}, vars={upper_n}"
+            f"instance: {_instance(b, upper_n)}"
         )
     return x
 
@@ -530,26 +479,35 @@ def solve_lp(lp: LinearProgram, mode: str | None = None) -> OptResult:
     check_mode(mode)
     if mode == MODE_RATIONAL and lp.mode == MODE_FLOAT:
         raise ValidationError("cannot solve a float program in rational mode")
-    if any(x < 0 for x in lp.c):
+    if (lp.c < 0).any():
         raise ValidationError(
             "solve_lp requires a nonnegative objective (dual-route simplex)"
         )
 
+    i1, v1, i2, v2, b = _rows_with_bounds(lp, mode)
     if mode == MODE_RATIONAL:
-        i1, v1, i2, v2, b = _rational_rows_with_bounds(lp)
-        c = [as_scalar(x, MODE_RATIONAL) for x in lp.c]
-        out = _lp_rational_dual(i1, v1, i2, v2, b, c)
-        if out["status"] == STATUS_INFEASIBLE:
-            ray = out["farkas"]
-            return OptResult(
-                STATUS_INFEASIBLE,
-                None,
-                None,
-                out["iterations"],
-                MODE_RATIONAL,
-                "dual",
-                certificate={"farkas_ray": ray},
-            )
+        out = _lp_rational_dual(i1, v1, i2, v2, b, lp.c.tolist())
+    else:
+        c = np.asarray(lp.c, dtype=np.float64)
+        with _singular_as_error("simplex", b, lp.n_vars):
+            out = _lp_float_dual(i1, v1, i2, v2, b, c)
+    if out["status"] == STATUS_INFEASIBLE:
+        ray = out["farkas"]
+        if mode == MODE_FLOAT:
+            # audit: ray >= 0, A^T ray <= 0, b.ray > 0
+            back = _scatter_rows(i1, v1, i2, v2, ray, lp.n_vars)
+            if back.max(initial=0.0) > 1e-7 or float(np.dot(b, ray)) <= 0:
+                raise TreegromovError("invalid Farkas certificate produced")
+        return OptResult(
+            STATUS_INFEASIBLE,
+            None,
+            None,
+            out["iterations"],
+            mode,
+            "dual",
+            certificate={"farkas_ray": ray},
+        )
+    if mode == MODE_RATIONAL:
         x = out["x"]
         # exact feasibility audit
         for r in range(len(b)):
@@ -560,47 +518,19 @@ def solve_lp(lp: LinearProgram, mode: str | None = None) -> OptResult:
                 raise TreegromovError("exact simplex returned an infeasible point")
         if out["primal_value"] != out["dual_value"]:
             raise TreegromovError("exact simplex: duality gap is nonzero")
-        return OptResult(
-            STATUS_OPTIMAL,
-            out["primal_value"],
-            x,
-            out["iterations"],
-            MODE_RATIONAL,
-            "dual",
-            certificate={"dual": out["y"], "duality_gap": Fraction(0)},
-        )
-
-    # float mode
-    i1, v1, i2, v2, b = _float_rows_with_bounds(lp)
-    c = np.array([float(x) for x in lp.c])
-    with _singular_as_error("simplex", b, lp.n_vars):
-        out = _lp_float_dual(i1, v1, i2, v2, b, c)
-    if out["status"] == STATUS_INFEASIBLE:
-        ray = out["farkas"]
-        # audit: ray >= 0, A^T ray <= 0, b.ray > 0
-        back = _scatter_rows(i1, v1, i2, v2, ray, lp.n_vars)
-        if back.max(initial=0.0) > 1e-7 or float(np.dot(b, ray)) <= 0:
-            raise TreegromovError("invalid Farkas certificate produced")
-        return OptResult(
-            STATUS_INFEASIBLE,
-            None,
-            None,
-            out["iterations"],
-            MODE_FLOAT,
-            "dual",
-            certificate={"farkas_ray": ray},
-        )
-    x = _verify_primal_float(i1, v1, i2, v2, b, out["x"], lp.n_vars)
-    value = float(np.dot(c, x))
-    gap = abs(out["dual_value"] - value)
-    if gap > GAP_RTOL * max(1.0, abs(value)):
-        raise TreegromovError(f"duality gap {gap:.3e} exceeds tolerance")
+        value, gap = out["primal_value"], Fraction(0)
+    else:
+        x = _verify_primal_float(i1, v1, i2, v2, b, out["x"], lp.n_vars)
+        value = float(np.dot(c, x))
+        gap = abs(out["dual_value"] - value)
+        if gap > GAP_RTOL * max(1.0, abs(value)):
+            raise TreegromovError(f"duality gap {gap:.3e} exceeds tolerance")
     return OptResult(
         STATUS_OPTIMAL,
         value,
         x,
         out["iterations"],
-        MODE_FLOAT,
+        mode,
         "dual",
         certificate={"dual": out["y"], "duality_gap": gap},
     )
@@ -631,9 +561,9 @@ def solve_qp(qp: QuadraticProgram, mode: str = MODE_FLOAT) -> OptResult:
     """Globally solve the strictly convex QP by primal active-set iteration."""
     if mode != MODE_FLOAT:
         raise ValidationError("quadratic solves are float-only")
-    i1, v1, i2, v2, b = _float_rows_with_bounds(qp)
+    i1, v1, i2, v2, b = _rows_with_bounds(qp, MODE_FLOAT)
     n = qp.n_vars
-    w = np.array(qp.weights)
+    w = qp.weights
     with _singular_as_error("active-set QP", b, n):
         x0 = _feasible_start(i1, v1, i2, v2, b, n)
         if x0 is None:
@@ -674,7 +604,16 @@ def solve_qp(qp: QuadraticProgram, mode: str = MODE_FLOAT) -> OptResult:
     primal = float(np.maximum(-resid, 0.0).max(initial=0.0))
     dual = float(np.maximum(-mu, 0.0).max(initial=0.0))
     comp = float(np.abs(mu * resid).max(initial=0.0))
-    kkt = max(stationarity, primal, dual, comp)
+    parts = {"stationarity": stationarity, "primal": primal, "dual": dual, "complementarity": comp}
+    # each part relative to the data scale; complementarity is a product of two
+    s = max(1.0, float(np.abs(b).max(initial=0.0)), float(np.abs(grad).max(initial=0.0)))
+    rel = {k: v / (s * s if k == "complementarity" else s) for k, v in parts.items()}
+    worst = max(rel, key=rel.get)
+    if rel[worst] > KKT_TOL:
+        raise TreegromovError(
+            f"active-set QP failed its KKT audit ({worst} {parts[worst]:.3e} at data "
+            f"scale {s:.3e}); instance: {_instance(b, n)}"
+        )
     value = float(np.dot(w, x * x))
     return OptResult(
         STATUS_OPTIMAL,
@@ -683,14 +622,6 @@ def solve_qp(qp: QuadraticProgram, mode: str = MODE_FLOAT) -> OptResult:
         int(iters),
         MODE_FLOAT,
         "active-set",
-        kkt_residual=kkt,
-        certificate={
-            "multipliers": mu,
-            "kkt": {
-                "stationarity": stationarity,
-                "primal": primal,
-                "dual": dual,
-                "complementarity": comp,
-            },
-        },
+        kkt_residual=rel[worst],
+        certificate={"multipliers": mu, "kkt": parts},
     )

@@ -352,24 +352,25 @@ def lp_primal_oracle(c, A, b):
 
 def epigraph_lp(rho, rho_prime, variant="full"):
     """min t over the relabeling rows plus t >= delta_x for every taxon,
-    as a LinearProgram in the semimetrics' mode (variable n is t)."""
+    as a LinearProgram in the semimetrics' mode (variable n is t).  Rows
+    are built by loops here, independently of the package's pair arrays."""
     from treegromov import LinearProgram
-    from treegromov.solver import GE
 
     n = len(rho.taxa)
     d, dp = rho.table, rho_prime.table
-    rows = []
+    rows = []  # (i1, v1, i2, v2, b)
     for i in range(n):
         for j in range(i + 1, n):
-            rows.append((((i, 1), (j, 1)), GE, abs(d[i, j] - dp[i, j])))
+            rows.append((i, 1, j, 1, abs(d[i, j] - dp[i, j])))
     if variant == "full":
         for i in range(n):
             for j in range(i + 1, n):
-                rows.append((((i, 1), (j, -1)), GE, -(d[i, j] + dp[i, j])))
-                rows.append((((j, 1), (i, -1)), GE, -(d[i, j] + dp[i, j])))
+                rows.append((i, 1, j, -1, -(d[i, j] + dp[i, j])))
+                rows.append((j, 1, i, -1, -(d[i, j] + dp[i, j])))
     for i in range(n):
-        rows.append((((n, 1), (i, -1)), GE, 0))
-    return LinearProgram.from_sparse([0] * n + [1], rows, mode=rho.mode)
+        rows.append((n, 1, i, -1, 0))
+    columns = tuple(list(col) for col in zip(*rows))
+    return LinearProgram.from_sparse([0] * n + [1], columns, mode=rho.mode)
 
 
 # ---------------------------------------------------------------------------

@@ -163,6 +163,15 @@ def test_semimetric_table_frozen():
         rho.table[0, 1] = 5.0
 
 
+def test_semimetric_leaves_caller_array_writable():
+    arr = _quartet_table()
+    rho = Semimetric(TaxonSet(list("abcd")), arr)
+    arr[0, 1] = 5.0  # the caller's array is not frozen ...
+    assert rho.dist("a", "b") == 2.0  # ... nor shared
+    with pytest.raises(ValueError):
+        rho.table[0, 1] = 5.0
+
+
 def test_semimetric_zero_distances_allowed():
     # semimetric, not metric: distinct taxa at distance zero are fine
     tab = np.zeros((3, 3))

@@ -374,6 +374,54 @@ def test_quadrangle_feasible_detects_violations():
     assert any(fam == "pair" for fam, _, _, _ in violations)
 
 
+def test_quadrangle_feasible_lists_both_families_pair_major():
+    # delta = (9, 0, 0, 0) on the quartet (gaps 1 on (1,2), (1,3), (2,4),
+    # (3,4), else 0; totals 6 on (1,4), (2,3), else 5) breaks the
+    # difference rows of the pairs with taxon 1 and the pair rows (2,4),
+    # (3,4): violations come pair by pair, not family by family
+    r1, r2 = _quartet_pair(mode="rational")
+    delta = DeltaVector(r1.taxa, [9, 0, 0, 0], "rational")
+    ok, violations = quadrangle_feasible(r1, r2, delta)
+    assert not ok
+    assert violations == [
+        ("difference", "1", "2", 4),
+        ("difference", "1", "3", 4),
+        ("difference", "1", "4", 3),
+        ("pair", "2", "4", 1),
+        ("pair", "3", "4", 1),
+    ]
+    assert all(isinstance(amount, Fraction) for *_, amount in violations)
+
+
+def test_rational_dinf_and_tight_pair_exact():
+    labs = list("abcd")
+    t1 = [[0, 1, 2, 3], [1, 0, 1, 2], [2, 1, 0, 1], [3, 2, 1, 0]]
+    t2 = [[0, Fraction(4, 3), Fraction(7, 3), 3], [Fraction(4, 3), 0, 1, Fraction(5, 3)],
+          [Fraction(7, 3), 1, 0, 1], [3, Fraction(5, 3), 1, 0]]
+    r1 = semimetric_from_table(labs, t1, mode="rational")
+    r2 = semimetric_from_table(labs, t2, mode="rational")
+    # the gap 1/3 is attained at (a,b), (a,c) and (b,d); the first in
+    # row-major order is the tight pair
+    assert dinf_closed_form(r1, r2) == Fraction(1, 6)
+    res = gromov_distance(r1, r2, GromovSpec(norm="inf"))
+    assert res.value == Fraction(1, 6) and isinstance(res.value, Fraction)
+    assert res.certificate["tight_pair"] == ("a", "b")
+    assert all(v == Fraction(1, 6) for v in res.argmin.values)
+
+
+def test_d2_kkt_residual_is_relative_to_data_scale():
+    # branch lengths near 1e8: complementarity is ~1e2 in absolute terms
+    # (it scales with the data squared) while each part is ~1e-16 of scale
+    t1 = random_binary_tree(30, seed=1, weight_model="uniform01")
+    t2 = random_binary_tree(30, seed=101, weight_model="uniform01")
+    r1 = tree_to_semimetric(t1).scaled(1e8)
+    r2 = tree_to_semimetric(t2).scaled(1e8)
+    for variant in ("full", "lower"):
+        res = gromov_distance(r1, r2, GromovSpec(norm=2, variant=variant))
+        assert res.kkt_residual <= 1e-9
+        assert res.certificate["kkt"]["complementarity"] > 1.0
+
+
 def test_realize_extension_float_and_rational():
     for mode in ("float", "rational"):
         r1, r2 = _quartet_pair(mode=mode)

@@ -1,8 +1,9 @@
 """LP and QP solvers against hand instances and enumeration oracles.
 
-The sparse row format carries at most two entries per row with
-coefficients +-1, which covers every program the distance computations
-assemble; the oracles re-solve the same systems by brute force.
+Programs are given as row arrays (i1, v1, i2, v2, b): row r reads
+v1[r] x[i1[r]] + v2[r] x[i2[r]] >= b[r], with i2[r] = -1 for a single
+entry and coefficients +-1, which covers every program the distance
+computations assemble; the oracles re-solve the same systems by brute force.
 """
 
 from fractions import Fraction
@@ -19,18 +20,23 @@ from treegromov import (
     solve_lp,
     solve_qp,
 )
-from treegromov.solver import GE, LE, STATUS_INFEASIBLE, STATUS_OPTIMAL
+from treegromov import _kernels
+from treegromov.solver import STATUS_INFEASIBLE, STATUS_OPTIMAL
+
+
+def _rows(*rows):
+    """Row arrays from (i1, v1, i2, v2, b) tuples, one per row."""
+    return tuple(list(col) for col in zip(*rows))
 
 
 def _dense_from_rows(rows, nvars):
-    A = np.zeros((len(rows), nvars))
-    b = np.zeros(len(rows))
-    for r, (entries, rel, rhs) in enumerate(rows):
-        sign = 1.0 if rel == GE else -1.0
-        for j, coef in entries:
-            A[r, j] = sign * coef
-        b[r] = sign * float(rhs)
-    return A, b
+    i1, v1, i2, v2, b = (np.asarray(col) for col in rows)
+    A = np.zeros((len(b), nvars))
+    r = np.arange(len(b))
+    A[r, i1] = v1
+    two = i2 >= 0
+    A[r[two], i2[two]] += v2[two]
+    return A, b.astype(float)
 
 
 # ---------------------------------------------------------------------------
@@ -39,7 +45,7 @@ def _dense_from_rows(rows, nvars):
 
 def test_lp_single_pair_row():
     # min x0 + x1 subject to x0 + x1 >= 4
-    lp = LinearProgram.from_sparse([1, 1], [([(0, 1), (1, 1)], GE, 4)])
+    lp = LinearProgram.from_sparse([1, 1], _rows((0, 1, 1, 1, 4)))
     res = solve_lp(lp)
     assert res.status == STATUS_OPTIMAL
     assert res.value == pytest.approx(4.0)
@@ -48,30 +54,20 @@ def test_lp_single_pair_row():
 
 def test_lp_upper_bounds_bind():
     # min x0 + 3*x1 with x0 + x1 >= 4, x0 <= 1: forced to (1, 3)
-    lp = LinearProgram.from_sparse(
-        [1, 3], [([(0, 1), (1, 1)], GE, 4)], upper=[1, None]
-    )
+    lp = LinearProgram.from_sparse([1, 3], _rows((0, 1, 1, 1, 4)), upper=[1, None])
     res = solve_lp(lp)
     assert res.value == pytest.approx(10.0)
     assert res.argmin[0] == pytest.approx(1.0)
 
 
-def test_lp_le_rows():
-    # min -x0 is unboundedly negative without the cap x0 <= 7
-    lp = LinearProgram.from_sparse([1], [([(0, 1)], LE, 7)])
-    res = solve_lp(lp)
-    assert res.value == pytest.approx(0.0)  # c >= 0 keeps it at zero
-    lp = LinearProgram.from_sparse([1], [([(0, 1)], GE, 7)])
-    assert solve_lp(lp).value == pytest.approx(7.0)
-
-
 def test_lp_infeasible_farkas():
-    # x0 >= 3 and x0 <= 1 cannot hold together
-    lp = LinearProgram.from_sparse([1], [([(0, 1)], GE, 3), ([(0, 1)], LE, 1)])
+    # x0 >= 3 and -x0 >= -1 cannot hold together
+    rows = _rows((0, 1, -1, 0, 3), (0, -1, -1, 0, -1))
+    lp = LinearProgram.from_sparse([1], rows)
     res = solve_lp(lp)
     assert res.status == STATUS_INFEASIBLE
     ray = np.asarray(res.certificate["farkas_ray"], dtype=float)
-    A, b = _dense_from_rows([([(0, 1)], GE, 3), ([(0, 1)], LE, 1)], 1)
+    A, b = _dense_from_rows(rows, 1)
     assert (ray >= -1e-12).all()
     assert (A.T @ ray <= 1e-9).all()
     assert b @ ray > 1e-9
@@ -80,10 +76,7 @@ def test_lp_infeasible_farkas():
 def test_lp_rational_exact():
     lp = LinearProgram.from_sparse(
         [Fraction(1), Fraction(2)],
-        [
-            ([(0, 1), (1, 1)], GE, Fraction(7, 3)),
-            ([(0, 1), (1, -1)], GE, Fraction(-1, 2)),
-        ],
+        _rows((0, 1, 1, 1, Fraction(7, 3)), (0, 1, 1, -1, Fraction(-1, 2))),
         mode="rational",
     )
     res = solve_lp(lp)
@@ -96,7 +89,7 @@ def test_lp_rational_exact():
 def test_lp_rational_infeasible_exact_farkas():
     lp = LinearProgram.from_sparse(
         [Fraction(1)],
-        [([(0, 1)], GE, Fraction(3)), ([(0, 1)], LE, Fraction(1))],
+        _rows((0, 1, -1, 0, Fraction(3)), (0, -1, -1, 0, Fraction(-1))),
         mode="rational",
     )
     res = solve_lp(lp)
@@ -106,13 +99,13 @@ def test_lp_rational_infeasible_exact_farkas():
 
 
 def test_lp_mode_guards():
-    lp = LinearProgram.from_sparse([1.0], [([(0, 1)], GE, 1.5)])
+    lp = LinearProgram.from_sparse([1.0], _rows((0, 1, -1, 0, 1.5)))
     with pytest.raises(ValidationError):
         solve_lp(lp, mode="rational")
 
 
 def test_lp_rejects_negative_objective():
-    rows = [([(0, 1)], GE, 1)]
+    rows = _rows((0, 1, -1, 0, 1))
     with pytest.raises(ValidationError, match="nonnegative objective"):
         solve_lp(LinearProgram.from_sparse([1.0, -0.5], rows))
     lp = LinearProgram.from_sparse([Fraction(1), Fraction(-1, 2)], rows, mode="rational")
@@ -130,8 +123,8 @@ def test_lp_methods_agree():
         rows = []
         for _ in range(int(rng.integers(2, 7))):
             i, j = rng.choice(nv, size=2, replace=False)
-            entries = [(int(i), 1), (int(j), int(rng.choice([-1, 1])))]
-            rows.append((entries, GE, float(rng.integers(-4, 8))))
+            rows.append((i, 1, j, int(rng.choice([-1, 1])), float(rng.integers(-4, 8))))
+        rows = _rows(*rows)
         c = rng.integers(1, 5, size=nv).astype(float)
         res = solve_lp(LinearProgram.from_sparse(list(c), rows))
         A, b = _dense_from_rows(rows, nv)
@@ -160,7 +153,8 @@ def test_lp_oracle_sweep_with_bounds():
         rows = []
         for _ in range(int(rng.integers(2, 6))):
             i, j = rng.choice(nv, size=2, replace=False)
-            rows.append(([(int(i), 1), (int(j), 1)], GE, float(rng.integers(1, 9))))
+            rows.append((i, 1, j, 1, float(rng.integers(1, 9))))
+        rows = _rows(*rows)
         upper = [float(rng.integers(3, 9)) for _ in range(nv)]
         c = rng.integers(1, 4, size=nv).astype(float)
         lp = LinearProgram.from_sparse(list(c), rows, upper=upper)
@@ -184,14 +178,15 @@ def test_lp_rational_oracle_sweep():
         for _ in range(int(rng.integers(2, 5))):
             i, j = sorted(rng.choice(nv, size=2, replace=False))
             rhs = Fraction(int(rng.integers(1, 9)), int(rng.integers(1, 4)))
-            rows.append(([(int(i), 1), (int(j), 1)], GE, rhs))
+            rows.append((i, 1, j, 1, rhs))
             dense = [Fraction(0)] * nv
             dense[i] = dense[j] = Fraction(1)
             dense_rows.append(dense)
+        rows = _rows(*rows)
         c = [Fraction(int(rng.integers(1, 4))) for _ in range(nv)]
         lp = LinearProgram.from_sparse(c, rows, mode="rational")
         res = solve_lp(lp)
-        want, _ = orc.lp_vertex_oracle_exact(c, dense_rows, [r[2] for r in rows])
+        want, _ = orc.lp_vertex_oracle_exact(c, dense_rows, rows[4])
         assert res.status == STATUS_OPTIMAL
         assert res.value == want  # exact equality, no tolerance
 
@@ -202,11 +197,7 @@ def test_lp_degenerate_instances_terminate():
     rng = np.random.default_rng(97)
     for _ in range(10):
         nv = 4
-        rows = [
-            ([(i, 1), (j, 1)], GE, 2.0)
-            for i in range(nv)
-            for j in range(i + 1, nv)
-        ]
+        rows = _rows(*((i, 1, j, 1, 2.0) for i in range(nv) for j in range(i + 1, nv)))
         c = rng.integers(1, 3, size=nv).astype(float)
         lp = LinearProgram.from_sparse(list(c), rows)
         res = solve_lp(lp)
@@ -216,14 +207,52 @@ def test_lp_degenerate_instances_terminate():
 
 
 def test_lp_sparse_row_validation():
-    with pytest.raises(ValidationError):
-        LinearProgram.from_sparse([1, 1], [([(0, 2)], GE, 1)])  # coef not +-1
-    with pytest.raises(ValidationError):
-        LinearProgram.from_sparse([1, 1], [([(0, 1), (0, 1)], GE, 1)])  # dup index
-    with pytest.raises(ValidationError):
-        LinearProgram.from_sparse([1, 1], [([(5, 1)], GE, 1)])  # out of range
-    with pytest.raises(ValidationError):
-        LinearProgram.from_sparse([1, 1], [([], GE, 1)])  # empty row
+    # one case per check; each names the offending entry
+    good = _rows((0, 1, 1, 1, 1), (1, -1, -1, 0, -2))
+    LinearProgram.from_sparse([1, 1], good)
+    cases = [
+        (good[:1] + ([1, 2],) + good[2:], "coefficients must be"),
+        (good[:3] + ([0, 0],) + good[4:], "coefficients must be"),
+        (([0, 5],) + good[1:], "out of range"),
+        (good[:2] + ([1, -2],) + good[3:], "out of range"),
+        (good[:2] + ([0, -1],) + good[3:], "appears twice"),
+        (good[:4] + ([1.0],), "equal length"),
+        (good[:4] + ([1.0, float("nan")],), "rhs must be finite"),
+        (good[:4] + ([1.0, float("inf")],), "rhs must be finite"),
+        (([0.0, 1.0],) + good[1:], "indices must be integers"),
+        (good[:4], "five arrays"),
+    ]
+    for rows, message in cases:
+        with pytest.raises(ValidationError, match=message):
+            LinearProgram.from_sparse([1, 1], rows)
+    for upper, message in (([1, -0.5], "below the lower bound"), ([1], "length mismatch")):
+        with pytest.raises(ValidationError, match=message):
+            LinearProgram.from_sparse([1, 1], good, upper=upper)
+    with pytest.raises(ValidationError, match="below the lower bound"):
+        LinearProgram.from_sparse([1, 1], good, upper=[None, Fraction(-1)], mode="rational")
+
+
+def test_program_arrays_are_read_only_copies():
+    i1, v1, i2, v2, b = (np.array(col) for col in _rows((0, 1, 1, 1, 4.0)))
+    lp = LinearProgram.from_sparse([1, 1], (i1, v1, i2, v2, b))
+    assert lp.n_rows == 1
+    for arr in (lp.i1, lp.v1, lp.i2, lp.v2, lp.b, lp.c):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    b[0] = 5.0  # the caller's arrays stay writable and detached
+    assert lp.b[0] == 4.0
+
+
+def test_rational_rows_stay_fractions():
+    # the exact route divides; int rows or bounds must not turn that into
+    # float division
+    lp = LinearProgram.from_sparse(
+        [1, 1], _rows((0, 1, 1, 1, 1)), upper=[1, 1], mode="rational"
+    )
+    assert all(isinstance(x, Fraction) for x in lp.b)
+    res = solve_lp(lp)
+    assert res.value == 1 and isinstance(res.value, Fraction)
+    assert all(isinstance(x, Fraction) for x in res.argmin)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +261,7 @@ def test_lp_sparse_row_validation():
 
 def test_qp_projection_onto_halfspace():
     # min x0^2 + x1^2 with x0 + x1 >= 2: projection of the origin is (1, 1)
-    qp = QuadraticProgram.from_sparse([1, 1], [([(0, 1), (1, 1)], GE, 2)])
+    qp = QuadraticProgram.from_sparse([1, 1], _rows((0, 1, 1, 1, 2)))
     res = solve_qp(qp)
     assert res.status == STATUS_OPTIMAL
     assert res.value == pytest.approx(2.0)
@@ -242,24 +271,20 @@ def test_qp_projection_onto_halfspace():
 
 def test_qp_weighted():
     # min 4 x0^2 + x1^2 with x0 + x1 >= 5: optimum at (1, 4)
-    qp = QuadraticProgram.from_sparse([4, 1], [([(0, 1), (1, 1)], GE, 5)])
+    qp = QuadraticProgram.from_sparse([4, 1], _rows((0, 1, 1, 1, 5)))
     res = solve_qp(qp)
     assert np.allclose(res.argmin, [1.0, 4.0], atol=1e-8)
     assert res.value == pytest.approx(20.0)
 
 
 def test_qp_inactive_constraints_stay_at_zero():
-    qp = QuadraticProgram.from_sparse(
-        [1, 1, 1], [([(0, 1), (1, 1)], GE, 2), ([(0, 1), (2, 1)], GE, -5)]
-    )
+    qp = QuadraticProgram.from_sparse([1, 1, 1], _rows((0, 1, 1, 1, 2), (0, 1, 2, 1, -5)))
     res = solve_qp(qp)
     assert res.argmin[2] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_qp_upper_bounds():
-    qp = QuadraticProgram.from_sparse(
-        [1, 1], [([(0, 1), (1, 1)], GE, 6)], upper=[1, None]
-    )
+    qp = QuadraticProgram.from_sparse([1, 1], _rows((0, 1, 1, 1, 6)), upper=[1, None])
     res = solve_qp(qp)
     assert np.allclose(res.argmin, [1.0, 5.0], atol=1e-8)
 
@@ -271,8 +296,8 @@ def test_qp_oracle_sweep():
         rows = []
         for _ in range(int(rng.integers(2, 7))):
             i, j = rng.choice(nv, size=2, replace=False)
-            entries = [(int(i), 1), (int(j), int(rng.choice([-1, 1])))]
-            rows.append((entries, GE, float(rng.integers(-3, 7))))
+            rows.append((i, 1, j, int(rng.choice([-1, 1])), float(rng.integers(-3, 7))))
+        rows = _rows(*rows)
         w = rng.integers(1, 4, size=nv).astype(float)
         qp = QuadraticProgram.from_sparse(list(w), rows)
         A, b = _dense_from_rows(rows, nv)
@@ -287,7 +312,7 @@ def test_qp_oracle_sweep():
 
 
 def test_qp_certificate_multipliers():
-    qp = QuadraticProgram.from_sparse([1, 1], [([(0, 1), (1, 1)], GE, 2)])
+    qp = QuadraticProgram.from_sparse([1, 1], _rows((0, 1, 1, 1, 2)))
     res = solve_qp(qp)
     mu = res.certificate["multipliers"]
     assert (np.asarray(mu) >= -1e-12).all()
@@ -296,11 +321,26 @@ def test_qp_certificate_multipliers():
         assert kkt[key] <= 1e-9
 
 
+def test_qp_kkt_audit_rejects_a_perturbed_optimum(monkeypatch):
+    # a kernel that returns a point off its own working-set optimum must not
+    # be reported as optimal
+    real = _kernels.active_set_qp
+
+    def perturbed(*args):
+        status, x, work, iters = real(*args)
+        return status, x + 1e-3, work, iters
+
+    monkeypatch.setattr(_kernels, "active_set_qp", perturbed)
+    qp = QuadraticProgram.from_sparse([1, 1], _rows((0, 1, 1, 1, 2)))
+    with pytest.raises(TreegromovError, match="KKT audit.*rows=1, vars=2, max.b.=2"):
+        solve_qp(qp)
+
+
 def test_qp_rejects_bad_weights():
     with pytest.raises(ValidationError):
-        QuadraticProgram.from_sparse([0, 1], [([(0, 1)], GE, 1)])
+        QuadraticProgram.from_sparse([0, 1], _rows((0, 1, -1, 0, 1)))
     with pytest.raises(ValidationError):
-        QuadraticProgram.from_sparse([-1, 1], [([(0, 1)], GE, 1)])
+        QuadraticProgram.from_sparse([-1, 1], _rows((0, 1, -1, 0, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +348,7 @@ def test_qp_rejects_bad_weights():
 
 
 def test_opt_result_with_updates():
-    lp = LinearProgram.from_sparse([1], [([(0, 1)], GE, 2)])
+    lp = LinearProgram.from_sparse([1], _rows((0, 1, -1, 0, 2)))
     res = solve_lp(lp)
     res2 = res.with_updates(value=99.0)
     assert res2.value == 99.0
