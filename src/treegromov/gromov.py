@@ -15,14 +15,34 @@ max|rho - rho'| / 2: the constant vector at that value is feasible for
 both variants, and any feasible delta has max delta >= (delta_x +
 delta_y)/2 >= |rho - rho'|(x, y)/2 at the maximizing pair.
 
-Both programs are assembled from one set of pair arrays: the upper-triangle
+Only the lower program is ever built: the difference rows are redundant on
+semimetrics, so the full variant is the lower solve followed by an O(n^2)
+audit of the difference rows.  Proof, for norms 1 and 2, any positive taxon
+weights w and either flavor: write g = |rho - rho'| and let delta be an
+optimum of the lower program.  Take x, y with delta_x > delta_y >= 0.
+Some pair row (x, z) is tight at delta, for otherwise lowering delta_x a
+little keeps every row (bound rows included) and lowers the objective by
+w_x > 0 times a strictly increasing term.  If z = y, then delta_x -
+delta_y <= delta_x + delta_y = g(x, y) <= (rho + rho')(x, y).  Otherwise
+delta_x = g(x, z) - delta_z and delta_y >= g(y, z) - delta_z, so
+
+    delta_x - delta_y <= g(x, z) - g(y, z)
+                      <= |rho(x, z) - rho(y, z)| + |rho'(x, z) - rho'(y, z)|
+                      <= rho(x, y) + rho'(x, y)
+
+by the triangle inequality.  So delta is feasible for the full program,
+whose feasible set lies inside the lower one's: D_i = Dt_i, and the lower
+certificate (LP dual, or QP multipliers, padded with zeros on the
+difference rows) proves delta optimal for the full program as well.  On a
+table built with validate=False that breaks the triangle inequality the
+audit can fail; that is a ValidationError, never a silent second solve.
+
+The program is assembled from one set of pair arrays: the upper-triangle
 pairs i < j in row-major order (np.triu_indices), with |rho - rho'| and
 rho + rho' on them.  In rational mode these are object arrays of
-Fractions, so both modes run the same expressions.  The rows are the pair
-rows in pair order, then, for the full variant, the two difference rows of
-each pair in turn; the same arrays feed the tight pair of the norm-inf
-closed form, quadrangle_feasible and the active-row list of
-format_certificate.
+Fractions, so both modes run the same expressions.  The same arrays feed
+the pair rows, the tight pair of the norm-inf closed form,
+quadrangle_feasible and the active-row list of format_certificate.
 
 Every optimum delta* is realizable: an actual semimetric on the disjoint
 union of the two copies with matched distances delta* exists and is built
@@ -155,26 +175,37 @@ def _pair_arrays(rho, rho_prime):
 def dinf_closed_form(rho: Semimetric, rho_prime: Semimetric):
     """max |rho - rho'| / 2, the exact norm-inf optimum of both variants.
 
-    The max runs over the whole table rather than the pair arrays: float
-    tables from tree_to_semimetric can differ from their transpose in the
-    last bit, and either triangle may hold the larger gap."""
+    The max runs over the whole table rather than the pair arrays: a
+    validated float table may differ from its transpose within
+    TRIANGLE_RTOL, and either triangle may hold the larger gap."""
     _check_pair(rho, rho_prime)
     return _max_abs_gap(rho.table, rho_prime.table, rho.mode) / 2
 
 
-def _assemble_rows(rho, rho_prime, variant):
+def _assemble_rows(rho, rho_prime):
     """Rows (i1, v1, i2, v2, b) for solver.from_sparse: the pair rows
-    x_i + x_j >= gap, then for the full variant x_i - x_j >= -total and
-    x_j - x_i >= -total, interleaved pair by pair."""
-    iu, ju, gap, total = _pair_arrays(rho, rho_prime)
+    x_i + x_j >= gap in pair order."""
+    iu, ju, gap, _ = _pair_arrays(rho, rho_prime)
     m = len(iu)
-    if variant == VARIANT_LOWER:
-        return iu, np.ones(m), ju, np.ones(m), gap
-    i1 = np.concatenate([iu, np.column_stack([iu, ju]).ravel()])
-    i2 = np.concatenate([ju, np.column_stack([ju, iu]).ravel()])
-    v2 = np.concatenate([np.ones(m), np.full(2 * m, -1.0)])
-    b = np.concatenate([gap, np.repeat(-total, 2)])
-    return i1, np.ones(3 * m), i2, v2, b
+    return iu, np.ones(m), ju, np.ones(m), gap
+
+
+def _audit_difference_rows(rho, rho_prime, delta):
+    """Raise unless the lower optimum delta also meets the difference rows,
+    which makes it (with the lower certificate) the full-variant optimum."""
+    ok, violations = quadrangle_feasible(rho, rho_prime, delta)
+    if ok:
+        return
+    diff = [v for v in violations if v[0] == "difference"]
+    if not diff:
+        raise TreegromovError(
+            f"optimum breaks its own pair rows; first violation: {violations[0]}"
+        )
+    _, x, y, amount = diff[0]
+    raise ValidationError(
+        f"the lower optimum breaks the difference row ({x},{y}) by {amount}: "
+        "the tables break the triangle inequality, which the full variant needs"
+    )
 
 
 def gromov_distance(rho: Semimetric, rho_prime: Semimetric, spec: GromovSpec) -> OptResult:
@@ -183,7 +214,11 @@ def gromov_distance(rho: Semimetric, rho_prime: Semimetric, spec: GromovSpec) ->
     norm inf uses the closed form.  The returned OptResult carries the
     achieved value, the optimal DeltaVector, and solver certificates; for
     norm 2 the value is the square root of the QP optimum, which itself is
-    kept in certificate["raw_objective"].
+    kept in certificate["raw_objective"].  Both variants solve the lower
+    program, so "dual" or "multipliers" holds one entry per pair row, then
+    one per bound row; the full variant then audits the difference rows at
+    the optimum and raises ValidationError if one fails (see the module
+    docstring).
     """
     _check_pair(rho, rho_prime)
     mode = rho.mode
@@ -211,7 +246,7 @@ def gromov_distance(rho: Semimetric, rho_prime: Semimetric, spec: GromovSpec) ->
     weights = spec.taxon_weights or tuple([1] * n)
     if len(weights) != n:
         raise ValidationError(f"need {n} taxon weights, got {len(weights)}")
-    rows = _assemble_rows(rho, rho_prime, spec.variant)
+    rows = _assemble_rows(rho, rho_prime)
     upper = None if upper_value is None else [upper_value] * n
 
     if spec.norm == "1":
@@ -223,29 +258,31 @@ def gromov_distance(rho: Semimetric, rho_prime: Semimetric, spec: GromovSpec) ->
                 f"norm-1 program reported {result.status} on valid semimetrics; "
                 f"instance: {n} taxa, variant={spec.variant}, bounded={spec.bounded}"
             )
-        return result.with_updates(argmin=DeltaVector(taxa, result.argmin, mode))
-
-    # norm 2
-    if mode == MODE_RATIONAL:
-        raise ValidationError(
-            "norm-2 distances are float-only (quadratic solves); "
-            "convert with .to_float()"
+        result = result.with_updates(argmin=DeltaVector(taxa, result.argmin, mode))
+    else:  # norm 2
+        if mode == MODE_RATIONAL:
+            raise ValidationError(
+                "norm-2 distances are float-only (quadratic solves); "
+                "convert with .to_float()"
+            )
+        qp = QuadraticProgram.from_sparse(weights, rows, upper=upper)
+        result = solve_qp(qp)
+        if result.status != STATUS_OPTIMAL:
+            raise TreegromovError(
+                f"norm-2 program reported {result.status} on valid semimetrics; "
+                f"instance: {n} taxa, variant={spec.variant}, bounded={spec.bounded}"
+            )
+        raw = result.value
+        cert = dict(result.certificate)
+        cert["raw_objective"] = raw
+        result = result.with_updates(
+            value=math.sqrt(max(raw, 0.0)),
+            argmin=DeltaVector(taxa, np.maximum(result.argmin, 0.0), MODE_FLOAT),
+            certificate=cert,
         )
-    qp = QuadraticProgram.from_sparse(weights, rows, upper=upper)
-    result = solve_qp(qp)
-    if result.status != STATUS_OPTIMAL:
-        raise TreegromovError(
-            f"norm-2 program reported {result.status} on valid semimetrics; "
-            f"instance: {n} taxa, variant={spec.variant}, bounded={spec.bounded}"
-        )
-    raw = result.value
-    cert = dict(result.certificate)
-    cert["raw_objective"] = raw
-    return result.with_updates(
-        value=math.sqrt(max(raw, 0.0)),
-        argmin=DeltaVector(taxa, np.maximum(result.argmin, 0.0), MODE_FLOAT),
-        certificate=cert,
-    )
+    if spec.variant == VARIANT_FULL:
+        _audit_difference_rows(rho, rho_prime, result.argmin)
+    return result
 
 
 def _argmax_pair(rho, rho_prime):

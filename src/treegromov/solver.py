@@ -453,6 +453,14 @@ def _singular_as_error(route, b, n_vars):
         ) from exc
 
 
+def _check_farkas(i1, v1, i2, v2, b, ray, n_vars):
+    """Audit a float Farkas ray for A x >= b, x >= 0: ray >= 0,
+    A^T ray <= 0 and b.ray > 0."""
+    back = _scatter_rows(i1, v1, i2, v2, ray, n_vars)
+    if (ray < 0).any() or back.max(initial=0.0) > 1e-7 or float(np.dot(b, ray)) <= 0:
+        raise TreegromovError("invalid Farkas certificate produced")
+
+
 def _verify_primal_float(i1, v1, i2, v2, b, x, upper_n):
     x = np.maximum(x, 0.0)
     vals = _kernels.row_dot(i1, v1, i2, v2, x)
@@ -494,10 +502,7 @@ def solve_lp(lp: LinearProgram, mode: str | None = None) -> OptResult:
     if out["status"] == STATUS_INFEASIBLE:
         ray = out["farkas"]
         if mode == MODE_FLOAT:
-            # audit: ray >= 0, A^T ray <= 0, b.ray > 0
-            back = _scatter_rows(i1, v1, i2, v2, ray, lp.n_vars)
-            if back.max(initial=0.0) > 1e-7 or float(np.dot(b, ray)) <= 0:
-                raise TreegromovError("invalid Farkas certificate produced")
+            _check_farkas(i1, v1, i2, v2, b, ray, lp.n_vars)
         return OptResult(
             STATUS_INFEASIBLE,
             None,
@@ -541,20 +546,21 @@ def solve_lp(lp: LinearProgram, mode: str | None = None) -> OptResult:
 # ---------------------------------------------------------------------------
 
 def _feasible_start(i1, v1, i2, v2, b, n):
-    """Zero if feasible, else the constant vector max(b)/2 if feasible,
-    else a phase-1 vertex from the zero-objective LP, else None."""
+    """(x0, None) with x0 zero if feasible, else the constant vector
+    max(b)/2 if feasible, else a phase-1 vertex from the zero-objective LP;
+    (None, phase1) when that LP is infeasible, phase1 holding its ray."""
     scale = max(1.0, float(np.abs(b).max(initial=0.0)))
     tol = FEAS_ATOL * scale
     if len(b) == 0 or b.max(initial=0.0) <= tol:
-        return np.zeros(n)
+        return np.zeros(n), None
     tbar = float(b.max()) / 2.0
     x = np.full(n, tbar)
     if (_kernels.row_dot(i1, v1, i2, v2, x) >= b - tol).all():
-        return x
+        return x, None
     out = _lp_float_dual(i1, v1, i2, v2, b, np.zeros(n))
     if out["status"] == STATUS_INFEASIBLE:
-        return None
-    return np.maximum(out["x"], 0.0)
+        return None, out
+    return np.maximum(out["x"], 0.0), None
 
 
 def solve_qp(qp: QuadraticProgram, mode: str = MODE_FLOAT) -> OptResult:
@@ -565,17 +571,17 @@ def solve_qp(qp: QuadraticProgram, mode: str = MODE_FLOAT) -> OptResult:
     n = qp.n_vars
     w = qp.weights
     with _singular_as_error("active-set QP", b, n):
-        x0 = _feasible_start(i1, v1, i2, v2, b, n)
+        x0, phase1 = _feasible_start(i1, v1, i2, v2, b, n)
         if x0 is None:
-            aux = _lp_float_dual(i1, v1, i2, v2, b, np.zeros(n))
+            _check_farkas(i1, v1, i2, v2, b, phase1["farkas"], n)
             return OptResult(
                 STATUS_INFEASIBLE,
                 None,
                 None,
-                aux["iterations"],
+                phase1["iterations"],
                 MODE_FLOAT,
                 "active-set",
-                certificate={"farkas_ray": aux.get("farkas")},
+                certificate={"farkas_ray": phase1["farkas"]},
             )
         max_iter = 1000 + 20 * (len(b) + n)
         status, x, work, iters = _kernels.active_set_qp(

@@ -40,7 +40,11 @@ def normalize_norm(norm) -> str:
 # ---------------------------------------------------------------------------
 
 def tree_to_semimetric(tree: PhyloTree) -> Semimetric:
-    """Path-length distances between taxa (exact in rational mode)."""
+    """Path-length distances between taxa (exact in rational mode).
+
+    Each distance is summed once, from the taxon earlier in canonical
+    order, and written into both cells, so float tables are exactly
+    symmetric."""
     taxa = tree.taxa
     n = len(taxa)
     adj = tree.adjacency()
@@ -63,8 +67,8 @@ def tree_to_semimetric(tree: PhyloTree) -> Semimetric:
                     stack.append(nbr)
         for v, d in dist.items():
             j = vert_to_taxon.get(v)
-            if j is not None:
-                table[i, j] = d
+            if j is not None and j > i:
+                table[i, j] = table[j, i] = d
     return Semimetric(taxa, table, tree.mode, validate=False)
 
 

@@ -144,7 +144,12 @@ def lp_vertex_oracle(c, A, b, upper=None, tol=FEAS_TOL):
 
 
 def lp_vertex_oracle_exact(c, rows, rhs, upper=None):
-    """Fraction twin of lp_vertex_oracle; exact, so only for tiny systems."""
+    """Fraction twin of lp_vertex_oracle; exact, so only for tiny systems.
+
+    A float pass over every n-row subset screens out the singular ones
+    (all coefficients are 0 or +-1, so a nonsingular subset has |det| >= 1)
+    and those whose vertex is infeasible by far more than rounding; every
+    survivor is then solved and checked in Fractions."""
     n = len(c)
     M = [list(map(Fraction, r)) for r in rows]
     q = [Fraction(v) for v in rhs]
@@ -161,15 +166,27 @@ def lp_vertex_oracle_exact(c, rows, rhs, upper=None):
             e[j] = Fraction(-1)
             M.append(e)
             q.append(-Fraction(u))
+    Mf = np.array(M, dtype=float)
+    qf = np.array(q, dtype=float)
+    slack = 1e-6 * max(1.0, float(np.abs(qf).max(initial=0.0)))
+    idx = np.array(list(itertools.combinations(range(len(M)), n)))
     best_val, best_x = None, None
-    for subset in itertools.combinations(range(len(M)), n):
-        x = _solve_exact([M[i][:] for i in subset], [q[i] for i in subset])
-        if x is None:
+    for lo in range(0, len(idx), 20000):
+        chunk = idx[lo : lo + 20000]
+        Ms = Mf[chunk]
+        ok = np.abs(np.linalg.det(Ms)) > 0.5
+        if not ok.any():
             continue
-        if all(sum(row[j] * x[j] for j in range(n)) >= qq for row, qq in zip(M, q)):
-            val = sum(c[j] * x[j] for j in range(n))
-            if best_val is None or val < best_val:
-                best_val, best_x = val, x
+        xs = np.linalg.solve(Ms[ok], qf[chunk[ok]][:, :, None])[:, :, 0]
+        near = (Mf @ xs.T >= (qf - slack)[:, None]).all(axis=0)
+        for subset in chunk[ok][near]:
+            x = _solve_exact([M[i][:] for i in subset], [q[i] for i in subset])
+            if x is None:
+                continue
+            if all(sum(row[j] * x[j] for j in range(n)) >= qq for row, qq in zip(M, q)):
+                val = sum(c[j] * x[j] for j in range(n))
+                if best_val is None or val < best_val:
+                    best_val, best_x = val, x
     return best_val, best_x
 
 

@@ -343,6 +343,15 @@ def test_validate_tree_all_pass(capsys):
     assert "source: tree, 4 taxa" in out
 
 
+def test_validate_tree_with_fractional_lengths_passes(capsys):
+    from treegromov import random_binary_tree, write_newick
+
+    text = write_newick(random_binary_tree(9, 3, "uniform01"))
+    code, out, _ = run(capsys, ["validate", text])
+    assert code == 0
+    assert "symmetric: PASS" in out
+
+
 def test_validate_triangle_violation(tmp_path, capsys):
     labs = ["a", "b", "c"]
     rho = semimetric_from_table(

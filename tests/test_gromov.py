@@ -10,6 +10,8 @@ import _oracles as orc
 from treegromov import (
     DeltaVector,
     GromovSpec,
+    Semimetric,
+    TaxonSet,
     TreegromovError,
     ValidationError,
     dinf_closed_form,
@@ -26,6 +28,7 @@ from treegromov import (
     solve_lp,
     tree_distance,
     tree_to_semimetric,
+    write_newick,
 )
 
 NORMS = (1, 2, "inf")
@@ -578,3 +581,188 @@ def test_oracle_spot_checks():
                 want = orc.gromov_oracle(d1, d2, norm, variant)
                 got = _dist(r1, r2, norm, variant)
                 assert got == pytest.approx(want, abs=1e-8), (n, norm, variant)
+
+
+# ---------------------------------------------------------------------------
+# the full variant, computed as one lower solve plus a difference-row
+# audit; every reference below builds the difference rows itself, since a
+# comparison with the lower variant would be circular
+
+
+def _full_cases(n, seed):
+    """(name, rho, rho') on n taxa: unit, uniform01 and scaled tree pairs
+    and a pair of integer semimetric tables, all float."""
+    labs = [f"t{i}" for i in range(n)]
+    rng = np.random.default_rng(seed)
+    tables = [orc.random_integer_semimetric(n, rng).astype(float) for _ in range(2)]
+    scale = (1e-3, 10.0)[seed % 2]
+    scaled = _random_pair(n, seed + 1, weight_model="uniform01")
+    return [
+        ("unit", *_random_pair(n, seed)),
+        ("uniform01", *_random_pair(n, seed, weight_model="uniform01")),
+        ("scaled", scaled[0].scaled(scale), scaled[1].scaled(scale)),
+        ("integer", *(semimetric_from_table(labs, t) for t in tables)),
+    ]
+
+
+def _full_cases_rational(n, seed):
+    """The rational twins of _full_cases: uniform01 trees are read back
+    from their Newick text, so path sums are exact."""
+    labs = [f"t{i}" for i in range(n)]
+    rng = np.random.default_rng(seed)
+    tables = [
+        [[Fraction(int(v)) for v in row] for row in orc.random_integer_semimetric(n, rng)]
+        for _ in range(2)
+    ]
+    u01 = [
+        tree_to_semimetric(parse_newick(write_newick(
+            random_binary_tree(n, seed=2 * seed + k, weight_model="uniform01")
+        ), mode="rational"))
+        for k in (0, 1)
+    ]
+    scale = (Fraction(1, 1000), Fraction(10))[seed % 2]
+    unit = _random_pair(n, seed, mode="rational")
+    return [
+        ("unit", *unit),
+        ("uniform01", *u01),
+        ("scaled", unit[0].scaled(scale), unit[1].scaled(scale)),
+        ("integer", *(semimetric_from_table(labs, t, mode="rational") for t in tables)),
+    ]
+
+
+def _dense_full(r1, r2, bounded):
+    """Dense (A, b) of the full program, bound rows -delta_j >= -u last."""
+    A, b, upper = orc.assemble_dense(r1.table, r2.table, "full", bounded)
+    if bounded:
+        A = np.vstack([A, -np.eye(len(upper))])
+        b = np.concatenate([b, -np.asarray(upper)])
+    return A, b
+
+
+def _assert_certifies(res, r1, r2, weights, bounded, norm):
+    """The certificate holds one entry per pair row (i < j, row-major),
+    then one per bound row, and proves the optimum of those rows: for norm
+    1, y >= 0, A^T y <= w and b.y = value; for norm 2, mu >= 0,
+    A^T mu = 2 w delta and mu_k (A delta - b)_k = 0.  With the difference
+    rows met at delta (checked by the caller), zero entries on them extend
+    it to a certificate for the full program."""
+    n = len(r1.taxa)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    rows = [((i, j), 1, abs(r1.table[i, j] - r2.table[i, j])) for i, j in pairs]
+    if bounded:
+        u = max(rhs for _, _, rhs in rows)
+        rows += [((j,), -1, -u) for j in range(n)]
+    y = list(res.certificate["dual" if norm == 1 else "multipliers"])
+    assert len(y) == len(rows)
+    dv = res.argmin.values
+    back = [0] * n
+    by = 0
+    comp = []
+    for (idx, sign, rhs), yk in zip(rows, y):
+        for j in idx:
+            back[j] += sign * yk
+        by += yk * rhs
+        comp.append(yk * (sum(sign * dv[j] for j in idx) - rhs))
+    if res.mode == "rational":
+        assert all(yk >= 0 for yk in y)
+        assert all(bj <= wj for bj, wj in zip(back, weights))
+        assert by == res.value
+        return
+    scale = max(1.0, float(r1.table.max()), float(r2.table.max()))
+    w = np.asarray(weights, dtype=float)
+    if norm == 1:
+        tol = 1e-9 * float(w.max())
+        assert min(y) >= -tol
+        assert (np.array(back) <= w + tol).all()
+        assert by == pytest.approx(res.value, rel=1e-8, abs=1e-8 * scale)
+    else:
+        grad = 2.0 * w * dv
+        gscale = max(1.0, float(np.abs(grad).max()))
+        assert min(y) >= -1e-9 * gscale
+        assert np.abs(grad - np.array(back)).max() <= 1e-8 * gscale
+        assert max(abs(c) for c in comp) <= 1e-8 * gscale * scale
+
+
+def _weights(n, weighted, seed):
+    if not weighted:
+        return None
+    return tuple(np.random.default_rng(seed).uniform(0.5, 3.0, size=n))
+
+
+# (bounded, weighted); each input meets two of them per n, all four over
+# the n values
+_FLAVORS = [(False, False), (True, False), (False, True), (True, True)]
+
+
+@pytest.mark.parametrize("n,seed", [(6, 3), (9, 4), (14, 5), (20, 6)])
+def test_full_d1_float_matches_primal_oracle(n, seed):
+    for k, (name, r1, r2) in enumerate(_full_cases(n, seed)):
+        for bounded, weighted in (_FLAVORS[(k + seed) % 4], _FLAVORS[(k + seed + 2) % 4]):
+            w = _weights(n, weighted, seed + k)
+            spec = GromovSpec(norm=1, bounded=bounded, taxon_weights=w)
+            res = gromov_distance(r1, r2, spec)
+            weights = np.ones(n) if w is None else np.array(w)
+            A, b = _dense_full(r1, r2, bounded)
+            want, _ = orc.lp_primal_oracle(weights, A, b)
+            scale = max(1.0, float(r1.table.max()), float(r2.table.max()))
+            assert res.value == pytest.approx(want, rel=1e-9, abs=1e-9 * scale), (name, bounded, w)
+            ok, violations = quadrangle_feasible(r1, r2, res.argmin)
+            assert ok, (name, violations)
+            _assert_certifies(res, r1, r2, weights, bounded, 1)
+
+
+@pytest.mark.parametrize("n,seed", [(3, 7), (4, 8), (5, 9)])
+def test_full_d1_rational_matches_exact_oracle(n, seed):
+    # GromovSpec keeps taxon weights as floats, which rational solves
+    # reject, so the exact checks run unweighted
+    cases = _full_cases_rational(n, seed)
+    if n == 5:
+        cases = cases[seed % 4 :][:1]  # an n=5 enumeration takes seconds
+    for k, (name, r1, r2) in enumerate(cases):
+        for bounded in (False, True):
+            res = gromov_distance(r1, r2, GromovSpec(norm=1, bounded=bounded))
+            t1, t2 = r1.table.tolist(), r2.table.tolist()
+            if bounded:
+                rows, rhs = orc.assemble_dense_exact(t1, t2, "full")
+                upper = [2 * dinf_closed_form(r1, r2)] * n
+                want, _ = orc.lp_vertex_oracle_exact([1] * n, rows, rhs, upper)
+            else:
+                want = orc.gromov_oracle_exact(t1, t2, "full")
+            assert res.value == want, (name, bounded)
+            ok, violations = quadrangle_feasible(r1, r2, res.argmin)
+            assert ok, (name, violations)
+            _assert_certifies(res, r1, r2, [1] * n, bounded, 1)
+
+
+@pytest.mark.parametrize("n,seed", [(3, 10), (4, 11), (5, 12)])
+def test_full_d2_matches_face_oracle(n, seed):
+    for k, (name, r1, r2) in enumerate(_full_cases(n, seed)):
+        # bounded n=5 programs make the face enumeration too large to keep
+        bounded = bool(k % 2) and n < 5
+        w = _weights(n, k >= 2, seed + k)
+        res = gromov_distance(r1, r2, GromovSpec(norm=2, bounded=bounded, taxon_weights=w))
+        weights = np.ones(n) if w is None else np.array(w)
+        if w is None:
+            want = orc.gromov_oracle(r1.table, r2.table, 2, "full", bounded)
+        else:
+            A, b, upper = orc.assemble_dense(r1.table, r2.table, "full", bounded)
+            raw, _ = orc.qp_face_oracle(weights, A, b, upper)
+            want = math.sqrt(raw)
+        scale = max(1.0, float(r1.table.max()), float(r2.table.max()))
+        assert res.value == pytest.approx(want, rel=1e-8, abs=1e-8 * scale), (name, bounded, w)
+        ok, violations = quadrangle_feasible(r1, r2, res.argmin)
+        assert ok, (name, violations)
+        _assert_certifies(res, r1, r2, weights, bounded, 2)
+
+
+def test_full_variant_rejects_tables_that_break_the_triangle_inequality():
+    # rho(a,c) = 5 > rho(a,b) + rho(b,c) = 2; the lower D1 optimum (4, 0, 0)
+    # breaks the difference row (a,b): |4 - 0| > rho(a,b) + rho'(a,b) = 2
+    taxa = TaxonSet(["a", "b", "c"])
+    for mode in ("float", "rational"):
+        rho = Semimetric(taxa, [[0, 1, 5], [1, 0, 1], [5, 1, 0]], mode, validate=False)
+        ones = Semimetric(taxa, [[0, 1, 1], [1, 0, 1], [1, 1, 0]], mode, validate=False)
+        lower = gromov_distance(rho, ones, GromovSpec(norm=1, variant="lower"))
+        assert lower.value == 4
+        with pytest.raises(ValidationError, match=r"difference row \(a,b\) by 2.*triangle"):
+            gromov_distance(rho, ones, GromovSpec(norm=1))

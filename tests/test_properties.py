@@ -1,0 +1,51 @@
+"""Property tests on random semimetrics drawn by hypothesis."""
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+import _oracles as orc  # noqa: E402
+from treegromov import (  # noqa: E402
+    GromovSpec,
+    gromov_distance,
+    quadrangle_feasible,
+    semimetric_from_table,
+)
+
+
+def _closure(n, weights):
+    """Shortest-path semimetric of the complete graph on n points whose
+    edges carry the drawn integer weights (zero allowed)."""
+    d = np.zeros((n, n))
+    d[np.triu_indices(n, 1)] = weights
+    d = d + d.T
+    for k in range(n):
+        d = np.minimum(d, d[:, k : k + 1] + d[k : k + 1, :])
+    return d
+
+
+@st.composite
+def semimetric_pairs(draw):
+    n = draw(st.integers(3, 8))
+    m = n * (n - 1) // 2
+    labs = [f"t{i}" for i in range(n)]
+    tables = [
+        _closure(n, draw(st.lists(st.integers(0, 9), min_size=m, max_size=m)))
+        for _ in range(2)
+    ]
+    return tuple(semimetric_from_table(labs, t) for t in tables)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(semimetric_pairs())
+def test_full_d1_is_feasible_and_matches_the_primal_oracle(pair):
+    r1, r2 = pair
+    n = len(r1.taxa)
+    res = gromov_distance(r1, r2, GromovSpec(norm=1))
+    ok, violations = quadrangle_feasible(r1, r2, res.argmin)
+    assert ok, violations
+    A, b, _ = orc.assemble_dense(r1.table, r2.table, "full")
+    want, _ = orc.lp_primal_oracle(np.ones(n), A, b)
+    assert res.value == pytest.approx(want, abs=1e-9 * max(1.0, float(np.abs(b).max())))

@@ -336,6 +336,46 @@ def test_qp_kkt_audit_rejects_a_perturbed_optimum(monkeypatch):
         solve_qp(qp)
 
 
+def test_qp_infeasible_runs_phase_one_once_and_audits_ray(monkeypatch):
+    # x0 >= 1 and -x0 >= 0 cannot hold together; the phase-1 LP that finds
+    # this must run once, and its ray must pass the Farkas audit
+    from treegromov import solver
+
+    calls = []
+    real = solver._lp_float_dual
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(solver, "_lp_float_dual", counted)
+    rows = _rows((0, 1, -1, 0, 1), (0, -1, -1, 0, 0))
+    res = solve_qp(QuadraticProgram.from_sparse([1], rows))
+    assert res.status == STATUS_INFEASIBLE
+    assert len(calls) == 1
+    ray = np.asarray(res.certificate["farkas_ray"], dtype=float)
+    A, b = _dense_from_rows(rows, 1)
+    assert (ray >= 0).all()
+    assert (A.T @ ray <= 1e-9).all()
+    assert b @ ray > 1e-9
+
+
+def test_qp_rejects_a_bad_farkas_ray(monkeypatch):
+    from treegromov import solver
+
+    real = solver._lp_float_dual
+
+    def zero_ray(*args):
+        out = real(*args)
+        out["farkas"] = np.zeros_like(out["farkas"])
+        return out
+
+    monkeypatch.setattr(solver, "_lp_float_dual", zero_ray)
+    rows = _rows((0, 1, -1, 0, 1), (0, -1, -1, 0, 0))
+    with pytest.raises(TreegromovError, match="Farkas"):
+        solve_qp(QuadraticProgram.from_sparse([1], rows))
+
+
 def test_qp_rejects_bad_weights():
     with pytest.raises(ValidationError):
         QuadraticProgram.from_sparse([0, 1], _rows((0, 1, -1, 0, 1)))

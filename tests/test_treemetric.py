@@ -55,6 +55,15 @@ def test_tree_metric_matches_dijkstra():
         assert np.allclose(rho.table, orc.tree_metric_oracle(t), atol=1e-12)
 
 
+def test_tree_metric_float_table_is_exactly_symmetric():
+    # sums of the same path taken from its two ends round differently, so
+    # each distance must be summed once and written to both cells
+    for seed in range(40):
+        t = random_binary_tree(9, seed=seed, weight_model="uniform01")
+        table = tree_to_semimetric(t).table
+        assert (table == table.T).all(), seed
+
+
 def test_tree_metric_rational_exact():
     t = parse_newick("((A:1/3,B:2/3):1/7,(C:3/2,D:1):2);", mode="rational")
     rho = tree_to_semimetric(t)
