@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import argparse
 import os
-import statistics
 import sys
-import time
 from fractions import Fraction
 
 import numpy as np
@@ -45,7 +43,7 @@ SCHEMA_LINE = "#schema=1"
 NORMS_ALL = ("1", "2", "inf")
 METRIC_COLUMNS = ("D1", "D2", "Dinf", "Dt1", "Dt2", "Dtinf", "PD1", "PD2", "PDinf", "RF")
 
-EXPERIMENTS = ("compare", "caterpillar", "parallelogram", "timing", "equality")
+EXPERIMENTS = ("compare", "caterpillar", "parallelogram", "equality")
 WEIGHT_MODELS = ("unit", "uniform01")
 
 
@@ -270,33 +268,6 @@ def _parallelogram_row(config, trial):
     return [lhs, rhs]
 
 
-def _timing_row(config, trial, mode):
-    n = config.n
-    t1 = random_binary_tree(
-        n, _pair_seed(config.seed, trial, 0), weight_model=config.weight_model, mode=mode
-    )
-    t2 = random_binary_tree(
-        n, _pair_seed(config.seed, trial, 1), weight_model=config.weight_model, mode=mode
-    )
-    r1, r2 = tree_to_semimetric(t1), tree_to_semimetric(t2)
-    tasks = []
-    for variant in ("full", "lower"):
-        for nm in NORMS_ALL:
-            tasks.append(lambda nm=nm, variant=variant: _distance_value(r1, r2, nm, variant, False, mode))
-    for nm in NORMS_ALL:
-        tasks.append(lambda nm=nm: _pd_value(r1, r2, nm))
-    tasks.append(lambda: robinson_foulds(t1, t2))
-    row = []
-    for task in tasks:
-        reps = []
-        for _ in range(5):
-            tic = time.perf_counter()
-            task()
-            reps.append(time.perf_counter() - tic)
-        row.append(statistics.median(reps))
-    return row
-
-
 def _equality_row(config, trial, mode):
     n = config.n
     t1 = random_binary_tree(
@@ -323,8 +294,6 @@ def _experiment_header(config):
         return cols
     if config.experiment == "parallelogram":
         return ("trial", "lhs", "rhs")
-    if config.experiment == "timing":
-        return ("trial",) + METRIC_COLUMNS
     return ("trial", "gap1", "gap2", "max_gap")
 
 
@@ -336,8 +305,6 @@ def _experiment_row(config, trial, mode):
         return row + [_caterpillar_bound(config.n)]
     if config.experiment == "parallelogram":
         return _parallelogram_row(config, trial)
-    if config.experiment == "timing":
-        return _timing_row(config, trial, mode)
     return _equality_row(config, trial, mode)
 
 

@@ -7,35 +7,40 @@ is the i-norm of the cheapest matched-distance vector delta in
     |delta_x - delta_y| <= (rho + rho')(x, y)          (difference rows)
 
 over all taxon pairs.  Dropping the difference rows gives the lower
-variants (written Dt in CSV headers); adding delta_x <= 2 * Dinf gives the
-bounded flavor, which never changes the optimum but shrinks the feasible
-set.  Norm 1 is an LP, norm 2 a strictly convex QP (the reported value is
-the square root of its optimum), and norm inf has the closed form
+variants (written Dt in CSV headers); adding the bound rows
+delta_x <= 2 * Dinf gives the bounded flavor, which never changes the
+optimum.  Norm 1 is an LP, norm 2 a strictly convex QP (the reported value
+is the square root of its optimum), and norm inf has the closed form
 max|rho - rho'| / 2: the constant vector at that value is feasible for
 both variants, and any feasible delta has max delta >= (delta_x +
 delta_y)/2 >= |rho - rho'|(x, y)/2 at the maximizing pair.
 
-Only the lower program is ever built: the difference rows are redundant on
-semimetrics, so the full variant is the lower solve followed by an O(n^2)
-audit of the difference rows.  Proof, for norms 1 and 2, any positive taxon
-weights w and either flavor: write g = |rho - rho'| and let delta be an
-optimum of the lower program.  Take x, y with delta_x > delta_y >= 0.
-Some pair row (x, z) is tight at delta, for otherwise lowering delta_x a
-little keeps every row (bound rows included) and lowers the objective by
-w_x > 0 times a strictly increasing term.  If z = y, then delta_x -
-delta_y <= delta_x + delta_y = g(x, y) <= (rho + rho')(x, y).  Otherwise
-delta_x = g(x, z) - delta_z and delta_y >= g(y, z) - delta_z, so
+Only the pair rows are ever built: the difference rows are redundant on
+semimetrics and the bound rows never bind, so the full variant is the
+lower solve followed by an O(n^2) audit of the difference rows, and the
+bounded flavor adds an O(n) audit of max delta <= 2 * Dinf.  Proof, for
+norms 1 and 2 and any positive taxon weights w: write g = |rho - rho'| and
+let delta be an optimum of the lower program.  Each delta_x > 0 is tight
+on some pair row (x, z), for otherwise lowering delta_x a little keeps
+every row and lowers the objective by w_x > 0 times a strictly increasing
+term.  So delta_x = g(x, z) - delta_z <= g(x, z) <= max g = 2 * Dinf, and
+delta meets every bound row.  Now take x, y with delta_x > delta_y >= 0
+and (x, z) tight as above.  If z = y, then delta_x - delta_y <= delta_x +
+delta_y = g(x, y) <= (rho + rho')(x, y).  Otherwise delta_x = g(x, z) -
+delta_z and delta_y >= g(y, z) - delta_z, so
 
     delta_x - delta_y <= g(x, z) - g(y, z)
                       <= |rho(x, z) - rho(y, z)| + |rho'(x, z) - rho'(y, z)|
                       <= rho(x, y) + rho'(x, y)
 
-by the triangle inequality.  So delta is feasible for the full program,
-whose feasible set lies inside the lower one's: D_i = Dt_i, and the lower
-certificate (LP dual, or QP multipliers, padded with zeros on the
-difference rows) proves delta optimal for the full program as well.  On a
-table built with validate=False that breaks the triangle inequality the
-audit can fail; that is a ValidationError, never a silent second solve.
+by the triangle inequality.  So delta is feasible for the full and the
+bounded programs, whose feasible sets lie inside the lower one's: D_i =
+Dt_i, bounded or not, and the lower certificate (LP dual, or QP
+multipliers, padded with zeros on the difference and bound rows) proves
+delta optimal for each of them.  On a table built with validate=False that
+breaks the triangle inequality the difference audit can fail; that is a
+ValidationError, never a silent second solve.  A failed bound audit
+contradicts the proof and raises TreegromovError.
 
 The program is assembled from one set of pair arrays: the upper-triangle
 pairs i < j in row-major order (np.triu_indices), with |rho - rho'| and
@@ -52,6 +57,7 @@ by realize_extension via shortest paths.
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 
 import numpy as np
@@ -121,8 +127,9 @@ class DeltaVector:
 
 class GromovSpec:
     """Which distance to compute: norm in {1, 2, inf}, variant full or
-    lower, optionally bounded, optionally with positive taxon weights
-    (norms 1 and 2 only)."""
+    lower, optionally bounded, optionally with finite positive taxon
+    weights (norms 1 and 2 only), kept as given so that int and Fraction
+    weights solve exactly in rational mode."""
 
     __slots__ = ("norm", "variant", "bounded", "taxon_weights")
 
@@ -131,9 +138,17 @@ class GromovSpec:
         if variant not in (VARIANT_FULL, VARIANT_LOWER):
             raise ValidationError(f"variant must be 'full' or 'lower', got {variant!r}")
         if taxon_weights is not None:
-            taxon_weights = tuple(float(w) for w in taxon_weights)
-            if any(w <= 0 for w in taxon_weights):
-                raise ValidationError("taxon weights must be strictly positive")
+            taxon_weights = tuple(taxon_weights)
+            for k, w in enumerate(taxon_weights):
+                if not (
+                    isinstance(w, numbers.Real)
+                    and (isinstance(w, numbers.Rational) or math.isfinite(w))
+                    and w > 0
+                ):
+                    raise ValidationError(
+                        f"taxon weights must be finite and strictly positive; "
+                        f"weight {k} is {w!r}"
+                    )
             if norm == "inf":
                 raise ValidationError(
                     "taxon weights are supported for norms 1 and 2 only"
@@ -190,6 +205,28 @@ def _assemble_rows(rho, rho_prime):
     return iu, np.ones(m), ju, np.ones(m), gap
 
 
+def _feas_tol(rho, rho_prime):
+    """Audit tolerance: FEAS_RTOL times the data scale in float mode, zero
+    in rational mode."""
+    if rho.mode == MODE_RATIONAL:
+        return 0
+    return FEAS_RTOL * max(
+        1.0, float(rho.table.max(initial=0.0)), float(rho_prime.table.max(initial=0.0))
+    )
+
+
+def _audit_bound_rows(rho, rho_prime, delta):
+    """Raise unless the lower optimum delta meets the bound rows
+    delta_x <= 2 * Dinf, which the module docstring proves it always does."""
+    bound = 2 * dinf_closed_form(rho, rho_prime)
+    top = delta.values.max(initial=0)
+    if not top - bound <= _feas_tol(rho, rho_prime):  # NaN fails
+        raise TreegromovError(
+            f"the lower optimum breaks a bound row: max delta {top} exceeds "
+            f"2*Dinf = {bound}"
+        )
+
+
 def _audit_difference_rows(rho, rho_prime, delta):
     """Raise unless the lower optimum delta also meets the difference rows,
     which makes it (with the lower certificate) the full-variant optimum."""
@@ -214,10 +251,11 @@ def gromov_distance(rho: Semimetric, rho_prime: Semimetric, spec: GromovSpec) ->
     norm inf uses the closed form.  The returned OptResult carries the
     achieved value, the optimal DeltaVector, and solver certificates; for
     norm 2 the value is the square root of the QP optimum, which itself is
-    kept in certificate["raw_objective"].  Both variants solve the lower
-    program, so "dual" or "multipliers" holds one entry per pair row, then
-    one per bound row; the full variant then audits the difference rows at
-    the optimum and raises ValidationError if one fails (see the module
+    kept in certificate["raw_objective"].  Every spec solves the lower
+    program, so "dual" or "multipliers" holds one entry per pair row.  The
+    bounded flavor then audits max delta <= 2 * Dinf and raises
+    TreegromovError if it fails; the full variant audits the difference
+    rows and raises ValidationError if one fails (see the module
     docstring).
     """
     _check_pair(rho, rho_prime)
@@ -240,18 +278,19 @@ def gromov_distance(rho: Semimetric, rho_prime: Semimetric, spec: GromovSpec) ->
             certificate={"tight_pair": _argmax_pair(rho, rho_prime)},
         )
 
-    upper_value = None
-    if spec.bounded:
-        upper_value = 2 * dinf_closed_form(rho, rho_prime)
     weights = spec.taxon_weights or tuple([1] * n)
     if len(weights) != n:
         raise ValidationError(f"need {n} taxon weights, got {len(weights)}")
+    if spec.norm == "2" and mode == MODE_RATIONAL:
+        raise ValidationError(
+            "norm-2 distances are float-only (quadratic solves); "
+            "convert with .to_float()"
+        )
+    weights = [as_scalar(w, mode) for w in weights]
     rows = _assemble_rows(rho, rho_prime)
-    upper = None if upper_value is None else [upper_value] * n
 
     if spec.norm == "1":
-        objective = [as_scalar(w, mode) for w in weights]
-        lp = LinearProgram.from_sparse(objective, rows, upper=upper, mode=mode)
+        lp = LinearProgram.from_sparse(weights, rows, mode=mode)
         result = solve_lp(lp)
         if result.status != STATUS_OPTIMAL:
             raise TreegromovError(
@@ -260,26 +299,17 @@ def gromov_distance(rho: Semimetric, rho_prime: Semimetric, spec: GromovSpec) ->
             )
         result = result.with_updates(argmin=DeltaVector(taxa, result.argmin, mode))
     else:  # norm 2
-        if mode == MODE_RATIONAL:
-            raise ValidationError(
-                "norm-2 distances are float-only (quadratic solves); "
-                "convert with .to_float()"
-            )
-        qp = QuadraticProgram.from_sparse(weights, rows, upper=upper)
-        result = solve_qp(qp)
-        if result.status != STATUS_OPTIMAL:
-            raise TreegromovError(
-                f"norm-2 program reported {result.status} on valid semimetrics; "
-                f"instance: {n} taxa, variant={spec.variant}, bounded={spec.bounded}"
-            )
+        result = solve_qp(QuadraticProgram.from_sparse(weights, rows))
         raw = result.value
         cert = dict(result.certificate)
         cert["raw_objective"] = raw
         result = result.with_updates(
             value=math.sqrt(max(raw, 0.0)),
-            argmin=DeltaVector(taxa, np.maximum(result.argmin, 0.0), MODE_FLOAT),
+            argmin=DeltaVector(taxa, result.argmin, MODE_FLOAT),
             certificate=cert,
         )
+    if spec.bounded:
+        _audit_bound_rows(rho, rho_prime, result.argmin)
     if spec.variant == VARIANT_FULL:
         _audit_difference_rows(rho, rho_prime, result.argmin)
     return result
@@ -316,13 +346,8 @@ def quadrangle_feasible(rho: Semimetric, rho_prime: Semimetric, delta: DeltaVect
     if delta.taxa != rho.taxa:
         raise ValidationError("delta taxa differ from the semimetrics'")
     labs = rho.taxa.labels
-    d, dp, dv = rho.table, rho_prime.table, delta.values
-    if rho.mode == MODE_FLOAT:
-        tol = FEAS_RTOL * max(
-            1.0, float(d.max(initial=0.0)), float(dp.max(initial=0.0))
-        )
-    else:
-        tol = 0
+    dv = delta.values
+    tol = _feas_tol(rho, rho_prime)
     iu, ju, gap, total = _pair_arrays(rho, rho_prime)
     short = gap - (dv[iu] + dv[ju])
     excess = np.abs(dv[iu] - dv[ju]) - total

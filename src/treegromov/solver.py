@@ -5,16 +5,14 @@ A program is stored as arrays, one entry per constraint row:
     v1[r] * x[i1[r]] + v2[r] * x[i2[r]] >= b[r],    i2[r] = -1 for one entry
 
 with coefficients +-1 (the sparse kernels exploit that structure; v2 is
-stored as 0 where i2 = -1), plus
-0 <= x <= upper.  LinearProgram.from_sparse and QuadraticProgram.from_sparse
-are the only constructors; they validate the arrays in vectorised checks and
-store them read-only.  Each solve appends the finite upper bounds as rows
--x_j >= -u_j: float64 arrays for the float kernels, Python lists of
-Fractions for the exact simplex.
+stored as 0 where i2 = -1).  LinearProgram.from_sparse and
+QuadraticProgram.from_sparse are the only constructors; they validate the
+arrays in vectorised checks and store them read-only.  The exact simplex
+reads them as Python lists of Fractions.
 
 The linear solver solves the dual of
 
-    min c.x   s.t.  A x >= b,  0 <= x <= u
+    min c.x   s.t.  A x >= b,  x >= 0
 
 with a revised primal simplex, because the dual's basis is only n x n no
 matter how many rows the primal has (rows here grow quadratically in the
@@ -24,12 +22,15 @@ only; every program this package assembles has one.  Exact-rational solves
 follow the same route with Fraction arithmetic and Bland's rule throughout.
 
 The quadratic solver is a primal active-set method for strictly convex
-diagonal objectives sum w_j x_j^2.  Working-set rows stay linearly
-independent automatically (a blocking row has a.p != 0 while working rows
-have a.p == 0), so the small KKT systems never need rank checks.  Its KKT
-residuals are audited relative to the data scale s = max(1, max|b|,
-max|2wx|): stationarity, primal and dual parts against KKT_TOL * s,
-complementarity against KKT_TOL * s^2.
+diagonal objectives sum w_j x_j^2 over rows whose coefficients are all +1.
+With A >= 0 entrywise, raising a negative x_j to 0 keeps every row and
+lowers the objective, so the optimum is >= 0 without an x >= 0 row, and
+the constant vector max(b, 0) meets every row: a QP is never infeasible.
+Working-set rows stay linearly independent automatically (a blocking row
+has a.p != 0 while working rows have a.p == 0), so the small KKT systems
+never need rank checks.  Its KKT residuals are audited relative to the data
+scale s = max(1, max|b|, max|2wx|): stationarity, primal (rows and x >= 0)
+and dual parts against KKT_TOL * s, complementarity against KKT_TOL * s^2.
 
 A singular linear system inside either float solver, or a failed KKT audit,
 is reported as a TreegromovError with an instance summary, never as a bare
@@ -38,6 +39,7 @@ numpy error.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -83,12 +85,11 @@ def _check(ok, message):
 
 
 class _RowProgram:
-    """Shared storage: read-only row arrays (i1, v1, i2, v2, b) and an
-    optional upper-bound array, None where a variable has no bound."""
+    """Shared storage: read-only row arrays (i1, v1, i2, v2, b)."""
 
-    __slots__ = ("n_vars", "i1", "v1", "i2", "v2", "b", "upper", "mode")
+    __slots__ = ("n_vars", "i1", "v1", "i2", "v2", "b", "mode")
 
-    def _init_rows(self, n_vars, rows, upper, mode):
+    def _init_rows(self, n_vars, rows, mode):
         check_mode(mode)
         try:
             i1, v1, i2, v2, b = (np.array(a) for a in rows)
@@ -113,22 +114,10 @@ class _RowProgram:
         _check((np.abs(v1) == 1) & ((np.abs(v2) == 1) | ~two), "coefficients must be +-1")
         if mode == MODE_FLOAT:
             _check(np.isfinite(b), "rhs must be finite")
-        if upper is not None:
-            if len(upper) != n_vars:
-                raise ValidationError("upper bound vector length mismatch")
-            # None (or inf in float mode) means no bound
-            upper = np.array(
-                [None if u is None or u == np.inf else as_scalar(u, mode) for u in upper],
-                dtype=object,
-            )
-            bounds = np.where(np.not_equal(upper, None), upper, 0)
-            _check(bounds >= 0, "upper bound is below the lower bound 0")
-            upper.flags.writeable = False
         for name, arr in (("i1", i1), ("v1", v1), ("i2", i2), ("v2", v2), ("b", b)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "n_vars", int(n_vars))
-        object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "mode", mode)
 
     def __setattr__(self, name, value):
@@ -140,17 +129,18 @@ class _RowProgram:
 
 
 class LinearProgram(_RowProgram):
-    """min c.x subject to the stored rows and 0 <= x (<= upper)."""
+    """min c.x subject to the stored rows and 0 <= x."""
 
     __slots__ = ("c",)
 
     @classmethod
-    def from_sparse(cls, objective, rows, upper=None, mode=MODE_FLOAT):
-        """rows: (i1, v1, i2, v2, b), see the module docstring; upper: one
-        bound per variable, None for no bound."""
+    def from_sparse(cls, objective, rows, mode=MODE_FLOAT):
+        """rows: (i1, v1, i2, v2, b), see the module docstring."""
         self = object.__new__(cls)
         c = _scalars(objective, mode)
-        self._init_rows(len(c), rows, upper, mode)
+        if mode == MODE_FLOAT:
+            _check(np.isfinite(c), "objective must be finite")
+        self._init_rows(len(c), rows, mode)
         c.flags.writeable = False
         object.__setattr__(self, "c", c)
         return self
@@ -163,18 +153,20 @@ class LinearProgram(_RowProgram):
 
 
 class QuadraticProgram(_RowProgram):
-    """min sum_j w_j x_j^2 subject to the stored rows and 0 <= x (<= upper);
-    w strictly positive, float mode only."""
+    """min sum_j w_j x_j^2 subject to the stored rows; w finite and
+    strictly positive, every row coefficient +1, float mode only."""
 
     __slots__ = ("weights",)
 
     @classmethod
-    def from_sparse(cls, weights, rows, upper=None):
+    def from_sparse(cls, weights, rows):
         self = object.__new__(cls)
         w = _scalars(weights, MODE_FLOAT)
-        if not (w > 0).all():
-            raise ValidationError("quadratic weights must be strictly positive")
-        self._init_rows(len(w), rows, upper, MODE_FLOAT)
+        _check(np.isfinite(w), "quadratic weights must be finite")
+        _check(w > 0, "quadratic weights must be strictly positive")
+        self._init_rows(len(w), rows, MODE_FLOAT)
+        _check((self.v1 == 1) & ((self.v2 == 1) | (self.i2 < 0)),
+               "quadratic program coefficients must be +1")
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
         return self
@@ -241,18 +233,11 @@ class OptResult:
 # Row arithmetic helpers
 # ---------------------------------------------------------------------------
 
-def _rows_with_bounds(prog, mode):
-    """The stored rows followed by -x_j >= -u_j for each bounded variable:
-    float64 arrays in float mode, Python lists in rational mode (values as
-    Fractions, so the exact simplex never divides two ints)."""
+def _rows_in_mode(prog, mode):
+    """The stored rows: float64 arrays in float mode, Python lists in
+    rational mode (values as Fractions, so the exact simplex never divides
+    two ints)."""
     i1, v1, i2, v2, b = prog.i1, prog.v1, prog.i2, prog.v2, prog.b
-    if prog.upper is not None:
-        j = np.flatnonzero(np.not_equal(prog.upper, None))
-        i1 = np.concatenate([i1, j])
-        v1 = np.concatenate([v1, np.full(len(j), -1.0)])
-        i2 = np.concatenate([i2, np.full(len(j), -1, dtype=np.int64)])
-        v2 = np.concatenate([v2, np.zeros(len(j))])
-        b = np.concatenate([b, -prog.upper[j]])
     if mode == MODE_FLOAT:
         return i1, v1, i2, v2, np.asarray(b, dtype=np.float64)
     v1 = [Fraction(v) for v in v1.tolist()]
@@ -461,7 +446,7 @@ def _check_farkas(i1, v1, i2, v2, b, ray, n_vars):
         raise TreegromovError("invalid Farkas certificate produced")
 
 
-def _verify_primal_float(i1, v1, i2, v2, b, x, upper_n):
+def _verify_primal_float(i1, v1, i2, v2, b, x, n_vars):
     x = np.maximum(x, 0.0)
     vals = _kernels.row_dot(i1, v1, i2, v2, x)
     worst = float((b - vals).max(initial=0.0))
@@ -469,7 +454,7 @@ def _verify_primal_float(i1, v1, i2, v2, b, x, upper_n):
     if worst > FEAS_ATOL * scale:
         raise TreegromovError(
             f"solver produced an infeasible point (violation {worst:.3e}); "
-            f"instance: {_instance(b, upper_n)}"
+            f"instance: {_instance(b, n_vars)}"
         )
     return x
 
@@ -492,7 +477,7 @@ def solve_lp(lp: LinearProgram, mode: str | None = None) -> OptResult:
             "solve_lp requires a nonnegative objective (dual-route simplex)"
         )
 
-    i1, v1, i2, v2, b = _rows_with_bounds(lp, mode)
+    i1, v1, i2, v2, b = _rows_in_mode(lp, mode)
     if mode == MODE_RATIONAL:
         out = _lp_rational_dual(i1, v1, i2, v2, b, lp.c.tolist())
     else:
@@ -528,7 +513,7 @@ def solve_lp(lp: LinearProgram, mode: str | None = None) -> OptResult:
         x = _verify_primal_float(i1, v1, i2, v2, b, out["x"], lp.n_vars)
         value = float(np.dot(c, x))
         gap = abs(out["dual_value"] - value)
-        if gap > GAP_RTOL * max(1.0, abs(value)):
+        if not gap <= GAP_RTOL * max(1.0, abs(value)):  # NaN fails
             raise TreegromovError(f"duality gap {gap:.3e} exceeds tolerance")
     return OptResult(
         STATUS_OPTIMAL,
@@ -546,44 +531,33 @@ def solve_lp(lp: LinearProgram, mode: str | None = None) -> OptResult:
 # ---------------------------------------------------------------------------
 
 def _feasible_start(i1, v1, i2, v2, b, n):
-    """(x0, None) with x0 zero if feasible, else the constant vector
-    max(b)/2 if feasible, else a phase-1 vertex from the zero-objective LP;
-    (None, phase1) when that LP is infeasible, phase1 holding its ray."""
+    """Zero if it meets every row, else the constant vector max(b)/2 if it
+    does, else the constant max(b), which meets every +1 row."""
     scale = max(1.0, float(np.abs(b).max(initial=0.0)))
     tol = FEAS_ATOL * scale
     if len(b) == 0 or b.max(initial=0.0) <= tol:
-        return np.zeros(n), None
-    tbar = float(b.max()) / 2.0
-    x = np.full(n, tbar)
+        return np.zeros(n)
+    x = np.full(n, float(b.max()) / 2.0)
     if (_kernels.row_dot(i1, v1, i2, v2, x) >= b - tol).all():
-        return x, None
-    out = _lp_float_dual(i1, v1, i2, v2, b, np.zeros(n))
-    if out["status"] == STATUS_INFEASIBLE:
-        return None, out
-    return np.maximum(out["x"], 0.0), None
+        return x
+    return np.full(n, float(b.max()))
 
 
 def solve_qp(qp: QuadraticProgram, mode: str = MODE_FLOAT) -> OptResult:
-    """Globally solve the strictly convex QP by primal active-set iteration."""
+    """Globally solve the strictly convex QP by primal active-set iteration.
+
+    Every QP is feasible (see the module docstring), so the status is always
+    optimal.  Entries of the kernel's x below zero count in the primal KKT
+    part, and the returned argmin is x clipped at zero, which keeps every
+    +1 row."""
     if mode != MODE_FLOAT:
         raise ValidationError("quadratic solves are float-only")
-    i1, v1, i2, v2, b = _rows_with_bounds(qp, MODE_FLOAT)
+    i1, v1, i2, v2, b = qp.i1, qp.v1, qp.i2, qp.v2, qp.b
     n = qp.n_vars
     w = qp.weights
+    x0 = _feasible_start(i1, v1, i2, v2, b, n)
+    max_iter = 1000 + 20 * (len(b) + n)
     with _singular_as_error("active-set QP", b, n):
-        x0, phase1 = _feasible_start(i1, v1, i2, v2, b, n)
-        if x0 is None:
-            _check_farkas(i1, v1, i2, v2, b, phase1["farkas"], n)
-            return OptResult(
-                STATUS_INFEASIBLE,
-                None,
-                None,
-                phase1["iterations"],
-                MODE_FLOAT,
-                "active-set",
-                certificate={"farkas_ray": phase1["farkas"]},
-            )
-        max_iter = 1000 + 20 * (len(b) + n)
         status, x, work, iters = _kernels.active_set_qp(
             i1, v1, i2, v2, b, w, x0, 1e-11, max_iter
         )
@@ -607,19 +581,21 @@ def solve_qp(qp: QuadraticProgram, mode: str = MODE_FLOAT) -> OptResult:
     grad = 2.0 * w * x
     stationarity = float(np.abs(grad - _scatter_rows(i1, v1, i2, v2, mu, n)).max(initial=0.0))
     resid = _kernels.row_dot(i1, v1, i2, v2, x) - b
-    primal = float(np.maximum(-resid, 0.0).max(initial=0.0))
+    primal = float(np.maximum(-np.concatenate([resid, x]), 0.0).max(initial=0.0))
     dual = float(np.maximum(-mu, 0.0).max(initial=0.0))
     comp = float(np.abs(mu * resid).max(initial=0.0))
     parts = {"stationarity": stationarity, "primal": primal, "dual": dual, "complementarity": comp}
     # each part relative to the data scale; complementarity is a product of two
     s = max(1.0, float(np.abs(b).max(initial=0.0)), float(np.abs(grad).max(initial=0.0)))
     rel = {k: v / (s * s if k == "complementarity" else s) for k, v in parts.items()}
-    worst = max(rel, key=rel.get)
-    if rel[worst] > KKT_TOL:
+    # a NaN part ranks above every number and fails the audit
+    worst = max(rel, key=lambda k: (math.isnan(rel[k]), rel[k]))
+    if not rel[worst] <= KKT_TOL:
         raise TreegromovError(
             f"active-set QP failed its KKT audit ({worst} {parts[worst]:.3e} at data "
             f"scale {s:.3e}); instance: {_instance(b, n)}"
         )
+    x = np.maximum(x, 0.0)
     value = float(np.dot(w, x * x))
     return OptResult(
         STATUS_OPTIMAL,

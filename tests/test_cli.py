@@ -11,9 +11,11 @@ from treegromov import (
     GromovSpec,
     gromov_distance,
     parse_newick,
+    random_binary_tree,
     semimetric_to_csv,
     semimetric_from_table,
     tree_to_semimetric,
+    write_newick,
 )
 from treegromov.cli import main
 
@@ -180,6 +182,29 @@ def test_matrix_rational_byte_identical(tmp_path, capsys):
     assert "/" in cell or cell.isdigit()  # exact rational rendering
 
 
+@pytest.mark.parametrize("mode", ["float", "rational"])
+def test_bounded_flag_leaves_stdout_unchanged(tmp_path, capsys, mode):
+    # the bound rows never bind at a lower optimum, so --bounded only adds
+    # an audit and prints the same bytes
+    texts = [write_newick(random_binary_tree(7, seed, weight_model="uniform01")) + "\n"
+             for seed in (3, 103, 203)]
+    paths = []
+    for k, text in enumerate(texts):
+        p = tmp_path / f"t{k}.nwk"
+        p.write_text(text)
+        paths.append(str(p))
+    many = tmp_path / "many.nwk"
+    many.write_text("".join(texts))
+    argvs = [["dist", paths[0], paths[1], "--mode", mode, "--csv"]]
+    argvs += [["matrix", str(many), "--norm", nm, "--variant", v, "--mode", mode]
+              for nm in ("1", "2") for v in ("full", "lower")]
+    for argv in argvs:
+        plain = run(capsys, argv)
+        bounded = run(capsys, argv + ["--bounded"])
+        assert plain[0] == bounded[0] == 0
+        assert plain[1] == bounded[1], argv
+
+
 # ---------------------------------------------------------------------------
 # experiments
 
@@ -264,16 +289,6 @@ def test_experiment_equality_trailer(capsys):
     reported = float(trailer[0].split("=", 1)[1])
     assert reported == pytest.approx(max(gaps), abs=1e-15)
     assert all(g >= -1e-8 for g in gaps)
-
-
-def test_experiment_timing_row(capsys):
-    code, out, _ = run(
-        capsys, ["experiment", "timing", "--n", "6", "--trials", "1"]
-    )
-    assert code == 0
-    header, rows, _ = _parse_csv(out)
-    assert len(rows) == 1
-    assert all(float(c) >= 0.0 for c in rows[0][1:])
 
 
 def test_experiment_extra_column(tmp_path, capsys):

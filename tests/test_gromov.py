@@ -337,6 +337,29 @@ def test_bounded_equals_unbounded_sweep():
                 assert a == pytest.approx(b, abs=1e-9)
 
 
+@pytest.mark.parametrize("norm,mode", [(1, "float"), (1, "rational"), (2, "float")])
+def test_bounded_audit_rejects_delta_above_two_dinf(monkeypatch, norm, mode):
+    # the bound rows are never built, only audited; a solve that broke one
+    # must raise, never be re-solved
+    from treegromov import gromov
+
+    name = "solve_lp" if norm == 1 else "solve_qp"
+    real = getattr(gromov, name)
+
+    def lifted(prog):
+        res = real(prog)
+        x = np.array(res.argmin, dtype=object if mode == "rational" else float)
+        x[0] = 2 * sum(prog.b) + 1  # above max|rho - rho'| = 2 Dinf
+        return res.with_updates(argmin=x)
+
+    monkeypatch.setattr(gromov, name, lifted)
+    r1, r2 = _quartet_pair(mode)
+    spec = dict(norm=norm, variant="lower")
+    gromov_distance(r1, r2, GromovSpec(**spec))  # unbounded: nothing audits it
+    with pytest.raises(TreegromovError, match="bound row"):
+        gromov_distance(r1, r2, GromovSpec(bounded=True, **spec))
+
+
 def test_monotony_under_restriction():
     for seed in range(6):
         n = 9
@@ -480,6 +503,27 @@ def test_spec_validation():
         GromovSpec(norm="inf", taxon_weights=(1, 1, 1, 1))
     with pytest.raises(ValidationError):
         GromovSpec(norm=1, taxon_weights=(1, -1))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), "2", None, 0])
+def test_bad_taxon_weights_rejected_at_both_norms(bad):
+    # nan once reached np.argmin on an empty array, and inf gave an
+    # "optimal" norm-2 result with value nan
+    for norm in (1, 2):
+        with pytest.raises(ValidationError, match=r"weight 1 is"):
+            GromovSpec(norm=norm, taxon_weights=(1, bad, 1, 1))
+
+
+def test_rational_weighted_d1_is_exact():
+    r1, r2 = _quartet_pair(mode="rational")
+    w = (1, 2, 1, Fraction(3))
+    res = gromov_distance(r1, r2, GromovSpec(norm=1, taxon_weights=w))
+    tables = [[[int(x) for x in row] for row in r.table] for r in (r1, r2)]
+    rows, rhs = orc.assemble_dense_exact(*tables, "full")
+    want, _ = orc.lp_vertex_oracle_exact([Fraction(x) for x in w], rows, rhs)
+    assert isinstance(res.value, Fraction) and res.value == want
+    with pytest.raises(ValidationError, match="rational mode does not accept float"):
+        gromov_distance(r1, r2, GromovSpec(norm=1, taxon_weights=(1.0, 2.0, 1.0, 3.0)))
 
 
 def test_norm2_rational_rejected():
@@ -639,30 +683,27 @@ def _dense_full(r1, r2, bounded):
     return A, b
 
 
-def _assert_certifies(res, r1, r2, weights, bounded, norm):
-    """The certificate holds one entry per pair row (i < j, row-major),
-    then one per bound row, and proves the optimum of those rows: for norm
-    1, y >= 0, A^T y <= w and b.y = value; for norm 2, mu >= 0,
-    A^T mu = 2 w delta and mu_k (A delta - b)_k = 0.  With the difference
-    rows met at delta (checked by the caller), zero entries on them extend
-    it to a certificate for the full program."""
+def _assert_certifies(res, r1, r2, weights, norm):
+    """The certificate holds one entry per pair row (i < j, row-major) and
+    proves the optimum of those rows: for norm 1, y >= 0, A^T y <= w and
+    b.y = value; for norm 2, mu >= 0, A^T mu = 2 w delta and
+    mu_k (A delta - b)_k = 0.  With the difference and bound rows met at
+    delta (checked by the caller), zero entries on them extend it to a
+    certificate for the full and bounded programs."""
     n = len(r1.taxa)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    rows = [((i, j), 1, abs(r1.table[i, j] - r2.table[i, j])) for i, j in pairs]
-    if bounded:
-        u = max(rhs for _, _, rhs in rows)
-        rows += [((j,), -1, -u) for j in range(n)]
+    rows = [((i, j), abs(r1.table[i, j] - r2.table[i, j])) for i, j in pairs]
     y = list(res.certificate["dual" if norm == 1 else "multipliers"])
     assert len(y) == len(rows)
     dv = res.argmin.values
     back = [0] * n
     by = 0
     comp = []
-    for (idx, sign, rhs), yk in zip(rows, y):
+    for (idx, rhs), yk in zip(rows, y):
         for j in idx:
-            back[j] += sign * yk
+            back[j] += yk
         by += yk * rhs
-        comp.append(yk * (sum(sign * dv[j] for j in idx) - rhs))
+        comp.append(yk * (sum(dv[j] for j in idx) - rhs))
     if res.mode == "rational":
         assert all(yk >= 0 for yk in y)
         assert all(bj <= wj for bj, wj in zip(back, weights))
@@ -708,30 +749,28 @@ def test_full_d1_float_matches_primal_oracle(n, seed):
             assert res.value == pytest.approx(want, rel=1e-9, abs=1e-9 * scale), (name, bounded, w)
             ok, violations = quadrangle_feasible(r1, r2, res.argmin)
             assert ok, (name, violations)
-            _assert_certifies(res, r1, r2, weights, bounded, 1)
+            _assert_certifies(res, r1, r2, weights, 1)
 
 
 @pytest.mark.parametrize("n,seed", [(3, 7), (4, 8), (5, 9)])
 def test_full_d1_rational_matches_exact_oracle(n, seed):
-    # GromovSpec keeps taxon weights as floats, which rational solves
-    # reject, so the exact checks run unweighted
     cases = _full_cases_rational(n, seed)
     if n == 5:
         cases = cases[seed % 4 :][:1]  # an n=5 enumeration takes seconds
     for k, (name, r1, r2) in enumerate(cases):
-        for bounded in (False, True):
-            res = gromov_distance(r1, r2, GromovSpec(norm=1, bounded=bounded))
-            t1, t2 = r1.table.tolist(), r2.table.tolist()
-            if bounded:
-                rows, rhs = orc.assemble_dense_exact(t1, t2, "full")
-                upper = [2 * dinf_closed_form(r1, r2)] * n
-                want, _ = orc.lp_vertex_oracle_exact([1] * n, rows, rhs, upper)
-            else:
-                want = orc.gromov_oracle_exact(t1, t2, "full")
-            assert res.value == want, (name, bounded)
+        rows, rhs = orc.assemble_dense_exact(r1.table.tolist(), r2.table.tolist(), "full")
+        for bounded, weighted in (_FLAVORS[(k + seed) % 4], _FLAVORS[(k + seed + 2) % 4]):
+            w = None
+            if weighted:
+                w = tuple(Fraction(int(x), 2) for x in np.random.default_rng(seed + k).integers(1, 7, size=n))
+            res = gromov_distance(r1, r2, GromovSpec(norm=1, bounded=bounded, taxon_weights=w))
+            weights = [1] * n if w is None else list(w)
+            upper = [2 * dinf_closed_form(r1, r2)] * n if bounded else None
+            want, _ = orc.lp_vertex_oracle_exact(weights, rows, rhs, upper)
+            assert isinstance(res.value, Fraction) and res.value == want, (name, bounded, w)
             ok, violations = quadrangle_feasible(r1, r2, res.argmin)
             assert ok, (name, violations)
-            _assert_certifies(res, r1, r2, [1] * n, bounded, 1)
+            _assert_certifies(res, r1, r2, weights, 1)
 
 
 @pytest.mark.parametrize("n,seed", [(3, 10), (4, 11), (5, 12)])
@@ -752,7 +791,7 @@ def test_full_d2_matches_face_oracle(n, seed):
         assert res.value == pytest.approx(want, rel=1e-8, abs=1e-8 * scale), (name, bounded, w)
         ok, violations = quadrangle_feasible(r1, r2, res.argmin)
         assert ok, (name, violations)
-        _assert_certifies(res, r1, r2, weights, bounded, 2)
+        _assert_certifies(res, r1, r2, weights, 2)
 
 
 def test_full_variant_rejects_tables_that_break_the_triangle_inequality():

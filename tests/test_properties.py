@@ -27,7 +27,7 @@ def _closure(n, weights):
 
 
 @st.composite
-def semimetric_pairs(draw):
+def semimetric_pairs(draw, mode="float"):
     n = draw(st.integers(3, 8))
     m = n * (n - 1) // 2
     labs = [f"t{i}" for i in range(n)]
@@ -35,7 +35,9 @@ def semimetric_pairs(draw):
         _closure(n, draw(st.lists(st.integers(0, 9), min_size=m, max_size=m)))
         for _ in range(2)
     ]
-    return tuple(semimetric_from_table(labs, t) for t in tables)
+    if mode == "rational":
+        tables = [t.astype(int).tolist() for t in tables]
+    return tuple(semimetric_from_table(labs, t, mode=mode) for t in tables)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -49,3 +51,14 @@ def test_full_d1_is_feasible_and_matches_the_primal_oracle(pair):
     A, b, _ = orc.assemble_dense(r1.table, r2.table, "full")
     want, _ = orc.lp_primal_oracle(np.ones(n), A, b)
     assert res.value == pytest.approx(want, abs=1e-9 * max(1.0, float(np.abs(b).max())))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(semimetric_pairs(mode="rational"))
+def test_rational_bounded_and_swapped_values_are_exact(pair):
+    # the bound rows never bind, and the program is symmetric in its inputs
+    r1, r2 = pair
+    for norm in (1, "inf"):
+        value = gromov_distance(r1, r2, GromovSpec(norm=norm)).value
+        assert gromov_distance(r1, r2, GromovSpec(norm=norm, bounded=True)).value == value
+        assert gromov_distance(r2, r1, GromovSpec(norm=norm)).value == value

@@ -2,8 +2,9 @@
 
 Programs are given as row arrays (i1, v1, i2, v2, b): row r reads
 v1[r] x[i1[r]] + v2[r] x[i2[r]] >= b[r], with i2[r] = -1 for a single
-entry and coefficients +-1, which covers every program the distance
-computations assemble; the oracles re-solve the same systems by brute force.
+entry and coefficients +-1 (+1 only for QPs), which covers every program
+the distance computations assemble; the oracles re-solve the same systems
+by brute force.  An upper bound x_j <= u_j is the row -x_j >= -u_j.
 """
 
 from fractions import Fraction
@@ -54,7 +55,7 @@ def test_lp_single_pair_row():
 
 def test_lp_upper_bounds_bind():
     # min x0 + 3*x1 with x0 + x1 >= 4, x0 <= 1: forced to (1, 3)
-    lp = LinearProgram.from_sparse([1, 3], _rows((0, 1, 1, 1, 4)), upper=[1, None])
+    lp = LinearProgram.from_sparse([1, 3], _rows((0, 1, 1, 1, 4), (0, -1, -1, 0, -1)))
     res = solve_lp(lp)
     assert res.value == pytest.approx(10.0)
     assert res.argmin[0] == pytest.approx(1.0)
@@ -154,12 +155,12 @@ def test_lp_oracle_sweep_with_bounds():
         for _ in range(int(rng.integers(2, 6))):
             i, j = rng.choice(nv, size=2, replace=False)
             rows.append((i, 1, j, 1, float(rng.integers(1, 9))))
-        rows = _rows(*rows)
         upper = [float(rng.integers(3, 9)) for _ in range(nv)]
+        A, b = _dense_from_rows(_rows(*rows), nv)
+        rows = _rows(*rows, *((j, -1, -1, 0, -u) for j, u in enumerate(upper)))
         c = rng.integers(1, 4, size=nv).astype(float)
-        lp = LinearProgram.from_sparse(list(c), rows, upper=upper)
+        lp = LinearProgram.from_sparse(list(c), rows)
         res = solve_lp(lp)
-        A, b = _dense_from_rows(rows, nv)
         want, _ = orc.lp_vertex_oracle(c, A, b, upper)
         if want is None:
             assert res.status == STATUS_INFEASIBLE
@@ -225,11 +226,9 @@ def test_lp_sparse_row_validation():
     for rows, message in cases:
         with pytest.raises(ValidationError, match=message):
             LinearProgram.from_sparse([1, 1], rows)
-    for upper, message in (([1, -0.5], "below the lower bound"), ([1], "length mismatch")):
-        with pytest.raises(ValidationError, match=message):
-            LinearProgram.from_sparse([1, 1], good, upper=upper)
-    with pytest.raises(ValidationError, match="below the lower bound"):
-        LinearProgram.from_sparse([1, 1], good, upper=[None, Fraction(-1)], mode="rational")
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match=r"objective must be finite \(entry 1\)"):
+            LinearProgram.from_sparse([1, bad], good)
 
 
 def test_program_arrays_are_read_only_copies():
@@ -244,10 +243,11 @@ def test_program_arrays_are_read_only_copies():
 
 
 def test_rational_rows_stay_fractions():
-    # the exact route divides; int rows or bounds must not turn that into
-    # float division
+    # the exact route divides; int rows must not turn that into float
+    # division
     lp = LinearProgram.from_sparse(
-        [1, 1], _rows((0, 1, 1, 1, 1)), upper=[1, 1], mode="rational"
+        [1, 1], _rows((0, 1, 1, 1, 1), (0, -1, -1, 0, -1), (1, -1, -1, 0, -1)),
+        mode="rational",
     )
     assert all(isinstance(x, Fraction) for x in lp.b)
     res = solve_lp(lp)
@@ -283,32 +283,92 @@ def test_qp_inactive_constraints_stay_at_zero():
     assert res.argmin[2] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_qp_upper_bounds():
-    qp = QuadraticProgram.from_sparse([1, 1], _rows((0, 1, 1, 1, 6)), upper=[1, None])
-    res = solve_qp(qp)
-    assert np.allclose(res.argmin, [1.0, 5.0], atol=1e-8)
-
-
 def test_qp_oracle_sweep():
+    # +1 rows only: the solver adds no x >= 0 rows, the oracle gets them
+    # explicitly, and both must find the same optimum, which is >= 0
     rng = np.random.default_rng(31)
     for _ in range(15):
         nv = int(rng.integers(2, 5))
         rows = []
         for _ in range(int(rng.integers(2, 7))):
             i, j = rng.choice(nv, size=2, replace=False)
-            rows.append((i, 1, j, int(rng.choice([-1, 1])), float(rng.integers(-3, 7))))
+            if rng.random() < 0.25:
+                j = -1
+            rows.append((i, 1, j, 1 if j >= 0 else 0, float(rng.integers(-3, 7))))
         rows = _rows(*rows)
         w = rng.integers(1, 4, size=nv).astype(float)
         qp = QuadraticProgram.from_sparse(list(w), rows)
         A, b = _dense_from_rows(rows, nv)
-        want, _ = orc.qp_face_oracle(w, A, b)
+        want, _ = orc.qp_face_oracle(w, np.vstack([A, np.eye(nv)]), np.concatenate([b, np.zeros(nv)]))
         res = solve_qp(qp)
-        if want is None:
-            assert res.status == STATUS_INFEASIBLE
-            continue
         assert res.status == STATUS_OPTIMAL
         assert res.value == pytest.approx(want, abs=1e-8)
+        assert (res.argmin >= 0).all()
         assert res.kkt_residual <= 1e-9
+
+
+def test_qp_rejects_coefficients_other_than_plus_one():
+    for rows in (_rows((0, 1, 1, 1, 2), (0, 1, 1, -1, 2)), _rows((0, 1, 1, 1, 2), (1, -1, -1, 0, -3))):
+        with pytest.raises(ValidationError, match=r"coefficients must be \+1 \(entry 1\)"):
+            QuadraticProgram.from_sparse([1, 1], rows)
+
+
+def test_qp_single_entry_rows_start_at_max_b(monkeypatch):
+    # x0 >= 4 breaks the constant start max(b)/2 = 2, so the start is the
+    # constant max(b) = 4; the LP simplex never runs
+    from treegromov import solver
+
+    def no_lp(*args):
+        raise AssertionError("solve_qp called the LP simplex")
+
+    monkeypatch.setattr(solver, "_lp_float_dual", no_lp)
+    res = solve_qp(QuadraticProgram.from_sparse([1, 1, 1], _rows((0, 1, -1, 0, 4), (1, 1, 2, 1, 1))))
+    assert np.allclose(res.argmin, [4.0, 0.5, 0.5], atol=1e-9)
+    assert res.value == pytest.approx(16.5)
+
+
+def test_qp_clips_small_negative_entries_and_counts_them(monkeypatch):
+    # x2 sits in no row; a kernel value just below zero counts in the
+    # primal KKT part and comes back clipped to 0
+    real = _kernels.active_set_qp
+
+    def nudged(*args):
+        status, x, work, iters = real(*args)
+        x = np.array(x)
+        x[2] = -1e-13
+        return status, x, work, iters
+
+    monkeypatch.setattr(_kernels, "active_set_qp", nudged)
+    res = solve_qp(QuadraticProgram.from_sparse([1, 1, 1], _rows((0, 1, 1, 1, 2))))
+    assert res.argmin[2] == 0.0 and not np.signbit(res.argmin[2])
+    assert res.certificate["kkt"]["primal"] == 1e-13
+
+
+def test_qp_kkt_audit_fails_closed_on_nan(monkeypatch):
+    real = _kernels.active_set_qp
+
+    def nan_point(*args):
+        status, x, work, iters = real(*args)
+        return status, np.full_like(x, np.nan), work, iters
+
+    monkeypatch.setattr(_kernels, "active_set_qp", nan_point)
+    with pytest.raises(TreegromovError, match="KKT audit"):
+        solve_qp(QuadraticProgram.from_sparse([1, 1], _rows((0, 1, 1, 1, 2))))
+
+
+def test_lp_duality_gap_check_fails_closed_on_nan(monkeypatch):
+    from treegromov import solver
+
+    real = solver._lp_float_dual
+
+    def nan_dual(*args):
+        out = real(*args)
+        out["dual_value"] = float("nan")
+        return out
+
+    monkeypatch.setattr(solver, "_lp_float_dual", nan_dual)
+    with pytest.raises(TreegromovError, match="duality gap"):
+        solve_lp(LinearProgram.from_sparse([1, 1], _rows((0, 1, 1, 1, 4))))
 
 
 def test_qp_certificate_multipliers():
@@ -336,51 +396,14 @@ def test_qp_kkt_audit_rejects_a_perturbed_optimum(monkeypatch):
         solve_qp(qp)
 
 
-def test_qp_infeasible_runs_phase_one_once_and_audits_ray(monkeypatch):
-    # x0 >= 1 and -x0 >= 0 cannot hold together; the phase-1 LP that finds
-    # this must run once, and its ray must pass the Farkas audit
-    from treegromov import solver
-
-    calls = []
-    real = solver._lp_float_dual
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(solver, "_lp_float_dual", counted)
-    rows = _rows((0, 1, -1, 0, 1), (0, -1, -1, 0, 0))
-    res = solve_qp(QuadraticProgram.from_sparse([1], rows))
-    assert res.status == STATUS_INFEASIBLE
-    assert len(calls) == 1
-    ray = np.asarray(res.certificate["farkas_ray"], dtype=float)
-    A, b = _dense_from_rows(rows, 1)
-    assert (ray >= 0).all()
-    assert (A.T @ ray <= 1e-9).all()
-    assert b @ ray > 1e-9
-
-
-def test_qp_rejects_a_bad_farkas_ray(monkeypatch):
-    from treegromov import solver
-
-    real = solver._lp_float_dual
-
-    def zero_ray(*args):
-        out = real(*args)
-        out["farkas"] = np.zeros_like(out["farkas"])
-        return out
-
-    monkeypatch.setattr(solver, "_lp_float_dual", zero_ray)
-    rows = _rows((0, 1, -1, 0, 1), (0, -1, -1, 0, 0))
-    with pytest.raises(TreegromovError, match="Farkas"):
-        solve_qp(QuadraticProgram.from_sparse([1], rows))
-
-
 def test_qp_rejects_bad_weights():
     with pytest.raises(ValidationError):
         QuadraticProgram.from_sparse([0, 1], _rows((0, 1, -1, 0, 1)))
     with pytest.raises(ValidationError):
         QuadraticProgram.from_sparse([-1, 1], _rows((0, 1, -1, 0, 1)))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match=r"weights must be finite \(entry 0\)"):
+            QuadraticProgram.from_sparse([bad, 1], _rows((0, 1, -1, 0, 1)))
 
 
 # ---------------------------------------------------------------------------
