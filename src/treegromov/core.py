@@ -521,28 +521,39 @@ class _NewickReader:
         return node
 
     def read_subtree(self) -> _Node:
-        start = self.pos
-        if self.peek() == "(":
-            self.pos += 1
-            children = [self.read_subtree()]
-            while self.peek() == ",":
+        """One subtree, read with an explicit stack of open groups so that
+        nesting depth is bounded by memory, not by the recursion limit."""
+        groups = []  # (start, children) of each open '('
+        while True:
+            start = self.pos
+            if self.peek() == "(":
                 self.pos += 1
-                children.append(self.read_subtree())
-            if self.peek() != ")":
-                self.fail("expected ')' or ','")
-            self.pos += 1
-            label = self.read_label()
-        else:
-            children = []
+                groups.append((start, []))
+                continue
             label = self.read_label()
             if not label:
                 self.fail("expected a label or '('")
-        length = None
-        if self.peek() == ":":
-            self.pos += 1
-            self.saw_length = True
-            length = self.read_number()
-        return _Node(label, length, children, start)
+            node = _Node(label, self.read_length(), [], start)
+            while groups:
+                groups[-1][1].append(node)
+                if self.peek() == ",":
+                    self.pos += 1
+                    break
+                if self.peek() != ")":
+                    self.fail("expected ')' or ','")
+                self.pos += 1
+                start, children = groups.pop()
+                label = self.read_label()
+                node = _Node(label, self.read_length(), children, start)
+            else:
+                return node
+
+    def read_length(self):
+        if self.peek() != ":":
+            return None
+        self.pos += 1
+        self.saw_length = True
+        return self.read_number()
 
     def read_label(self) -> str:
         self.skip_ws()
@@ -591,28 +602,39 @@ def parse_newick(text: str, default_weight=1, mode: str = MODE_FLOAT) -> PhyloTr
         counter += 1
         return counter - 1
 
-    def build(node: _Node) -> int:
+    def place(node: _Node) -> int:
         v = new_vertex()
         if node.label:
             if node.label in labels:
                 raise ParseError(f"duplicate label {node.label!r}", position=node.pos)
             labels[node.label] = v
-        for child in node.children:
-            c = build(child)
-            if child.length is None:
-                w = None if topology_only else default
-            else:
-                w = parse_scalar(child.length, mode)
-                if w <= 0:
-                    raise ParseError(
-                        f"branch length {child.length} must be positive",
-                        position=child.pos,
-                    )
-            adj[v][c] = w
-            adj[c][v] = w
         return v
 
-    build(root)
+    # depth-first with an explicit stack: vertices are numbered in preorder
+    # and each edge is added once its child's subtree is done
+    stack = [(root, place(root), iter(root.children))]
+    while stack:
+        node, v, pending = stack[-1]
+        child = next(pending, None)
+        if child is not None:
+            stack.append((child, place(child), iter(child.children)))
+            continue
+        stack.pop()
+        if not stack:
+            break
+        parent = stack[-1][1]
+        if node.length is None:
+            w = None if topology_only else default
+        else:
+            w = parse_scalar(node.length, mode)
+            if w <= 0:
+                raise ParseError(
+                    f"branch length {node.length} must be positive",
+                    position=node.pos,
+                )
+        adj[parent][v] = w
+        adj[v][parent] = w
+
     if len(labels) < 2:
         raise ParseError("tree has fewer than 2 labeled vertices")
 
@@ -674,16 +696,28 @@ def write_newick(tree: PhyloTree) -> str:
     internal = [v for v in range(tree.n_vertices) if deg[v] >= 2]
     root = internal[0] if internal else 0
 
-    def emit(v: int, parent: int) -> str:
-        parts = []
-        for nbr, w in sorted(adj[v]):
-            if nbr == parent:
-                continue
-            parts.append(f"{emit(nbr, v)}:{format_scalar(w, tree.mode)}")
-        body = f"({','.join(parts)})" if parts else ""
-        return body + label_of.get(v, "")
-
-    return emit(root, -1) + ";"
+    # depth-first with an explicit stack of vertices still to write and
+    # literal text still to append, so depth is not bounded by recursion
+    parts = []
+    stack = [(root, -1, "")]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+            continue
+        v, parent, suffix = item
+        kids = [(nbr, w) for nbr, w in sorted(adj[v]) if nbr != parent]
+        tail = label_of.get(v, "") + suffix
+        if not kids:
+            parts.append(tail)
+            continue
+        parts.append("(")
+        stack.append(")" + tail)
+        for k, (nbr, w) in enumerate(reversed(kids)):
+            if k:
+                stack.append(",")
+            stack.append((nbr, v, f":{format_scalar(w, tree.mode)}"))
+    return "".join(parts) + ";"
 
 
 def parse_newick_file(text: str, default_weight=1, mode: str = MODE_FLOAT):

@@ -9,11 +9,12 @@ is the i-norm of the cheapest matched-distance vector delta in
 over all taxon pairs.  Dropping the difference rows gives the lower
 variants (written Dt in CSV headers); adding the bound rows
 delta_x <= 2 * Dinf gives the bounded flavor, which never changes the
-optimum.  Norm 1 is an LP, norm 2 a strictly convex QP (the reported value
-is the square root of its optimum), and norm inf has the closed form
-max|rho - rho'| / 2: the constant vector at that value is feasible for
-both variants, and any feasible delta has max delta >= (delta_x +
-delta_y)/2 >= |rho - rho'|(x, y)/2 at the maximizing pair.
+optimum.  Norm 1 is an LP (without taxon weights, an assignment; see
+below), norm 2 a strictly convex QP (the reported value is the square root
+of its optimum), and norm inf has the closed form max|rho - rho'| / 2: the
+constant vector at that value is feasible for both variants, and any
+feasible delta has max delta >= (delta_x + delta_y)/2 >= |rho - rho'|(x,
+y)/2 at the maximizing pair.
 
 Only the pair rows are ever built: the difference rows are redundant on
 semimetrics and the bound rows never bind, so the full variant is the
@@ -42,12 +43,30 @@ breaks the triangle inequality the difference audit can fail; that is a
 ValidationError, never a silent second solve.  A failed bound audit
 contradicts the proof and raises TreegromovError.
 
+Norm 1 without taxon weights is half a maximum-weight assignment
+(Nemhauser-Trotter 1975, the bipartite double cover; Kuhn 1955).  Mirror g
+into a symmetric n x n table with g(x, x) = 0.  Let u, v be optimal
+assignment potentials on it: u_x + v_y >= g(x, y) for all x, y, with
+sum u + sum v = max_p sum_x g(x, p(x)).  Then delta = (u + v) / 2 is
+feasible: delta_x + delta_y = ((u_x + v_y) + (u_y + v_x)) / 2 >= g(x, y),
+and delta_x = (u_x + v_x) / 2 >= g(x, x) / 2 = 0.  Conversely, for a
+permutation matrix P put y_xy = (P_xy + P_yx) / 2 on each pair row.  Then
+y >= 0, the rows through x carry sum_{y != x} (P_xy + P_yx) / 2 = 1 - P_xx
+<= 1, so y is feasible for the LP dual (A^T y <= 1), and b.y = sum_{x !=
+y} g(x, y) P_xy / 2 = sum_x g(x, p(x)) / 2 because the diagonal is zero.
+By weak duality every feasible delta has sum delta >= b.y; at an optimal
+assignment the two sums meet, so D1 = Dt1 = max assignment / 2, and
+delta with y is the same dual certificate ("dual", "duality_gap") the
+simplex returns.  solver.solve_assignment audits exactly these three
+facts.  Weighted norm 1 stays on the LP simplex.
+
 The program is assembled from one set of pair arrays: the upper-triangle
 pairs i < j in row-major order (np.triu_indices), with |rho - rho'| and
 rho + rho' on them.  In rational mode these are object arrays of
 Fractions, so both modes run the same expressions.  The same arrays feed
-the pair rows, the tight pair of the norm-inf closed form,
-quadrangle_feasible and the active-row list of format_certificate.
+the pair rows, the gap table of the assignment, the tight pair of the
+norm-inf closed form, quadrangle_feasible and the active-row list of
+format_certificate.
 
 Every optimum delta* is realizable: an actual semimetric on the disjoint
 union of the two copies with matched distances delta* exists and is built
@@ -77,6 +96,7 @@ from .solver import (
     LinearProgram,
     OptResult,
     QuadraticProgram,
+    solve_assignment,
     solve_lp,
     solve_qp,
 )
@@ -102,6 +122,12 @@ class DeltaVector:
             arr = np.array([as_scalar(v, MODE_RATIONAL) for v in values], dtype=object)
         if arr.shape != (len(taxa),):
             raise ValidationError(f"need {len(taxa)} values, got shape {arr.shape}")
+        if mode == MODE_FLOAT:
+            bad = np.flatnonzero(~np.isfinite(arr))
+            if bad.size:
+                raise ValidationError(
+                    f"delta values must be finite; value {bad[0]} is {arr[bad[0]]}"
+                )
         if (arr < 0).any():
             raise ValidationError("delta values must be nonnegative")
         arr.flags.writeable = False
@@ -205,6 +231,21 @@ def _assemble_rows(rho, rho_prime):
     return iu, np.ones(m), ju, np.ones(m), gap
 
 
+def _gap_table(rho, rho_prime):
+    """|rho - rho'| on the pairs, mirrored into a symmetric n x n table with
+    a zero diagonal: the assignment sees the pair rows' data, also on
+    tables built with validate=False."""
+    iu, ju, gap, _ = _pair_arrays(rho, rho_prime)
+    n = len(rho.taxa)
+    if rho.mode == MODE_FLOAT:
+        g = np.zeros((n, n))
+    else:
+        g = np.full((n, n), Fraction(0), dtype=object)
+    g[iu, ju] = gap
+    g[ju, iu] = gap
+    return g
+
+
 def _feas_tol(rho, rho_prime):
     """Audit tolerance: FEAS_RTOL times the data scale in float mode, zero
     in rational mode."""
@@ -287,19 +328,21 @@ def gromov_distance(rho: Semimetric, rho_prime: Semimetric, spec: GromovSpec) ->
             "convert with .to_float()"
         )
     weights = [as_scalar(w, mode) for w in weights]
-    rows = _assemble_rows(rho, rho_prime)
 
     if spec.norm == "1":
-        lp = LinearProgram.from_sparse(weights, rows, mode=mode)
-        result = solve_lp(lp)
-        if result.status != STATUS_OPTIMAL:
-            raise TreegromovError(
-                f"norm-1 program reported {result.status} on valid semimetrics; "
-                f"instance: {n} taxa, variant={spec.variant}, bounded={spec.bounded}"
-            )
+        if spec.taxon_weights is None:
+            result = solve_assignment(_gap_table(rho, rho_prime), mode)
+        else:
+            lp = LinearProgram.from_sparse(weights, _assemble_rows(rho, rho_prime), mode=mode)
+            result = solve_lp(lp)
+            if result.status != STATUS_OPTIMAL:
+                raise TreegromovError(
+                    f"norm-1 program reported {result.status} on valid semimetrics; "
+                    f"instance: {n} taxa, variant={spec.variant}, bounded={spec.bounded}"
+                )
         result = result.with_updates(argmin=DeltaVector(taxa, result.argmin, mode))
     else:  # norm 2
-        result = solve_qp(QuadraticProgram.from_sparse(weights, rows))
+        result = solve_qp(QuadraticProgram.from_sparse(weights, _assemble_rows(rho, rho_prime)))
         raw = result.value
         cert = dict(result.certificate)
         cert["raw_objective"] = raw
@@ -351,12 +394,15 @@ def quadrangle_feasible(rho: Semimetric, rho_prime: Semimetric, delta: DeltaVect
     iu, ju, gap, total = _pair_arrays(rho, rho_prime)
     short = gap - (dv[iu] + dv[ju])
     excess = np.abs(dv[iu] - dv[ju]) - total
+    # "not <= tol" rather than "> tol", so that a NaN counts as a violation
+    short_bad = ~(short <= tol)
+    excess_bad = ~(excess <= tol)
     violations = []
-    for k in np.flatnonzero((short > tol) | (excess > tol)):
+    for k in np.flatnonzero(short_bad | excess_bad):
         pair = labs[iu[k]], labs[ju[k]]
-        if short[k] > tol:
+        if short_bad[k]:
             violations.append(("pair", *pair, short[k]))
-        if excess[k] > tol:
+        if excess_bad[k]:
             violations.append(("difference", *pair, excess[k]))
     return not violations, violations
 

@@ -1,4 +1,5 @@
-"""Dense LP and convex-QP solvers sized for a few hundred variables.
+"""Dense LP, assignment and convex-QP solvers sized for a few hundred
+variables.
 
 A program is stored as arrays, one entry per constraint row:
 
@@ -20,6 +21,19 @@ taxon count while variables grow linearly).  The all-slack dual basis is
 feasible exactly when c >= 0, so solve_lp accepts nonnegative objectives
 only; every program this package assembles has one.  Exact-rational solves
 follow the same route with Fraction arithmetic and Bland's rule throughout.
+
+The uniform-weight pair-row LP
+
+    min sum_x x_x   s.t.  x_i + x_j >= g[i, j]  (i < j),  x >= 0
+
+on a symmetric table g with a zero diagonal is half the maximum-weight
+assignment on g (the proof is in the gromov module docstring).
+solve_assignment takes g itself, runs the O(n^3) Hungarian kernel
+(shortest augmenting paths; the same code on floats and on Fractions, so
+the rational route does no simplex pivoting), and returns x = (u + v) / 2
+from the assignment potentials with the dual y_ij = (P_ij + P_ji) / 2 from
+the permutation.  The certificate keys match solve_lp's ("dual" with one
+entry per pair row, "duality_gap"), and the audit is O(n^2).
 
 The quadratic solver is a primal active-set method for strictly convex
 diagonal objectives sum w_j x_j^2 over rows whose coefficients are all +1.
@@ -53,6 +67,7 @@ from .core import (
     ValidationError,
     as_scalar,
     check_mode,
+    scalar_array,
 )
 
 STATUS_OPTIMAL = "optimal"
@@ -451,7 +466,7 @@ def _verify_primal_float(i1, v1, i2, v2, b, x, n_vars):
     vals = _kernels.row_dot(i1, v1, i2, v2, x)
     worst = float((b - vals).max(initial=0.0))
     scale = max(1.0, float(np.abs(b).max(initial=0.0)))
-    if worst > FEAS_ATOL * scale:
+    if not worst <= FEAS_ATOL * scale:  # NaN fails
         raise TreegromovError(
             f"solver produced an infeasible point (violation {worst:.3e}); "
             f"instance: {_instance(b, n_vars)}"
@@ -523,6 +538,95 @@ def solve_lp(lp: LinearProgram, mode: str | None = None) -> OptResult:
         mode,
         "dual",
         certificate={"dual": out["y"], "duality_gap": gap},
+    )
+
+
+# ---------------------------------------------------------------------------
+# solve_assignment: uniform-weight pair-row LP as an assignment
+# ---------------------------------------------------------------------------
+
+def solve_assignment(g, mode: str = MODE_FLOAT) -> OptResult:
+    """min sum_x x_x subject to x_i + x_j >= g[i, j] for every pair i < j
+    and x >= 0, solved as half a maximum-weight assignment on g.
+
+    g is a symmetric n x n table with a zero diagonal and nonnegative
+    entries.  The assignment potentials u, v give x = (u + v) / 2, and the
+    permutation matrix P gives the dual y_ij = (P_ij + P_ji) / 2, one entry
+    per pair row in np.triu_indices order (see the module docstring).  Both
+    are audited in O(n^2): the pair rows and x >= 0 within FEAS_ATOL of the
+    data scale in float mode (entries of x below zero within it are set to
+    zero) and exactly in rational mode, y >= 0 with A^T y <= 1, and the
+    duality gap |b.y - sum x|, exactly zero in rational mode and within
+    GAP_RTOL in float mode.  A failed audit raises TreegromovError.
+    """
+    check_mode(mode)
+    g = scalar_array(g, mode)
+    n = len(g)
+    if g.shape != (n, n):
+        raise ValidationError(f"gap table must be square, got shape {g.shape}")
+    if mode == MODE_FLOAT and not np.isfinite(g).all():
+        raise ValidationError("gap table must be finite")
+    if (g != g.T).any() or (g.diagonal() != 0).any() or (g < 0).any():
+        raise ValidationError(
+            "gap table must be symmetric and nonnegative with a zero diagonal"
+        )
+    col_of_row, u, v, steps = _kernels.max_assignment(g.tolist())
+    iu, ju = np.triu_indices(n, 1)
+    b = g[iu, ju]
+    perm = np.array(col_of_row, dtype=np.int64)
+    halves = (perm[iu] == ju).astype(np.int64) + (perm[ju] == iu)
+    if mode == MODE_FLOAT:
+        x = (np.array(u, dtype=np.float64) + np.array(v, dtype=np.float64)) / 2
+        y = halves / 2
+        zero = 0.0
+        tol = FEAS_ATOL * max(1.0, float(b.max(initial=0.0)))
+    else:
+        x = np.array([Fraction(a + c) / 2 for a, c in zip(u, v)], dtype=object)
+        y = np.array([Fraction(h, 2) for h in halves.tolist()], dtype=object)
+        zero = tol = Fraction(0)
+    instance = _instance(np.asarray(b, dtype=float), n)
+    # argmax and argmin pick a NaN first, and "not <= tol" fails on it
+    short = b - (x[iu] + x[ju])
+    k = int(np.argmax(short)) if len(b) else -1
+    if k >= 0 and not short[k] <= tol:
+        raise TreegromovError(
+            f"assignment potentials break the pair row ({iu[k]},{ju[k]}) by "
+            f"{short[k]}; instance: {instance}"
+        )
+    k = int(np.argmin(x)) if n else -1
+    if k >= 0 and not -x[k] <= tol:
+        raise TreegromovError(
+            f"assignment potentials put x[{k}] = {x[k]} below zero; "
+            f"instance: {instance}"
+        )
+    back = np.full(n, zero, dtype=y.dtype)
+    np.add.at(back, iu, y)
+    np.add.at(back, ju, y)
+    if (y < 0).any() or (back > 1).any():
+        raise TreegromovError("assignment dual breaks y >= 0 or A^T y <= 1")
+    if mode == MODE_FLOAT:
+        x = np.maximum(x, 0.0)
+        value = float(x.sum())
+        gap = abs(float(np.dot(b, y)) - value)
+        ok = gap <= GAP_RTOL * max(1.0, abs(value))  # NaN fails
+        dual = y
+    else:
+        value = sum(x.tolist(), zero)
+        gap = abs(sum((bk * yk for bk, yk in zip(b.tolist(), y.tolist()) if yk), zero) - value)
+        ok = gap == 0
+        dual = y.tolist()
+    if not ok:
+        raise TreegromovError(
+            f"assignment duality gap {gap} exceeds tolerance; instance: {instance}"
+        )
+    return OptResult(
+        STATUS_OPTIMAL,
+        value,
+        x,
+        steps,
+        mode,
+        "assignment",
+        certificate={"dual": dual, "duality_gap": gap},
     )
 
 

@@ -1,0 +1,216 @@
+"""Uniform-weight norm 1 as a maximum-weight assignment.
+
+gromov_distance sends every norm-1 solve without taxon weights to
+solver.solve_assignment.  Explicit unit taxon weights keep the LP simplex
+route, which serves as the reference here, next to exact vertex
+enumeration, brute-force assignment and an optional scipy oracle.
+"""
+
+import itertools
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+import _oracles as orc
+from treegromov import (
+    GromovSpec,
+    Semimetric,
+    TaxonSet,
+    TreegromovError,
+    ValidationError,
+    gromov_distance,
+    random_binary_tree,
+    random_caterpillar,
+    semimetric_from_table,
+    solve_assignment,
+    tree_to_semimetric,
+)
+from treegromov import _kernels
+
+
+def _pair(n, seed, kind="uniform01", mode="float"):
+    """Two tree metrics on n taxa ("unit", "uniform01", or "scaled":
+    uniform01 times 10**k for k in -3..6 by seed); a 1-taxon table for n=1."""
+    if n == 1:
+        one = semimetric_from_table(["a"], [[0]], mode=mode)
+        return one, one
+    model = "unit" if kind == "unit" else "uniform01"
+    r1, r2 = (
+        tree_to_semimetric(random_binary_tree(n, s, model, mode)) for s in (seed, seed + 100)
+    )
+    if kind == "scaled":
+        factor = 10.0 ** (seed % 10 - 3)
+        r1, r2 = r1.scaled(factor), r2.scaled(factor)
+    return r1, r2
+
+
+def _gaps(r1, r2):
+    return np.abs(r1.table - r2.table)
+
+
+def _unit_lp(r1, r2, **kw):
+    """The LP simplex route: the same program with explicit unit weights."""
+    n = len(r1.taxa)
+    return gromov_distance(r1, r2, GromovSpec(norm=1, taxon_weights=(1,) * n, **kw))
+
+
+def _brute_assignment(g):
+    n = len(g)
+    return max(sum(g[i][p[i]] for i in range(n)) for p in itertools.permutations(range(n)))
+
+
+def _check_certificate(res, r1, r2):
+    """dual: one entry per pair row (i < j, row-major), y >= 0,
+    A^T y <= 1 and b.y = value; the gap is exactly 0 in rational mode."""
+    n = len(r1.taxa)
+    iu, ju = np.triu_indices(n, 1)
+    y = list(res.certificate["dual"])
+    assert len(y) == len(iu)
+    b = _gaps(r1, r2)[iu, ju]
+    back = [0] * n
+    for i, j, yk in zip(iu, ju, y):
+        back[i] += yk
+        back[j] += yk
+    assert all(yk >= 0 for yk in y)
+    assert all(t <= 1 for t in back)
+    by = sum((bk * yk for bk, yk in zip(b, y)), 0)
+    if res.mode == "rational":
+        assert all(isinstance(yk, Fraction) and yk in (0, Fraction(1, 2), 1) for yk in y)
+        assert by == res.value
+        assert res.certificate["duality_gap"] == 0
+    else:
+        assert by == pytest.approx(res.value, rel=1e-9, abs=1e-9)
+        assert res.certificate["duality_gap"] <= 1e-8 * max(1.0, res.value)
+
+
+@pytest.mark.parametrize("kind", ["unit", "uniform01", "scaled"])
+def test_float_d1_matches_the_lp_route(kind):
+    for n in range(1, 61):
+        r1, r2 = _pair(n, n, kind)
+        got = gromov_distance(r1, r2, GromovSpec(norm=1))
+        want = _unit_lp(r1, r2)
+        assert got.method == "assignment" and want.method == "dual"
+        scale = max(1.0, float(r1.table.max()), float(r2.table.max()))
+        assert got.value == pytest.approx(want.value, rel=1e-9, abs=1e-9 * scale), n
+        _check_certificate(got, r1, r2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_rational_d1_matches_exact_vertex_enumeration(n):
+    for seed in range(3):
+        r1, r2 = _pair(n, 10 * n + seed, "unit", "rational")
+        rows, rhs = orc.assemble_dense_exact(r1.table.tolist(), r2.table.tolist(), "lower")
+        want, _ = orc.lp_vertex_oracle_exact([1] * n, rows, rhs)
+        res = gromov_distance(r1, r2, GromovSpec(norm=1))
+        assert res.method == "assignment"
+        assert isinstance(res.value, Fraction) and res.value == want
+        _check_certificate(res, r1, r2)
+
+
+@pytest.mark.parametrize("n", [12, 18, 24])
+def test_rational_d1_matches_the_rational_simplex(n):
+    r1, r2 = _pair(n, 3, "unit", "rational")
+    res = gromov_distance(r1, r2, GromovSpec(norm=1))
+    assert res.value == _unit_lp(r1, r2).value
+    _check_certificate(res, r1, r2)
+
+
+@pytest.mark.parametrize("n", [100, 200, 400])
+def test_large_d1_matches_scipy_assignment(n):
+    optimize = pytest.importorskip("scipy.optimize")
+    r1, r2 = _pair(n, n + 1, "uniform01")
+    g = _gaps(r1, r2)
+    rows, cols = optimize.linear_sum_assignment(g, maximize=True)
+    want = float(g[rows, cols].sum()) / 2
+    res = gromov_distance(r1, r2, GromovSpec(norm=1))
+    assert res.value == pytest.approx(want, rel=1e-10)
+    _check_certificate(res, r1, r2)
+
+
+def test_kernel_is_exact_against_brute_force():
+    rng = np.random.default_rng(4)
+    for n in range(1, 7):
+        for _ in range(20):
+            g = [[Fraction(int(a), int(b)) for a, b in zip(ra, rb)]
+                 for ra, rb in zip(rng.integers(0, 9, (n, n)), rng.integers(1, 4, (n, n)))]
+            perm, u, v, _ = _kernels.max_assignment(g)
+            assert sorted(perm) == list(range(n))
+            assert sum(g[i][perm[i]] for i in range(n)) == _brute_assignment(g)
+            assert sum(u) + sum(v) == _brute_assignment(g)
+            assert all(u[i] + v[j] >= g[i][j] for i in range(n) for j in range(n))
+
+
+@pytest.mark.parametrize("mode", ["float", "rational"])
+def test_maximally_degenerate_unit_ties(mode):
+    for n in range(2, 16):
+        labs = [f"t{i:02d}" for i in range(n)]
+        ones = np.ones((n, n), dtype=int) - np.eye(n, dtype=int)
+        r1 = semimetric_from_table(labs, (2 * ones).tolist(), mode=mode)
+        r2 = semimetric_from_table(labs, ones.tolist(), mode=mode)
+        # every gap is 1: any derangement is a maximum assignment
+        res = gromov_distance(r1, r2, GromovSpec(norm=1))
+        assert res.value == Fraction(n, 2)
+        _check_certificate(res, r1, r2)
+        same = gromov_distance(r1, r1, GromovSpec(norm=1))
+        assert same.value == 0 and all(x == 0 for x in same.argmin.values)
+    for n in range(4, 15):
+        c1, c2 = (tree_to_semimetric(random_caterpillar(n, s, mode)) for s in (n, n + 50))
+        res = gromov_distance(c1, c2, GromovSpec(norm=1))
+        assert res.value == _unit_lp(c1, c2).value
+        _check_certificate(res, c1, c2)
+
+
+@pytest.mark.parametrize("mode", ["float", "rational"])
+@pytest.mark.parametrize(
+    "bend,match",
+    [("lower_u", "pair row"), ("raise_u", "duality gap"), ("negative", "below zero")],
+)
+def test_bad_potentials_raise(monkeypatch, mode, bend, match):
+    real = _kernels.max_assignment
+
+    def bent(g):
+        perm, u, v, steps = real(g)
+        if bend == "lower_u":
+            u = [x - 1 for x in u]
+        elif bend == "raise_u":
+            u = [x + 1 for x in u]
+        else:  # x_0 = -1, every other x up by 100: the pair rows still hold
+            u = [-v[0] - 2] + [x + 200 for x in u[1:]]
+        return perm, u, v, steps
+
+    monkeypatch.setattr(_kernels, "max_assignment", bent)
+    r1, r2 = _pair(6, 1, "unit", mode)
+    with pytest.raises(TreegromovError, match=match):
+        gromov_distance(r1, r2, GromovSpec(norm=1))
+
+
+def test_nan_potentials_fail_closed(monkeypatch):
+    real = _kernels.max_assignment
+
+    def nan_u(g):
+        perm, u, v, steps = real(g)
+        return perm, [float("nan")] * len(u), v, steps
+
+    monkeypatch.setattr(_kernels, "max_assignment", nan_u)
+    r1, r2 = _pair(6, 1, "uniform01")
+    with pytest.raises(TreegromovError):
+        gromov_distance(r1, r2, GromovSpec(norm=1))
+
+
+def test_solve_assignment_validates_its_table():
+    taxa = TaxonSet(["a", "b", "c"])
+    r = Semimetric(taxa, [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    res = solve_assignment(r.table)
+    assert res.method == "assignment" and res.value == 2.0
+    for bad in (
+        [[0, 1], [2, 0]],  # asymmetric
+        [[1, 1], [1, 0]],  # nonzero diagonal
+        [[0, -1], [-1, 0]],  # negative
+        [[0, float("nan")], [float("nan"), 0]],
+        [[0, 1, 2]],  # not square
+    ):
+        with pytest.raises(ValidationError):
+            solve_assignment(bad)
+    with pytest.raises(ValidationError, match="float"):
+        solve_assignment([[0.0, 0.5], [0.5, 0.0]], mode="rational")

@@ -2,15 +2,17 @@
 
 perfbench/layers.py replaces package functions and classmethods by name to
 record spans.  A rename in the package would otherwise only surface in a
-traced benchmark run; here the tracer is installed on the package, a float
-and a rational norm-1 distance and a D2 distance run under it, and the
-originals must be back after uninstall.
+traced benchmark run; here the tracer is installed on the package, an
+unweighted and a weighted norm-1 distance in each mode and a D2 distance
+run under it, and the originals must be back after uninstall.  Unweighted
+norm 1 takes the assignment route, so the LP spans come from the weighted
+calls (int weights, which rational mode solves exactly).
 """
 
 from pathlib import Path
 
 import treegromov
-from treegromov import GromovSpec, gromov_distance, parse_newick, solver, tree_to_semimetric
+from treegromov import GromovSpec, parse_newick, solver, tree_to_semimetric
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -46,15 +48,18 @@ def test_layer_tracer_installs_and_records_solver_spans(monkeypatch):
         assert treegromov.gromov.solve_lp is not originals["solve_lp"]
         for mode in ("float", "rational"):
             r1, r2 = _pair(mode)
-            gromov_distance(r1, r2, GromovSpec(norm=1))
+            treegromov.gromov_distance(r1, r2, GromovSpec(norm=1))
+            treegromov.gromov_distance(r1, r2, GromovSpec(norm=1, taxon_weights=(1, 2, 1, 3, 1)))
         r1, r2 = _pair("float")
-        gromov_distance(r1, r2, GromovSpec(norm=2))
+        treegromov.gromov_distance(r1, r2, GromovSpec(norm=2))
     finally:
         tracer.uninstall()
     spans = {name for name, *_ in tracer.spans}
     assert EXPECTED_SPANS <= spans, EXPECTED_SPANS - spans
     summary = tracer.summary()
     assert summary["solver.solve_lp.rational"]["calls"] == 1
+    assert summary["solver.solve_lp.float"]["calls"] == 1
+    assert tracer.counts["gromov.gromov_distance.route.assignment"] == 2
     assert tracer.counts["solver.solve_qp.rows"] > 0
     assert solver.LinearProgram.__dict__["from_sparse"] is originals["lp"]
     assert solver.QuadraticProgram.__dict__["from_sparse"] is originals["qp"]

@@ -390,6 +390,49 @@ def test_write_newick_random_round_trips():
         assert tree_to_semimetric(back) == tree_to_semimetric(t)
 
 
+DEPTH = 1500  # well past the default recursion limit of 1000
+
+
+def test_parse_newick_deep_nesting():
+    # 1500 single-child groups around a cherry: the dangling root chain is
+    # suppressed, leaving one edge
+    t = parse_newick("(" * DEPTH + "a,b" + ")" * DEPTH + ";")
+    assert t.taxa.labels == ("a", "b") and t.edges == ((0, 1, 1.0),)
+    # a caterpillar nested 1500 deep round-trips through write_newick
+    text = "".join(f"(t{i:04d}:1," for i in range(DEPTH)) + "x:1" + ")" * DEPTH + ";"
+    t = parse_newick(text)
+    assert len(t.taxa) == DEPTH + 1
+    back = parse_newick(write_newick(t))
+    assert back.edges == t.edges and back.leaf_map == t.leaf_map
+
+
+@pytest.mark.parametrize("mode", ["float", "rational"])
+def test_write_newick_deep_caterpillar_round_trips(mode):
+    from treegromov import random_caterpillar
+
+    t = random_caterpillar(DEPTH, 1, mode)
+    text = write_newick(t)
+    back = parse_newick(text, mode=mode)
+    assert back.edges == t.edges and back.leaf_map == t.leaf_map
+    assert write_newick(back) == text
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(" * 5000 + "a",
+        "(" * 5000 + ";",
+        "(a," * 3000 + "b" + ")" * 2999 + ";",
+        "(a," * 3000 + "b" + ")" * 3001 + ";",
+        "".join(f"(t{i}:1," for i in range(3000)) + "x:" + ")" * 3000 + ";",
+    ],
+    ids=["unclosed", "no-label", "one-paren-short", "one-paren-too-many", "empty-length"],
+)
+def test_parse_newick_malformed_deep_input_is_a_parse_error(text):
+    with pytest.raises(ParseError):
+        parse_newick(text)
+
+
 # ---------------------------------------------------------------------------
 # Newick files
 

@@ -343,13 +343,14 @@ def test_bounded_audit_rejects_delta_above_two_dinf(monkeypatch, norm, mode):
     # must raise, never be re-solved
     from treegromov import gromov
 
-    name = "solve_lp" if norm == 1 else "solve_qp"
+    name = "solve_assignment" if norm == 1 else "solve_qp"
     real = getattr(gromov, name)
 
-    def lifted(prog):
-        res = real(prog)
+    def lifted(data, *args):
+        res = real(data, *args)
+        rhs = data if norm == 1 else data.b  # the gap table, or the QP rows' b
         x = np.array(res.argmin, dtype=object if mode == "rational" else float)
-        x[0] = 2 * sum(prog.b) + 1  # above max|rho - rho'| = 2 Dinf
+        x[0] = 2 * np.sum(rhs) + 1  # above max|rho - rho'| = 2 Dinf
         return res.with_updates(argmin=x)
 
     monkeypatch.setattr(gromov, name, lifted)
@@ -398,6 +399,34 @@ def test_quadrangle_feasible_detects_violations():
     ok, violations = quadrangle_feasible(r1, r2, bad)
     assert not ok
     assert any(fam == "pair" for fam, _, _, _ in violations)
+
+
+@pytest.mark.parametrize("values,index", [([math.nan] * 4, 0), ([1.0, math.inf, 1.0, 1.0], 1)])
+def test_delta_vector_rejects_non_finite_values(values, index):
+    r1, _ = _quartet_pair()
+    with pytest.raises(ValidationError, match=f"finite; value {index} is"):
+        DeltaVector(r1.taxa, values)
+
+
+def test_quadrangle_feasible_fails_closed_on_nan():
+    # a NaN delta that got past DeltaVector must count as a violation of
+    # every row it touches, and realize_extension must refuse it
+    r1, r2 = _quartet_pair()
+    delta = DeltaVector(r1.taxa, [1.0] * 4)
+    object.__setattr__(delta, "values", np.array([math.nan] * 4))
+    ok, violations = quadrangle_feasible(r1, r2, delta)
+    assert not ok and len(violations) == 12
+    with pytest.raises(ValidationError, match="not quadrangle-feasible"):
+        realize_extension(r1, r2, delta)
+
+
+def test_verify_primal_fails_closed_on_nan():
+    from treegromov.solver import _verify_primal_float
+
+    i1, i2 = np.array([0]), np.array([1])
+    v = np.ones(1)
+    with pytest.raises(TreegromovError, match="infeasible point"):
+        _verify_primal_float(i1, v, i2, v, np.array([1.0]), np.array([math.nan, 1.0]), 2)
 
 
 def test_quadrangle_feasible_lists_both_families_pair_major():
@@ -795,13 +824,22 @@ def test_full_d2_matches_face_oracle(n, seed):
 
 
 def test_full_variant_rejects_tables_that_break_the_triangle_inequality():
-    # rho(a,c) = 5 > rho(a,b) + rho(b,c) = 2; the lower D1 optimum (4, 0, 0)
-    # breaks the difference row (a,b): |4 - 0| > rho(a,b) + rho'(a,b) = 2
+    # rho(a,c) = 5 > rho(a,b) + rho(b,c) = 2, yet the lower D1 optimum
+    # (2, 0, 2) meets every difference row |delta_x - delta_y| <= rho + rho'
+    # (2 on (a,b) and (b,c)), so it certifies the full D1 = 4.  With
+    # rho(a,c) = 9, delta_b = 0 at every lower optimum and delta_a + delta_c
+    # >= 8, so the difference row (a,b) or (b,c) breaks by at least 2.
     taxa = TaxonSet(["a", "b", "c"])
     for mode in ("float", "rational"):
         rho = Semimetric(taxa, [[0, 1, 5], [1, 0, 1], [5, 1, 0]], mode, validate=False)
         ones = Semimetric(taxa, [[0, 1, 1], [1, 0, 1], [1, 1, 0]], mode, validate=False)
         lower = gromov_distance(rho, ones, GromovSpec(norm=1, variant="lower"))
-        assert lower.value == 4
+        full = gromov_distance(rho, ones, GromovSpec(norm=1))
+        assert lower.value == full.value == 4
+        assert list(full.argmin.values) == [2, 0, 2]
+        assert quadrangle_feasible(rho, ones, full.argmin)[0]
+        _assert_certifies(full, rho, ones, [1] * 3, 1)
+        far = Semimetric(taxa, [[0, 1, 9], [1, 0, 1], [9, 1, 0]], mode, validate=False)
+        assert gromov_distance(far, ones, GromovSpec(norm=1, variant="lower")).value == 8
         with pytest.raises(ValidationError, match=r"difference row \(a,b\) by 2.*triangle"):
-            gromov_distance(rho, ones, GromovSpec(norm=1))
+            gromov_distance(far, ones, GromovSpec(norm=1))

@@ -1,5 +1,8 @@
 """Property tests on random semimetrics drawn by hypothesis."""
 
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -27,8 +30,8 @@ def _closure(n, weights):
 
 
 @st.composite
-def semimetric_pairs(draw, mode="float"):
-    n = draw(st.integers(3, 8))
+def semimetric_pairs(draw, mode="float", max_n=8):
+    n = draw(st.integers(3, max_n))
     m = n * (n - 1) // 2
     labs = [f"t{i}" for i in range(n)]
     tables = [
@@ -62,3 +65,31 @@ def test_rational_bounded_and_swapped_values_are_exact(pair):
         value = gromov_distance(r1, r2, GromovSpec(norm=norm)).value
         assert gromov_distance(r1, r2, GromovSpec(norm=norm, bounded=True)).value == value
         assert gromov_distance(r2, r1, GromovSpec(norm=norm)).value == value
+
+
+@st.composite
+def permuted_pairs(draw):
+    """A rational pair, and the same pair with its taxa relabelled by a
+    drawn permutation (row and column k of the tables move to perm[k])."""
+    r1, r2 = draw(semimetric_pairs(mode="rational", max_n=6))  # brute force below
+    n = len(r1.taxa)
+    perm = draw(st.permutations(range(n)))
+    labs = list(r1.taxa.labels)
+    inv = np.argsort(perm)
+    moved = tuple(
+        semimetric_from_table(labs, r.table[np.ix_(inv, inv)].tolist(), mode="rational")
+        for r in (r1, r2)
+    )
+    return (r1, r2), moved
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(permuted_pairs())
+def test_d1_is_half_the_max_assignment_and_ignores_taxon_order(pairs):
+    (r1, r2), (p1, p2) = pairs
+    n = len(r1.taxa)
+    g = np.abs(r1.table - r2.table).tolist()
+    best = max(sum(g[i][p[i]] for i in range(n)) for p in itertools.permutations(range(n)))
+    value = gromov_distance(r1, r2, GromovSpec(norm=1)).value
+    assert isinstance(value, Fraction) and value == Fraction(best) / 2
+    assert gromov_distance(p1, p2, GromovSpec(norm=1)).value == value
