@@ -1,15 +1,18 @@
 """Hot numerical kernels, one implementation each.
 
 Kernels here never touch the domain types; the calling modules convert to
-and from them.  All but one operate on plain float64 arrays.  The
-exception is max_assignment, which runs on a list of row lists so that the
-same code is exact on Fractions.  It stays on lists in float mode too, so
-there is one implementation: each of its O(n) steps scans one row, and at
-the benchmark's sizes numpy's per-call overhead outweighs the vector work.
-On a 2-core x86-64 host, a column-vectorised numpy version took
-0.26-0.28 s for 45 assignments at n=50 (the gap tables of ten uniform(0,1]
-trees), against 0.15-0.17 s on lists; the two were even at n=100, and
-numpy was twice as fast at n=200 (69 against 136 ms).
+and from them.  All but two operate on plain float64 arrays.  The
+exceptions are max_assignment and tree_certificate, which run on a list of
+row lists so that the same code is exact on Fractions.  They stay on lists
+in float mode too, so there is one implementation.  Each O(n) step of
+max_assignment scans one row, and at the benchmark's sizes numpy's
+per-call overhead outweighs the vector work: on a 2-core x86-64 host, a
+column-vectorised numpy version took 0.26-0.28 s for 45 assignments at
+n=50 (the gap tables of ten uniform(0,1] trees), against 0.15-0.17 s on
+lists; the two were even at n=100, and numpy was twice as fast at n=200
+(69 against 136 ms).  tree_certificate takes about 2 ms on an n=80 tree
+metric on the same host, against about 0.2 s for the four-point scan it
+saves.
 
 Constraint rows and dual columns share one sparse encoding: each row/column
 has one or two nonzero entries, stored as ``(idx1, val1, idx2, val2)`` with
@@ -82,6 +85,68 @@ def four_point(d: np.ndarray, tol: float):
                 t = int(np.argmax(bad))
                 return (i, j, int(ks[t]), int(ls[t]))
     return (-1, -1, -1, -1)
+
+
+# ---------------------------------------------------------------------------
+# Tree-metric certificate (Gromov products at taxon 0)
+# ---------------------------------------------------------------------------
+#
+# g[a][b] = d(0,x) + d(0,y) - d(x,y) for taxa x = a+1, y = b+1 is twice the
+# Gromov product at taxon 0; only the upper triangle of d is read, as in
+# four_point.  Prim's method grows a maximum spanning tree on g, and each
+# vertex is checked against the tree vertices at the moment it joins: the
+# table is certified when no pair falls below its bottleneck (the smallest
+# edge on its tree path) by more than 2*eps, i.e. when the products are an
+# eps-ultrametric.  The proof that this bounds every quadruple is in the
+# treemetric module docstring.
+#
+# No bottleneck table is kept.  If the vertices join in the order
+# pi(0), pi(1), ... with join keys k(1), k(2), ..., then for i < j the
+# bottleneck of pi(i) and pi(j) is min(k(i+1), ..., k(j)).  It is at most
+# that: a path between them crosses the cut {pi(0..s-1)} for the s where
+# the minimum sits, and k(s) is the largest edge across that cut.  It is at
+# least that, by induction on j: pi(j) joins some pi(q) by an edge k(j); if
+# q >= i the claim follows from the one for (i, q), and if q < i, every
+# k(s) with q < s <= i is >= k(j), because pi(j) was a candidate through
+# pi(q) whenever pi(s) was chosen.  So one backward pass over the join
+# order with a running minimum of the keys gives every bottleneck.
+
+def tree_certificate(d, eps) -> bool:
+    """True when the Gromov products at taxon 0 of the table d (a list of
+    row lists) form an eps-ultrametric; False at the first pair that does
+    not.  Exact when the entries are ints or Fractions and eps is 0."""
+    n = len(d)
+    if n < 4:
+        return True
+    m = n - 1
+    d0 = d[0]
+    upper = [
+        [d0[x] + d0y - dxy for d0y, dxy in zip(d0[x + 1 :], d[x][x + 1 :])]
+        for x in range(1, n)
+    ]
+    g = [
+        [upper[b][a - b - 1] for b in range(a)] + [0] + upper[a]
+        for a in range(m)
+    ]
+    slack = 2 * eps
+    key = list(g[0])  # frozen at the join key once a vertex is in the tree
+    order = [0]
+    todo = list(range(1, m))
+    while todo:
+        v = max(todo, key=key.__getitem__)
+        todo.remove(v)
+        gv = g[v]
+        b = key[v]
+        for t in reversed(order):
+            if gv[t] < b - slack:
+                return False
+            if key[t] < b:
+                b = key[t]
+        order.append(v)
+        for u in todo:
+            if gv[u] > key[u]:
+                key[u] = gv[u]
+    return True
 
 
 # ---------------------------------------------------------------------------

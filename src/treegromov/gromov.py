@@ -542,8 +542,10 @@ def format_certificate(
         if rho is not None and rho_prime is not None:
             lines.append("active pair rows (delta_x + delta_y = |rho - rho'|):")
             labs = delta.taxa.labels
-            tol = 0 if result.mode == MODE_RATIONAL else 1e-7
             iu, ju, gap, _ = _pair_arrays(rho, rho_prime)
+            # relative to the gaps alone: a floor at 1 would mark every
+            # row active on small-scale data
+            tol = 0 if result.mode == MODE_RATIONAL else FEAS_RTOL * gap.max(initial=0.0)
             dv = delta.values
             for k in np.flatnonzero(dv[iu] + dv[ju] - gap <= tol):
                 lines.append(f"  ({labs[iu[k]]},{labs[ju[k]]}): rhs {gap[k]}")

@@ -1,5 +1,34 @@
 """Tree-induced semimetrics, four-point checks, splits, NNI moves, and
 baseline metrics (path-difference, Robinson-Foulds), plus tree generators.
+
+four_point_check certifies tree metrics in O(n^2) before it scans the
+O(n^4) quadruples (Buneman 1974).  The certificate reads the Gromov
+products at taxon 0, P(x,y) = (d(0,x) + d(0,y) - d(x,y))/2, and succeeds
+when P(x,y) >= B(x,y) - eps for every pair x, y >= 1, where B(x,y) is the
+smallest edge on the path between x and y in a maximum spanning tree of P.
+It then holds that no quadruple's four-point slack (largest pairing sum
+minus the middle one) exceeds 4*eps.  The argument needs only symmetry,
+not the triangle inequality:
+
+* Each B(x,y) >= P(x,y) (a spanning-tree edge is at least every pair it
+  bridges) and B is an ultrametric, so
+  P(x,y) >= B(x,y) - eps >= min(B(x,z), B(z,y)) - eps
+  >= min(P(x,z), P(z,y)) - eps: P is an eps-ultrametric.
+* The pairing sums of a quadruple {0,x,y,z} are S - 2P(x,y),
+  S - 2P(x,z) and S - 2P(y,z) with S = d(0,x) + d(0,y) + d(0,z), so its
+  slack is 2*(mid - min) of its three products, at most 2*eps.
+* Gromov products that are an eps-ultrametric at one base point are a
+  2*eps-ultrametric at every base point (Gromov 1987; Ghys-de la Harpe
+  1990, ch. 2).  Every quadruple contains a base point, so its slack is at
+  most 4*eps.
+
+In float mode eps = tol/8, where tol is the scan's own tolerance, so a
+certified table has slack at most tol/2; the other half of tol absorbs
+rounding on nonnegative tables, whose entries are all within the scale tol
+is relative to.  A certified table therefore never holds a quadruple the
+scan would flag, and the scan runs only when the certificate fails.  In
+rational mode eps = 0, and the certificate holds exactly when the table is
+a tree metric.
 """
 
 from __future__ import annotations
@@ -80,35 +109,29 @@ def four_point_check(rho: Semimetric):
     """Tree-realizability test.
 
     Returns (True, None) when for every quadruple the largest of the three
-    pairing sums ties the second largest; otherwise (False, witness) with a
-    violating taxon quadruple.  Exact in rational mode, relative tolerance
-    FOUR_POINT_RTOL in float mode.
+    pairing sums ties the second largest; otherwise (False, witness) with
+    the first violating taxon quadruple in lexicographic order.  Exact in
+    rational mode, relative tolerance FOUR_POINT_RTOL in float mode.  An
+    O(n^2) certificate (see the module docstring) accepts tree metrics; the
+    O(n^4) scan runs only when it fails.
     """
-    n = len(rho.taxa)
-    if rho.mode == MODE_FLOAT:
-        d = rho.table
-        tol = FOUR_POINT_RTOL * max(1.0, float(d.max(initial=0.0)))
-        i, j, k, l = _kernels.four_point(d, tol)
-        if i < 0:
-            return True, None
-        labs = rho.taxa.labels
-        return False, (labs[i], labs[j], labs[k], labs[l])
     d = rho.table
+    if rho.mode == MODE_FLOAT:
+        tol = FOUR_POINT_RTOL * max(1.0, float(d.max(initial=0.0)))
+        # the docstring's rounding margin needs entries in [0, max(1, max d)]
+        certified = d.min(initial=0.0) >= 0 and _kernels.tree_certificate(
+            d.tolist(), tol / 8
+        )
+    else:
+        tol = 0
+        certified = _kernels.tree_certificate(d.tolist(), 0)
+    if certified:
+        return True, None
+    i, j, k, l = _kernels.four_point(d, tol)
+    if i < 0:
+        return True, None
     labs = rho.taxa.labels
-    for i in range(n - 3):
-        for j in range(i + 1, n - 2):
-            for k in range(j + 1, n - 1):
-                for l in range(k + 1, n):
-                    sums = sorted(
-                        (
-                            d[i, j] + d[k, l],
-                            d[i, k] + d[j, l],
-                            d[i, l] + d[j, k],
-                        )
-                    )
-                    if sums[2] > sums[1]:
-                        return False, (labs[i], labs[j], labs[k], labs[l])
-    return True, None
+    return False, (labs[i], labs[j], labs[k], labs[l])
 
 
 # ---------------------------------------------------------------------------

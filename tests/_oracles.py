@@ -20,6 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from treegromov.treemetric import FOUR_POINT_RTOL
+
 FEAS_TOL = 1e-9
 
 
@@ -446,10 +448,17 @@ def tree_metric_oracle(tree):
     return out
 
 
-def four_point_oracle(table, tol=1e-9):
+def four_point_oracle(table, rtol=FOUR_POINT_RTOL):
     """First quadruple (by index order) where the largest of the three
-    pairing sums exceeds the middle one by more than tol, else None."""
-    d = np.asarray(table, dtype=float)
+    pairing sums exceeds the middle one by more than rtol times the data
+    scale max(1, max d), the package's float tolerance, else None.  A
+    table of Fractions (object dtype) is scanned exactly, with tolerance 0."""
+    d = np.asarray(table)
+    if d.dtype == object:
+        tol = 0
+    else:
+        d = d.astype(float)
+        tol = rtol * max(1.0, float(d.max(initial=0.0)))
     n = d.shape[0]
     for quad in itertools.combinations(range(n), 4):
         i, j, k, l = quad

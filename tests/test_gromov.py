@@ -608,6 +608,24 @@ def test_certificates_render():
     assert "kkt" in text2.lower()
 
 
+@pytest.mark.parametrize("seed, active", [(1, 5), (2, 3)])
+def test_certificate_active_rows_scale_free(seed, active):
+    # the active pair rows are the same set at every data scale; an
+    # absolute slack tolerance listed all 15 rows at scale 1e-9
+    base = [
+        tree_to_semimetric(random_binary_tree(6, seed=s, weight_model="uniform01"))
+        for s in (seed, seed + 100)
+    ]
+    listed = []
+    for scale in (1.0, 1e-9, 1e6):
+        r1, r2 = (r.scaled(scale) for r in base)
+        text = format_certificate(gromov_distance(r1, r2, GromovSpec(norm=1)), r1, r2)
+        rows = text.split("active pair rows")[1].split("\n")[1:]
+        listed.append([row.split(":")[0] for row in rows if row.startswith("  (")])
+    assert len(listed[0]) == active
+    assert listed[1] == listed[0] and listed[2] == listed[0]
+
+
 def test_lp_certificate_duality_gap():
     r1, r2 = _quartet_pair(mode="rational")
     res = gromov_distance(r1, r2, GromovSpec(norm=1))

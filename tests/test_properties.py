@@ -12,10 +12,14 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 import _oracles as orc  # noqa: E402
 from treegromov import (  # noqa: E402
     GromovSpec,
+    _kernels,
     gromov_distance,
     quadrangle_feasible,
+    random_binary_tree,
     semimetric_from_table,
+    tree_to_semimetric,
 )
+from treegromov.treemetric import FOUR_POINT_RTOL  # noqa: E402
 
 
 def _closure(n, weights):
@@ -93,3 +97,43 @@ def test_d1_is_half_the_max_assignment_and_ignores_taxon_order(pairs):
     value = gromov_distance(r1, r2, GromovSpec(norm=1)).value
     assert isinstance(value, Fraction) and value == Fraction(best) / 2
     assert gromov_distance(p1, p2, GromovSpec(norm=1)).value == value
+
+
+@st.composite
+def bumped_trees(draw, mode="float"):
+    """A random tree metric with a few cells moved: by multiples of the
+    scan's tolerance in float mode, by small Fractions in rational mode.
+    Returns (table, tol)."""
+    n = draw(st.integers(4, 10))
+    seed = draw(st.integers(0, 10**6))
+    if mode == "float":
+        model = draw(st.sampled_from(["unit", "uniform01"]))
+        tab = tree_to_semimetric(random_binary_tree(n, seed, model)).table.copy()
+        tab *= 10.0 ** draw(st.integers(-6, 8))
+        tol = FOUR_POINT_RTOL * max(1.0, tab.max())
+        step = st.floats(-8.0, 8.0).map(lambda f: f * tol)
+    else:
+        tab = tree_to_semimetric(random_binary_tree(n, seed, mode="rational")).table.copy()
+        tol = 0
+        step = st.fractions(-2, 2, max_denominator=10**6)
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), step)
+    for i, j, bump in draw(st.lists(pairs, max_size=4)):
+        if i != j:
+            tab[i, j] = tab[j, i] = tab[i, j] + bump
+    return tab, tol
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(bumped_trees())
+def test_tree_certificate_never_accepts_a_table_the_scan_rejects(case):
+    tab, tol = case
+    if _kernels.tree_certificate(tab.tolist(), tol / 8):
+        assert _kernels.four_point(tab, tol)[0] < 0
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(bumped_trees(mode="rational"))
+def test_exact_tree_certificate_agrees_with_the_scan(case):
+    tab, _ = case
+    accepted = _kernels.tree_certificate(tab.tolist(), 0)
+    assert accepted == (_kernels.four_point(tab, 0)[0] < 0)

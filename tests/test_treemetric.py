@@ -28,7 +28,8 @@ from treegromov import (
     splits_of,
     tree_to_semimetric,
 )
-from treegromov.treemetric import normalize_norm
+from treegromov import _kernels
+from treegromov.treemetric import FOUR_POINT_RTOL, normalize_norm
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +127,128 @@ def test_four_point_rational_exact():
     rho = semimetric_from_table(list("ABCD"), tab, mode="rational", validate=False)
     ok, witness = four_point_check(rho)
     assert not ok  # exact arithmetic sees even a 1e-12 bump
+
+
+# the O(n^2) certificate in front of the scan
+
+
+def _labels(n):
+    return [f"t{k:02d}" for k in range(n)]
+
+
+def _check_against_oracle(tab, mode="float"):
+    rho = semimetric_from_table(_labels(len(tab)), tab, mode=mode, validate=False)
+    ok, witness = four_point_check(rho)
+    want = orc.four_point_oracle(tab)
+    if want is None:
+        assert ok and witness is None
+    else:
+        assert not ok
+        assert tuple(rho.taxa.position(x) for x in witness) == want
+
+
+def _no_scan(monkeypatch):
+    def scan(d, tol):
+        raise AssertionError("a tree metric reached the four-point scan")
+
+    monkeypatch.setattr(_kernels, "four_point", scan)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3, 1e8])
+def test_float_tree_metrics_never_reach_the_scan(monkeypatch, scale):
+    _no_scan(monkeypatch)
+    for n in (4, 5, 9, 30):
+        for seed in range(4):
+            for model in ("unit", "uniform01"):
+                t = random_binary_tree(n, seed=seed, weight_model=model)
+                assert four_point_check(tree_to_semimetric(t).scaled(scale)) == (True, None)
+    cat = tree_to_semimetric(random_caterpillar(12, seed=1))
+    assert four_point_check(cat) == (True, None)
+
+
+def test_near_tree_metrics_are_certified(monkeypatch):
+    # one cell moved by a tenth of the scan's tolerance moves each doubled
+    # Gromov product by at most that much, which keeps it within the
+    # certificate's slack 2*eps = tol/4 of its bottleneck
+    _no_scan(monkeypatch)
+    rng = np.random.default_rng(7)
+    for trial in range(40):
+        n = 4 + trial % 20
+        tab = tree_to_semimetric(
+            random_binary_tree(n, seed=trial, weight_model="uniform01")
+        ).table * 10.0 ** rng.integers(-6, 9)
+        tol = FOUR_POINT_RTOL * max(1.0, tab.max())
+        i, j = sorted(rng.choice(n, size=2, replace=False))
+        tab[i, j] = tab[j, i] = tab[i, j] + rng.choice([-0.1, 0.1]) * tol
+        rho = semimetric_from_table(_labels(n), tab, validate=False)
+        assert four_point_check(rho) == (True, None)
+
+
+def test_rational_tree_metrics_never_reach_the_scan(monkeypatch):
+    _no_scan(monkeypatch)
+    t = parse_newick("((A:1/3,B:2/3):1/7,((C:3/2,D:1):2/9,E:5):2);", mode="rational")
+    assert four_point_check(tree_to_semimetric(t)) == (True, None)
+    for seed in range(4):
+        t = random_binary_tree(10, seed=seed, mode="rational")
+        assert four_point_check(tree_to_semimetric(t)) == (True, None)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3, 1e8])
+def test_bumped_tree_witness_matches_oracle(scale):
+    rng = np.random.default_rng(11)
+    for trial in range(6):
+        tab = tree_to_semimetric(
+            random_binary_tree(8, seed=trial, weight_model="uniform01")
+        ).table * scale
+        i, j = sorted(rng.choice(8, size=2, replace=False))
+        tab[i, j] = tab[j, i] = tab[i, j] * 1.5
+        _check_against_oracle(tab)
+
+
+@pytest.mark.parametrize("factor", [0.1, 0.5, 1.0, 2.0, 5.0])
+def test_near_tolerance_witness_matches_oracle(factor):
+    # bumps on either side of the scan's tolerance: the certificate must
+    # leave every flagged table to the scan and its witness.  At exactly
+    # 1 x tol a quadruple's slack ties the tolerance, and rounding (done in
+    # a different order by the oracle) decides it, so there the answer is
+    # compared with the scan alone.
+    rng = np.random.default_rng(int(factor * 10))
+    for trial in range(8):
+        scale = 10.0 ** rng.integers(-6, 9)
+        tab = tree_to_semimetric(
+            random_binary_tree(8, seed=trial, weight_model="uniform01")
+        ).table * scale
+        tol = FOUR_POINT_RTOL * max(1.0, tab.max())
+        i, j = sorted(rng.choice(8, size=2, replace=False))
+        sign = 1.0 if trial % 2 else -1.0
+        tab[i, j] = tab[j, i] = tab[i, j] + sign * factor * tol
+        if factor != 1.0:
+            _check_against_oracle(tab)
+        rho = semimetric_from_table(_labels(8), tab, validate=False)
+        quad = _kernels.four_point(tab, tol)
+        want = (True, None) if quad[0] < 0 else (False, tuple(_labels(8)[q] for q in quad))
+        assert four_point_check(rho) == want
+
+
+def test_triangle_breaking_witness_matches_oracle():
+    rng = np.random.default_rng(5)
+    for trial in range(20):
+        n = 5 + trial % 4
+        tab = np.triu(rng.random((n, n)) * 10.0 ** rng.integers(-3, 4), 1)
+        tab = tab + tab.T
+        tab[0, n - 1] = tab[n - 1, 0] = tab.max() * 5.0
+        _check_against_oracle(tab)
+
+
+def test_rational_bump_witness_matches_exact_oracle():
+    for seed in range(6):
+        tab = tree_to_semimetric(random_binary_tree(9, seed=seed, mode="rational")).table.copy()
+        # a farthest pair is no cherry, so some quadruple ties its pairing
+        # sum with the largest one, and the bump breaks that tie
+        i, j = np.unravel_index(np.argmax(tab.astype(float)), tab.shape)
+        tab[i, j] = tab[j, i] = tab[i, j] + Fraction(1, 10**12)
+        assert orc.four_point_oracle(tab) is not None
+        _check_against_oracle(tab, mode="rational")
 
 
 # ---------------------------------------------------------------------------
