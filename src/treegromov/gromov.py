@@ -68,9 +68,29 @@ the pair rows, the gap table of the assignment, the tight pair of the
 norm-inf closed form, quadrangle_feasible and the active-row list of
 format_certificate.
 
-Every optimum delta* is realizable: an actual semimetric on the disjoint
-union of the two copies with matched distances delta* exists and is built
-by realize_extension via shortest paths.
+Every quadrangle-feasible delta, each optimum among them, is realizable:
+the carrier graph (a rho-weighted clique on the taxa, a rho'-weighted
+clique on primed copies x', and an edge x - x' of weight delta_x) has a
+path metric d with d = rho on the taxa, d = rho' on the copies and
+
+    d(x, y') = C(x, y) = min_z rho(x, z) + delta_z + rho'(z, y),
+
+which realize_extension computes in closed form, with no graph.  Proof,
+for semimetrics rho and rho': take a path that crosses between the
+copies twice.  Between two consecutive crossings it runs z -> z' ... u'
+-> u, of length at least delta_z + rho'(z, u) + delta_u by the triangle
+inequality of rho', and that is at least rho(z, u) by the pair row
+delta_z + delta_u >= rho(z, u) - rho'(z, u).  Replacing the stretch by
+the edge z - u drops two crossings and no length, so some shortest path
+crosses at most once.  A path within one copy collapses to its single
+edge by the triangle inequality; so d = rho and d = rho' on the copies,
+and a path crossing once at z is at least rho(x, z) + delta_z + rho'(z,
+y), which the path x - z - z' - y' attains.  On the diagonal the term
+z = x gives C(x, x) <= delta_x, and the difference row delta_x - delta_z
+<= rho(x, z) + rho'(x, z) gives every other term >= delta_x, so d(x, x')
+= delta_x.  realize_extension audits the premises (quadrangle
+feasibility and the triangle inequality of both tables) and the
+conclusion C(x, x) = delta_x.
 """
 
 from __future__ import annotations
@@ -440,6 +460,27 @@ class ExtensionMetric:
         return f"ExtensionMetric({len(self.base_taxa)}+{len(self.base_taxa)} points)"
 
 
+def _min_plus(a, b):
+    """The min-plus product min_z a[x, z] + b[z, y], one z at a time so that
+    memory stays O(n^2); floats or Fractions."""
+    out = a[:, :1] + b[:1, :]
+    step = np.empty_like(out)
+    for z in range(1, a.shape[1]):
+        np.add(a[:, z : z + 1], b[z : z + 1, :], out=step)
+        np.minimum(out, step, out=out)
+    return out
+
+
+def _clique_block(table, mode):
+    """The clique's edge weights as a table: the upper triangle mirrored,
+    with a zero diagonal, whatever a validate=False table holds elsewhere."""
+    n = table.shape[0]
+    iu, ju = np.triu_indices(n, 1)
+    block = np.zeros((n, n)) if mode == MODE_FLOAT else np.full((n, n), Fraction(0), dtype=object)
+    block[iu, ju] = block[ju, iu] = table[iu, ju]
+    return block
+
+
 def realize_extension(
     rho: Semimetric, rho_prime: Semimetric, delta: DeltaVector
 ) -> ExtensionMetric:
@@ -447,48 +488,50 @@ def realize_extension(
 
     The carrier graph has a rho-weighted clique on the taxa, a
     rho'-weighted clique on their primed copies, and one matching edge per
-    taxon weighted delta_x.  For quadrangle-feasible delta the resulting
-    shortest-path semimetric restricts to rho and rho' and realizes
-    d(x, x') = delta_x; all three facts are re-verified (exactly in
-    rational mode) and a failure is an internal error.
+    taxon weighted delta_x.  Its path metric has the closed form of the
+    module docstring: rho and rho' on the two halves and
+    C(x, y') = min_z rho(x, z) + delta_z + rho'(z, y) across.  Its
+    premises are re-verified (exactly in rational mode, within
+    FEAS_RTOL times the scale of both tables in float mode): delta is
+    quadrangle-feasible (else ValidationError), rho and rho' are symmetric
+    with a zero diagonal and meet the triangle inequality, and
+    C(x, x') = delta_x; a failure raises TreegromovError.
     """
-    from .extension import WeightedGraph, graph_metric
-
     ok, violations = quadrangle_feasible(rho, rho_prime, delta)
     if not ok:
         raise ValidationError(
             f"delta is not quadrangle-feasible; first violation: {violations[0]}"
         )
-    labs = rho.taxa.labels
-    n = len(labs)
-    primed = [lab + PRIME_SUFFIX for lab in labs]
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            edges.append((labs[i], labs[j], rho.table[i, j]))
-            edges.append((primed[i], primed[j], rho_prime.table[i, j]))
-    for i in range(n):
-        edges.append((labs[i], primed[i], delta.values[i]))
-    graph = WeightedGraph(labs + tuple(primed), edges, mode=rho.mode)
-    metric = graph_metric(graph)
-    ext = ExtensionMetric(metric, rho.taxa)
-    tol = 0 if rho.mode == MODE_RATIONAL else FEAS_RTOL * max(
-        1.0, float(np.max(np.asarray(rho.table, dtype=float), initial=0.0))
-    )
-    left, right = ext.restrict_left(), ext.restrict_right()
-    for got, want, name in ((left, rho, "rho"), (right, rho_prime, "rho'")):
-        gap = _max_abs_gap(got.table, want.table, rho.mode)
-        if gap > tol:
+    mode = rho.mode
+    tol = _feas_tol(rho, rho_prime)
+    blocks = []
+    for want, name in ((rho, "rho"), (rho_prime, "rho'")):
+        block = _clique_block(want.table, mode)
+        # the clique's path metric is the block only if no third point
+        # gives a shortcut
+        shortcut = block - _min_plus(block, block)
+        gap = max(_max_abs_gap(block, want.table, mode), as_scalar(shortcut.max(), mode))
+        if not gap <= tol:
             raise TreegromovError(
                 f"extension failed to restrict to {name} (gap {gap})"
             )
+        blocks.append(block)
+    left, right = blocks
+    dv = delta.values
+    cross = _min_plus(left + dv[None, :], right)
+    labs = rho.taxa.labels
     for i, lab in enumerate(labs):
-        gap = abs(ext.matched_distance(lab) - delta.values[i])
-        if gap > tol:
+        gap = abs(cross[i, i] - dv[i])
+        if not gap <= tol:
             raise TreegromovError(
                 f"extension failed to match delta at {lab} (gap {gap})"
             )
-    return ext
+    primed = [lab + PRIME_SUFFIX for lab in labs]
+    points = TaxonSet(labs + tuple(primed))
+    at = {lab: k for k, lab in enumerate(labs + tuple(primed))}
+    perm = np.array([at[lab] for lab in points.labels])
+    table = np.block([[left, cross], [cross.T, right]])[np.ix_(perm, perm)]
+    return ExtensionMetric(Semimetric(points, table, mode, validate=False), rho.taxa)
 
 
 def _max_abs_gap(a, b, mode):

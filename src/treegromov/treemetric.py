@@ -68,36 +68,79 @@ def normalize_norm(norm) -> str:
 # Induced semimetric
 # ---------------------------------------------------------------------------
 
+def _rooted(tree: PhyloTree):
+    """Root the tree at vertex 0 with an explicit stack (no recursion, so
+    any depth works).
+
+    Returns (order, parent, weight): the vertices in depth-first preorder,
+    in which every subtree is one contiguous run headed by its root; each
+    vertex's parent (-1 at the root); and the weight of the edge to it."""
+    adj = tree.adjacency()
+    parent = [-1] * tree.n_vertices
+    weight = [None] * tree.n_vertices
+    order = []
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        order.append(u)
+        for v, w in adj[u]:
+            if v != parent[u]:
+                parent[v] = u
+                weight[v] = w
+                stack.append(v)
+    return order, parent, weight
+
+
 def tree_to_semimetric(tree: PhyloTree) -> Semimetric:
     """Path-length distances between taxa (exact in rational mode).
 
-    Each distance is summed once, from the taxon earlier in canonical
-    order, and written into both cells, so float tables are exactly
-    symmetric."""
+    One rooted pass fills a (vertices x taxa) table D with D[v, x] =
+    dist_x(v).  The taxa are numbered in preorder, so the taxa below v
+    form a column range [lo_v, hi_v).  With p the parent of v and w the
+    weight of their edge, a post-order sweep sets D[p, lo_v:hi_v] =
+    D[v, lo_v:hi_v] + w (v is p's hop toward those taxa) and a preorder
+    sweep sets D[v, x] = D[p, x] + w for every other x (p is v's hop).
+    Each entry is thus dist_x(hop) + w with hop the neighbour toward x, so
+    every distance is summed along its path starting from x, in the same
+    order as a traversal out of x.  Cell (x, y) is read from the taxon
+    earlier in canonical order and written into both cells, so float
+    tables are exactly symmetric."""
     taxa = tree.taxa
     n = len(taxa)
-    adj = tree.adjacency()
-    zero = as_scalar(0, tree.mode)
-    if tree.mode == MODE_FLOAT:
-        table = np.zeros((n, n))
-    else:
-        table = np.full((n, n), zero, dtype=object)
+    n_vertices = tree.n_vertices
+    order, parent, weight = _rooted(tree)
     vert = [tree.leaf_map[lab] for lab in taxa.labels]
-    vert_to_taxon = {v: i for i, v in enumerate(vert)}
-    for i in range(n):
-        dist = {vert[i]: zero}
-        stack = [vert[i]]
-        while stack:
-            u = stack.pop()
-            du = dist[u]
-            for nbr, w in adj[u]:
-                if nbr not in dist:
-                    dist[nbr] = du + w
-                    stack.append(nbr)
-        for v, d in dist.items():
-            j = vert_to_taxon.get(v)
-            if j is not None and j > i:
-                table[i, j] = table[j, i] = d
+    taxon_at = [-1] * n_vertices
+    for i, v in enumerate(vert):
+        taxon_at[v] = i
+    column = [0] * n  # preorder column of each canonical taxon
+    lo = [0] * n_vertices
+    hi = [0] * n_vertices
+    count = 0
+    for v in order:
+        lo[v] = count
+        if taxon_at[v] >= 0:
+            column[taxon_at[v]] = count
+            count += 1
+        hi[v] = count
+    for v in reversed(order[1:]):
+        hi[parent[v]] = max(hi[parent[v]], hi[v])
+    zero = as_scalar(0, tree.mode)
+    dtype = np.float64 if tree.mode == MODE_FLOAT else object
+    dist = np.full((n_vertices, n), zero, dtype=dtype)
+    for v in reversed(order[1:]):
+        a, b = lo[v], hi[v]
+        dist[parent[v], a:b] = dist[v, a:b] + weight[v]
+    for v in order[1:]:
+        a, b, p, w = lo[v], hi[v], parent[v], weight[v]
+        dist[v, :a] = dist[p, :a] + w
+        dist[v, b:] = dist[p, b:] + w
+    # from_x[y, x] = dist_x(y) over canonical taxa; cell (x, y), x < y,
+    # takes the sum started at x
+    from_x = dist[np.ix_(vert, column)]
+    iu, ju = np.triu_indices(n, 1)
+    table = np.full((n, n), zero, dtype=dtype)
+    table[iu, ju] = table[ju, iu] = from_x[ju, iu]
     return Semimetric(taxa, table, tree.mode, validate=False)
 
 
@@ -254,25 +297,28 @@ class Split:
         return hex(mask)
 
 
+def _split_masks(tree: PhyloTree):
+    """Every edge's split as an int bitmask over canonical taxon positions:
+    the taxa below the edge's lower end when the tree is rooted at vertex
+    0, gathered in one post-order pass."""
+    order, parent, _ = _rooted(tree)
+    mask = [0] * tree.n_vertices
+    for lab, v in tree.leaf_map.items():
+        mask[v] = 1 << tree.taxa.index[lab]
+    for v in reversed(order[1:]):
+        mask[parent[v]] |= mask[v]
+    return [mask[v] for v in order[1:]]
+
+
 def splits_of(tree: PhyloTree) -> set:
     """One split per edge: the taxa on either side of its removal."""
-    adj = tree.adjacency()
-    labels_at = {}
-    for lab, v in tree.leaf_map.items():
-        labels_at.setdefault(v, []).append(lab)
+    labs = tree.taxa.labels
     out = set()
-    all_taxa = set(tree.taxa.labels)
-    for u, v, _ in tree.edges:
-        side = {u}
-        stack = [u]
-        while stack:
-            a = stack.pop()
-            for nbr, _w in adj[a]:
-                if nbr != v and nbr not in side:
-                    side.add(nbr)
-                    stack.append(nbr)
-        block_a = {lab for w in side for lab in labels_at.get(w, ())}
-        out.add(Split(block_a, all_taxa - block_a))
+    for mask in _split_masks(tree):
+        sides = ([], [])
+        for k, lab in enumerate(labs):
+            sides[mask >> k & 1].append(lab)
+        out.add(Split(*sides))
     return out
 
 
@@ -280,11 +326,25 @@ def nontrivial_splits(tree: PhyloTree) -> set:
     return {s for s in splits_of(tree) if not s.is_trivial()}
 
 
+def _nontrivial_masks(tree: PhyloTree) -> set:
+    """The non-trivial splits as bitmasks, each turned to the side without
+    taxon 0 so that one split has one mask."""
+    n = len(tree.taxa)
+    full = (1 << n) - 1
+    out = set()
+    for mask in _split_masks(tree):
+        if mask & 1:
+            mask ^= full
+        if 2 <= mask.bit_count() <= n - 2:
+            out.add(mask)
+    return out
+
+
 def robinson_foulds(t1: PhyloTree, t2: PhyloTree) -> int:
     """Symmetric difference count of the non-trivial split sets."""
     if t1.taxa != t2.taxa:
         raise ValidationError("taxon sets differ")
-    return len(nontrivial_splits(t1) ^ nontrivial_splits(t2))
+    return len(_nontrivial_masks(t1) ^ _nontrivial_masks(t2))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ Everything here enumerates: LP minima come from inspecting every basic
 vertex of the constraint polyhedron, QP minima from minimizing over every
 face, tree metrics from Dijkstra, and the four-point test from checking
 every quadruple.  Slow on purpose; used to pin expected values for the
-fast implementations.
+fast implementations.  Tree metrics and splits also have the package's
+former routes here, one traversal per taxon and one walk per edge, so the
+one-pass rewrites can be compared with them bit for bit.
 
 Two reference routes that the package no longer runs live here as well: a
 dense two-phase primal simplex (independent of the package's dual route),
@@ -446,6 +448,64 @@ def tree_metric_oracle(tree):
         for j, lab2 in enumerate(labs):
             out[i, j] = dist[tree.leaf_map[lab2]]
     return out
+
+
+def tree_metric_traversal(tree):
+    """The induced table by one whole-tree traversal per taxon, summing
+    each distance outward from the taxon earlier in canonical order and
+    mirroring it (the package's former route).  Entries are floats or
+    Fractions as the tree's weights are, so it is compared bit for bit."""
+    taxa = tree.taxa
+    n = len(taxa)
+    adj = tree.adjacency()
+    zero = Fraction(0) if tree.mode == "rational" else 0.0
+    table = np.full((n, n), zero, dtype=object if tree.mode == "rational" else float)
+    vert = [tree.leaf_map[lab] for lab in taxa.labels]
+    vert_to_taxon = {v: i for i, v in enumerate(vert)}
+    for i in range(n):
+        dist = {vert[i]: zero}
+        stack = [vert[i]]
+        while stack:
+            u = stack.pop()
+            for nbr, w in adj[u]:
+                if nbr not in dist:
+                    dist[nbr] = dist[u] + w
+                    stack.append(nbr)
+        for v, d in dist.items():
+            j = vert_to_taxon.get(v)
+            if j is not None and j > i:
+                table[i, j] = table[j, i] = d
+    return table
+
+
+def splits_walk(tree):
+    """Every edge's split, by walking the tree once per edge from one of
+    its endpoints (the package's former route); a set of Split."""
+    from treegromov.treemetric import Split
+
+    adj = tree.adjacency()
+    labels_at = {v: lab for lab, v in tree.leaf_map.items()}
+    all_taxa = set(tree.taxa.labels)
+    out = set()
+    for u, v, _ in tree.edges:
+        side = {u}
+        stack = [u]
+        while stack:
+            a = stack.pop()
+            for nbr, _w in adj[a]:
+                if nbr != v and nbr not in side:
+                    side.add(nbr)
+                    stack.append(nbr)
+        block_a = {labels_at[w] for w in side if w in labels_at}
+        out.add(Split(block_a, all_taxa - block_a))
+    return out
+
+
+def robinson_foulds_walk(t1, t2):
+    """Robinson-Foulds distance from splits_walk: the size of the symmetric
+    difference of the non-trivial split sets."""
+    nontrivial = [{s for s in splits_walk(t) if not s.is_trivial()} for t in (t1, t2)]
+    return len(nontrivial[0] ^ nontrivial[1])
 
 
 def four_point_oracle(table, rtol=FOUR_POINT_RTOL):

@@ -14,14 +14,17 @@ from treegromov import (
     TaxonSet,
     TreegromovError,
     ValidationError,
+    WeightedGraph,
     dinf_closed_form,
     format_certificate,
+    graph_metric,
     gromov_distance,
     pairwise_matrix,
     parse_newick,
     pd_distance,
     quadrangle_feasible,
     random_binary_tree,
+    random_caterpillar,
     realize_extension,
     restrict,
     semimetric_from_table,
@@ -498,6 +501,111 @@ def test_realize_extension_rejects_infeasible_delta():
     zero = DeltaVector(r1.taxa, np.zeros(4))
     with pytest.raises(TreegromovError):
         realize_extension(r1, r2, zero)
+
+
+def _carrier_metric(r1, r2, delta):
+    """Path metric of the carrier graph by Floyd-Warshall: a rho clique on
+    the taxa, a rho' clique on their primed copies, and an edge of weight
+    delta_x between x and x'."""
+    labs = r1.taxa.labels
+    primed = tuple(lab + "'" for lab in labs)
+    n = len(labs)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = [(labs[i], labs[j], r1.table[i, j]) for i, j in pairs]
+    edges += [(primed[i], primed[j], r2.table[i, j]) for i, j in pairs]
+    edges += [(labs[i], primed[i], delta.values[i]) for i in range(n)]
+    return graph_metric(WeightedGraph(labs + primed, edges, mode=r1.mode))
+
+
+def _extension_cases(mode):
+    """Semimetric pairs with the deltas to extend by: D1 and D2 argmins of
+    both variants (D2 in float mode only) and the constant Dinf vector."""
+    rng = np.random.default_rng(7)
+    pairs = [_random_pair(n, n, "unit", mode) for n in (4, 9, 16)]
+    if mode == "float":
+        pairs += [_random_pair(n, n, "uniform01") for n in (5, 12, 20)]
+        t1, t2 = random_caterpillar(10, 1), random_caterpillar(10, 2)
+        pairs.append((tree_to_semimetric(t1), tree_to_semimetric(t2)))
+    labs = [f"s{i}" for i in range(7)]
+    tables = [orc.random_integer_semimetric(7, rng).tolist() for _ in range(2)]
+    pairs.append(tuple(semimetric_from_table(labs, t, mode=mode) for t in tables))
+    norms = (1, 2) if mode == "float" else (1,)
+    for r1, r2 in pairs:
+        for norm in norms:
+            for variant in ("lower", "full"):
+                spec = GromovSpec(norm=norm, variant=variant)
+                yield r1, r2, gromov_distance(r1, r2, spec).argmin
+        dinf = dinf_closed_form(r1, r2)
+        yield r1, r2, DeltaVector(r1.taxa, [dinf] * len(r1.taxa), mode)
+
+
+def test_extension_equals_the_carrier_graph_metric_float():
+    for r1, r2, delta in _extension_cases("float"):
+        ext = realize_extension(r1, r2, delta).semimetric
+        want = _carrier_metric(r1, r2, delta)
+        assert ext.taxa == want.taxa
+        scale = max(1.0, r1.table.max(), r2.table.max())
+        assert np.abs(ext.table - want.table).max() <= 1e-12 * scale
+
+
+def test_extension_equals_the_carrier_graph_metric_rational():
+    for r1, r2, delta in _extension_cases("rational"):
+        ext = realize_extension(r1, r2, delta).semimetric
+        assert ext == _carrier_metric(r1, r2, delta)
+        assert all(type(x) is Fraction for x in ext.table.flat)
+
+
+@pytest.mark.parametrize("mode", ["float", "rational"])
+def test_extension_refuses_tables_that_break_the_triangle_inequality(mode):
+    # the closed form is the path metric only when both tables are
+    # semimetrics; a path 0-2-1 shorter than d(0,1) must not pass
+    labs = ["a", "b", "c"]
+    bent = [[0, 10, 1], [10, 0, 1], [1, 1, 0]]
+    good = [[0, 2, 1], [2, 0, 1], [1, 1, 0]]
+    if mode == "rational":
+        # broken by the least amount exact arithmetic can see
+        bent = [[Fraction(x) for x in row] for row in good]
+        bent[0][1] = bent[1][0] = 2 + Fraction(1, 10**12)
+    r_bent = semimetric_from_table(labs, bent, mode=mode, validate=False)
+    r_good = semimetric_from_table(labs, good, mode=mode)
+    for r1, r2, name in ((r_bent, r_good, r"rho \("), (r_good, r_bent, r"rho' \(")):
+        dinf = dinf_closed_form(r1, r2)
+        delta = DeltaVector(r1.taxa, [dinf] * 3, mode)
+        assert quadrangle_feasible(r1, r2, delta)[0]
+        with pytest.raises(TreegromovError, match="failed to restrict to " + name):
+            realize_extension(r1, r2, delta)
+
+
+def test_extension_tolerance_follows_both_tables_scales():
+    # one table at 1e-3 and one at 1e6, in both orders: the audits are held
+    # to 1e-9 of the larger scale, not of the first table's
+    small = tree_to_semimetric(random_binary_tree(30, 17, "uniform01")).scaled(1e-3)
+    large = tree_to_semimetric(random_binary_tree(30, 117, "uniform01")).scaled(1e6)
+    # points on a line make every triangle tight; lengthening one cell by
+    # 1e-5 breaks one by 1e-11 of the scale, which validation accepts
+    line = np.random.default_rng(3).uniform(0, 1e6, 30)
+    table = np.abs(line[:, None] - line[None, :])
+    table[0, 1] = table[1, 0] = table[0, 1] + 1e-5
+    bent = Semimetric(small.taxa, table)
+    for big in (large, bent):
+        for r1, r2 in ((small, big), (big, small)):
+            dinf = dinf_closed_form(r1, r2)
+            ext = realize_extension(r1, r2, DeltaVector(r1.taxa, [dinf] * 30))
+            assert ext.restrict_left() == r1 and ext.restrict_right() == r2
+            for lab in r1.taxa.labels:
+                assert ext.matched_distance(lab) == pytest.approx(dinf, rel=1e-12)
+
+
+def test_extension_diagonal_audit_catches_a_broken_difference_row(monkeypatch):
+    # with the feasibility check bypassed, delta = (0, 10) on two points at
+    # distance 1 breaks a difference row: the path b - a - a' - b' of
+    # length 2 undercuts the matching edge b - b' of weight 10
+    import treegromov.gromov as gromov_module
+
+    monkeypatch.setattr(gromov_module, "quadrangle_feasible", lambda *args: (True, []))
+    r = semimetric_from_table(["a", "b"], [[0, 1], [1, 0]])
+    with pytest.raises(TreegromovError, match="failed to match delta at b"):
+        realize_extension(r, r, DeltaVector(r.taxa, [0.0, 10.0]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Property tests on random semimetrics drawn by hypothesis."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from treegromov import (  # noqa: E402
     GromovSpec,
     _kernels,
     gromov_distance,
+    pd_distance,
     quadrangle_feasible,
     random_binary_tree,
     semimetric_from_table,
@@ -34,13 +36,13 @@ def _closure(n, weights):
 
 
 @st.composite
-def semimetric_pairs(draw, mode="float", max_n=8):
+def semimetric_pairs(draw, mode="float", max_n=8, count=2):
     n = draw(st.integers(3, max_n))
     m = n * (n - 1) // 2
     labs = [f"t{i}" for i in range(n)]
     tables = [
         _closure(n, draw(st.lists(st.integers(0, 9), min_size=m, max_size=m)))
-        for _ in range(2)
+        for _ in range(count)
     ]
     if mode == "rational":
         tables = [t.astype(int).tolist() for t in tables]
@@ -137,3 +139,46 @@ def test_exact_tree_certificate_agrees_with_the_scan(case):
     tab, _ = case
     accepted = _kernels.tree_certificate(tab.tolist(), 0)
     assert accepted == (_kernels.four_point(tab, 0)[0] < 0)
+
+
+NORMS = (1, 2, "inf")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(semimetric_pairs(), st.integers(-6, 8), st.floats(1.0, 9.99))
+def test_distances_scale_with_the_tables(pair, exponent, mantissa):
+    # D(c rho, c rho') = c D(rho, rho'): every row is homogeneous of degree
+    # one and the norms are too
+    r1, r2 = pair
+    c = mantissa * 10.0**exponent
+    s1, s2 = r1.scaled(c), r2.scaled(c)
+    scale = c * max(1.0, r1.table.max(), r2.table.max())
+    for norm in NORMS:
+        want = c * gromov_distance(r1, r2, GromovSpec(norm=norm)).value
+        got = gromov_distance(s1, s2, GromovSpec(norm=norm)).value
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-9 * scale)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(semimetric_pairs(count=3))
+def test_distances_meet_the_triangle_inequality(triple):
+    # delta_ab + delta_bc meets every pair row of (a, c), so the sum of two
+    # optima bounds the third
+    a, b, c = triple
+    scale = max(1.0, *(float(r.table.max()) for r in triple))
+    for norm in NORMS:
+        spec = GromovSpec(norm=norm)
+        ab, bc, ac = (gromov_distance(x, y, spec).value for x, y in ((a, b), (b, c), (a, c)))
+        assert ac <= ab + bc + 1e-9 * scale
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(semimetric_pairs())
+def test_d2_is_at_least_pd2_over_root_two_n_minus_one(pair):
+    # summing (delta_x + delta_y)^2 <= 2 (delta_x^2 + delta_y^2) over the
+    # pairs gives PD2^2 <= 2 (n - 1) D2^2
+    r1, r2 = pair
+    n = len(r1.taxa)
+    d2 = gromov_distance(r1, r2, GromovSpec(norm=2)).value
+    bound = pd_distance(r1, r2, 2) / math.sqrt(2 * (n - 1))
+    assert d2 >= bound - 1e-9 * max(1.0, r1.table.max(), r2.table.max())

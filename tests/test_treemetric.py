@@ -9,6 +9,7 @@ import pytest
 import _oracles as orc
 from treegromov import (
     NniMove,
+    PhyloTree,
     Split,
     ValidationError,
     apply_nni,
@@ -70,6 +71,81 @@ def test_tree_metric_rational_exact():
     rho = tree_to_semimetric(t)
     assert rho.dist("A", "B") == Fraction(1)
     assert rho.dist("A", "C") == Fraction(1, 3) + Fraction(1, 7) + 2 + Fraction(3, 2)
+
+
+def _scaled(tree, scale):
+    return PhyloTree(
+        tree.n_vertices, [(u, v, w * scale) for u, v, w in tree.edges], tree.leaf_map
+    )
+
+
+def _random_labelled_tree(n, seed):
+    """A random recursive tree with every vertex a taxon, so taxa sit at
+    internal vertices of every degree."""
+    rng = np.random.default_rng(seed)
+    edges = [(i, int(rng.integers(0, i)), float(rng.uniform(0.01, 1.0))) for i in range(1, n)]
+    return PhyloTree(n, edges, {f"x{i}": i for i in range(n)})
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3, 1e8])
+@pytest.mark.parametrize("model", ["unit", "uniform01"])
+def test_tree_metric_is_bitwise_the_traversal_oracle(model, scale):
+    # every cell is summed outward from its earlier taxon, in the
+    # traversal's order, so the tables agree byte for byte
+    for seed in range(12):
+        n = 3 + 7 * seed
+        tree = _scaled(random_binary_tree(n, seed, model), scale)
+        got = tree_to_semimetric(tree).table
+        assert got.tobytes() == orc.tree_metric_traversal(tree).tobytes()
+
+
+def test_tree_metric_with_labelled_internal_vertices_is_bitwise_the_oracle():
+    for seed in range(20):
+        tree = _random_labelled_tree(2 + 2 * seed, seed)
+        got = tree_to_semimetric(tree).table
+        assert got.tobytes() == orc.tree_metric_traversal(tree).tobytes()
+
+
+def test_rational_tree_metric_equals_the_traversal_oracle_exactly():
+    for seed in range(6):
+        tree = random_caterpillar(6 + 3 * seed, seed, mode="rational")
+        tree = PhyloTree(
+            tree.n_vertices,
+            [(u, v, w / (seed + 3)) for u, v, w in tree.edges],
+            tree.leaf_map,
+            "rational",
+        )
+        got = tree_to_semimetric(tree).table
+        assert all(type(x) is Fraction for x in got.flat)
+        assert (got == orc.tree_metric_traversal(tree)).all()
+        labelled = _random_labelled_tree(9, seed).with_mode("float")
+        exact = PhyloTree(
+            labelled.n_vertices,
+            [(u, v, Fraction(k + 1, 7)) for k, (u, v, _) in enumerate(labelled.edges)],
+            labelled.leaf_map,
+            "rational",
+        )
+        assert (tree_to_semimetric(exact).table == orc.tree_metric_traversal(exact)).all()
+
+
+def test_tree_metric_of_a_1500_deep_caterpillar():
+    # the rooted pass keeps an explicit stack, so depth is no limit
+    tree = random_caterpillar(1500, 1)
+    table = tree_to_semimetric(tree).table
+    labs = tree.taxa.labels
+    # one traversal from the first taxon gives the whole first row
+    adj = tree.adjacency()
+    dist = {tree.leaf_map[labs[0]]: 0.0}
+    stack = list(dist)
+    while stack:
+        u = stack.pop()
+        for v, w in adj[u]:
+            if v not in dist:
+                dist[v] = dist[u] + w
+                stack.append(v)
+    assert table[0].tolist() == [dist[tree.leaf_map[lab]] for lab in labs]
+    assert table.max() == 1499.0  # the two cherries at the ends
+    assert (table == table.T).all()
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +405,43 @@ def test_robinson_foulds_values():
     c1 = parse_newick("(1,(2,(3,(4,5))));")
     c2 = parse_newick("(1,(3,(2,(4,5))));")
     assert robinson_foulds(c1, c2) == 2
+
+
+def _split_cases():
+    """Random, caterpillar and one-NNI pairs of trees."""
+    for seed in range(10):
+        n = 4 + 5 * seed
+        t1 = random_binary_tree(n, seed, "uniform01")
+        t2 = random_binary_tree(n, seed + 100)
+        cat = random_caterpillar(n, seed)
+        moves = nni_moves(t1)
+        yield t1, t2
+        yield t1, cat
+        yield cat, random_caterpillar(n, seed + 100)
+        yield t1, apply_nni(t1, moves[seed % len(moves)])
+
+
+def _renumbered(tree, seed):
+    """The same tree with its vertex ids shuffled, so that vertex 0 (where
+    the split pass roots the tree) is some other vertex."""
+    perm = np.random.default_rng(seed).permutation(tree.n_vertices)
+    edges = [(perm[u], perm[v], w) for u, v, w in tree.edges]
+    leaf_map = {lab: perm[v] for lab, v in tree.leaf_map.items()}
+    return PhyloTree(tree.n_vertices, edges, leaf_map, tree.mode)
+
+
+def test_splits_and_robinson_foulds_equal_the_per_edge_walk():
+    for k, (t1, t2) in enumerate(_split_cases()):
+        t2 = _renumbered(t2, k)
+        assert splits_of(t1) == orc.splits_walk(t1)
+        assert splits_of(t2) == orc.splits_walk(t2)
+        assert robinson_foulds(t1, t2) == orc.robinson_foulds_walk(t1, t2)
+    # taxa on internal vertices: trivial splits differ between trees
+    for seed in range(8):
+        t1 = _random_labelled_tree(3 + 4 * seed, seed)
+        t2 = _renumbered(_random_labelled_tree(3 + 4 * seed, seed + 50), seed)
+        assert splits_of(t2) == orc.splits_walk(t2)
+        assert robinson_foulds(t1, t2) == orc.robinson_foulds_walk(t1, t2)
 
 
 def test_robinson_foulds_requires_same_taxa():
