@@ -14,18 +14,18 @@ lists; the two were even at n=100, and numpy was twice as fast at n=200
 metric on the same host, against about 0.2 s for the four-point scan it
 saves.
 
-Constraint rows and dual columns share one sparse encoding: each row/column
-has one or two nonzero entries, stored as ``(idx1, val1, idx2, val2)`` with
-``idx2 == -1`` when the second entry is absent.  Values are +-1 for every
-program assembled in this package, but the kernels accept any floats.
+Programs are pair rows x[i1[r]] + x[i2[r]] >= b[r] with i1[r] != i2[r],
+passed as the index arrays i1, i2 and the right-hand side b; every row has
+two +1 coefficients, so no coefficient array is stored.
 
 The simplex kernel solves, with the primal simplex method, the *dual* of
 
     min c.x   s.t.  A x >= b,  x >= 0
 
 namely  min (-b).y  s.t.  A^T y + s = c,  y >= 0, s >= 0,  which has an
-immediately feasible all-slack basis whenever c >= 0.  The caller recovers
-the primal optimum from the equality multipliers (x* = -pi).
+immediately feasible all-slack basis whenever c >= 0.  Column r < m of
+the dual is pair row r, and column m + j the slack of x[j].  The caller
+recovers the primal optimum from the equality multipliers (x* = -pi).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 LP_OPTIMAL = 0
-LP_DUAL_UNBOUNDED = 1  # primal infeasible
+LP_DUAL_UNBOUNDED = 1  # primal infeasible: on pair rows, only rounding
 LP_ITER_LIMIT = 2
 
 QP_OPTIMAL = 0
@@ -45,8 +45,9 @@ QP_ITER_LIMIT = 2
 # ---------------------------------------------------------------------------
 
 def floyd_warshall(dist: np.ndarray) -> np.ndarray:
-    """All-pairs shortest paths; ``dist`` is a square matrix with np.inf
-    for missing edges.  Returns a new array."""
+    """All-pairs shortest paths; ``dist`` is a square matrix with inf for
+    missing edges, float64 or an object array of Fractions (Fraction + inf
+    is inf, and np.minimum keeps the Fraction).  Returns a new array."""
     d = dist.copy()
     n = d.shape[0]
     for k in range(n):
@@ -153,40 +154,39 @@ def tree_certificate(d, eps) -> bool:
 # Revised simplex on the dual
 # ---------------------------------------------------------------------------
 
-def dense_basis(ci1, cv1, ci2, cv2, basis, n):
+def dense_basis(i1, i2, basis, n):
+    """The n x n basis matrix of the dual's columns ``basis``: pair column
+    r has +1 at rows i1[r] and i2[r], slack column m + j has +1 at row j."""
+    m = i1.shape[0]
     B = np.zeros((n, n))
     pos = np.arange(n)
-    B[ci1[basis], pos] = cv1[basis]
-    second = ci2[basis] >= 0
-    B[ci2[basis[second]], pos[second]] = cv2[basis[second]]
+    pair = basis < m
+    B[i1[basis[pair]], pos[pair]] = 1.0
+    B[i2[basis[pair]], pos[pair]] = 1.0
+    B[basis[~pair] - m, pos[~pair]] = 1.0
     return B
 
 
-def dual_simplex(
-    ci1, cv1, ci2, cv2, g, c_rhs, bland_after: int, tol: float, max_iter: int
-):
+def dual_simplex(i1, i2, b, c_rhs, bland_after: int, tol: float, max_iter: int):
     """Primal simplex on the dual problem; see module docstring.
 
-    Returns (status, basis, iterations, ray_col, ray_d).  On
-    LP_DUAL_UNBOUNDED, ``ray_col`` is the entering column and ``ray_d`` the
-    basic direction, which together define the unbounded dual ray (the
-    Farkas certificate of primal infeasibility).
+    Returns (status, basis, iterations, xB, pi): xB and pi solve
+    B xB = c and B^T pi = g[basis] for the returned basis on LP_OPTIMAL
+    and LP_DUAL_UNBOUNDED, and are None on LP_ITER_LIMIT.
     """
     n = c_rhs.shape[0]
-    ncol = g.shape[0]
-    basis = np.arange(ncol - n, ncol, dtype=np.int64)
-    in_basis = np.zeros(ncol, dtype=bool)
+    m = b.shape[0]
+    g = np.concatenate([-b, np.zeros(n)])
+    basis = np.arange(m, m + n, dtype=np.int64)
+    in_basis = np.zeros(m + n, dtype=bool)
     in_basis[basis] = True
-    ci2_safe = np.where(ci2 >= 0, ci2, 0)
-    has2 = ci2 >= 0
     degenerate_streak = 0
-    no_ray = np.zeros(n)
 
     for it in range(1, max_iter + 1):
-        B = dense_basis(ci1, cv1, ci2, cv2, basis, n)
+        B = dense_basis(i1, i2, basis, n)
         xB = np.linalg.solve(B, c_rhs)
         pi = np.linalg.solve(B.T, g[basis])
-        red = g - cv1 * pi[ci1] - np.where(has2, cv2 * pi[ci2_safe], 0.0)
+        red = np.concatenate([g[:m] - pi[i1] - pi[i2], -pi])
         red[in_basis] = 0.0
 
         if degenerate_streak > bland_after:
@@ -197,17 +197,18 @@ def dual_simplex(
             if red[entering] >= -tol:
                 entering = -1
         if entering < 0:
-            return (LP_OPTIMAL, basis, it, -1, no_ray)
+            return (LP_OPTIMAL, basis, it, xB, pi)
 
         a = np.zeros(n)
-        a[ci1[entering]] = cv1[entering]
-        if ci2[entering] >= 0:
-            a[ci2[entering]] += cv2[entering]
+        if entering < m:
+            a[i1[entering]] = a[i2[entering]] = 1.0
+        else:
+            a[entering - m] = 1.0
         d = np.linalg.solve(B, a)
 
         pos = d > 1e-11
         if not pos.any():
-            return (LP_DUAL_UNBOUNDED, basis, it, entering, d)
+            return (LP_DUAL_UNBOUNDED, basis, it, xB, pi)
         ratios = np.where(pos, xB / np.where(pos, d, 1.0), np.inf)
         theta = float(ratios.min())
         close = np.nonzero(ratios <= theta + 1e-12)[0]
@@ -220,7 +221,7 @@ def dual_simplex(
         basis = basis.copy()
         basis[leave] = entering
 
-    return (LP_ITER_LIMIT, basis, max_iter, -1, no_ray)
+    return (LP_ITER_LIMIT, basis, max_iter, None, None)
 
 
 # ---------------------------------------------------------------------------
@@ -235,17 +236,7 @@ def dual_simplex(
 # can still enter and np.linalg.solve raises; solve_qp reports that as a
 # TreegromovError.
 
-def row_dot(ri1, rv1, ri2, rv2, vec):
-    """A x for the sparse row encoding: one value per row."""
-    out = rv1 * vec[ri1]
-    second = ri2 >= 0
-    out[second] += rv2[second] * vec[ri2[second]]
-    return out
-
-
-def active_set_qp(
-    ri1, rv1, ri2, rv2, b, w, x0, tol: float, max_iter: int
-):
+def active_set_qp(i1, i2, b, w, x0, tol: float, max_iter: int):
     """Returns (status, x, work_rows, iterations)."""
     m = b.shape[0]
     n = w.shape[0]
@@ -262,9 +253,8 @@ def active_set_qp(
         else:
             rows = np.array(work, dtype=np.int64)
             AW = np.zeros((k, n))
-            AW[np.arange(k), ri1[rows]] = rv1[rows]
-            second = ri2[rows] >= 0
-            AW[np.nonzero(second)[0], ri2[rows[second]]] += rv2[rows[second]]
+            AW[np.arange(k), i1[rows]] = 1.0
+            AW[np.arange(k), i2[rows]] = 1.0
             AWD = AW * winv[None, :]
             G = AWD @ AW.T
             sol = np.linalg.solve(G, b[rows])
@@ -287,8 +277,8 @@ def active_set_qp(
             x = xhat
             continue
 
-        ap = row_dot(ri1, rv1, ri2, rv2, p)
-        ax = row_dot(ri1, rv1, ri2, rv2, x)
+        ap = p[i1] + p[i2]
+        ax = x[i1] + x[i2]
         desc = (~in_work) & (ap < -1e-12)
         alpha = 1.0
         blocking = -1

@@ -23,6 +23,7 @@ from .core import (
     TaxonSet,
     TreegromovError,
     ValidationError,
+    _as_integers,
     format_scalar,
     parse_newick,
     parse_newick_file,
@@ -361,19 +362,22 @@ def cmd_experiment(args) -> int:
 
 
 def _triangle_witness(rho):
-    n = len(rho.taxa)
+    """First (i, j, k) in lexicographic order with
+    d(i,k) - d(i,j) - d(j,k) > tol, as labels, else None; one numpy step
+    over the (j, k) plane per i, on integers in rational mode."""
     labs = rho.taxa.labels
     tab = rho.table
     if rho.mode == MODE_FLOAT:
         scale = max(1.0, float(np.max(np.asarray(tab, dtype=float), initial=0.0)))
         tol = 1e-9 * scale
     else:
+        tab = _as_integers(tab)
         tol = 0
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if tab[i, k] - tab[i, j] - tab[j, k] > tol:
-                    return labs[i], labs[j], labs[k]
+    for i, row in enumerate(tab):
+        bad = (row[None, :] - row[:, None]) - tab > tol
+        if bad.any():
+            j, k = np.argwhere(bad)[0]
+            return labs[i], labs[j], labs[k]
     return None
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -106,10 +107,8 @@ def scalar_array(table, mode: str) -> np.ndarray:
     if mode == MODE_FLOAT:
         return np.array(table, dtype=np.float64)
     arr = np.asarray(table, dtype=object)
-    out = np.empty(arr.shape, dtype=object)
-    for idx in np.ndindex(arr.shape):
-        out[idx] = as_scalar(arr[idx], MODE_RATIONAL)
-    return out
+    cells = [as_scalar(x, MODE_RATIONAL) for x in arr.ravel().tolist()]
+    return np.array(cells, dtype=object).reshape(arr.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -177,17 +176,28 @@ class TaxonSet:
 # Semimetric
 # ---------------------------------------------------------------------------
 
-def _worst_triangle_float(d: np.ndarray):
-    """Return (excess, i, j, k) maximizing d[i,j] - d[i,k] - d[k,j]."""
+def _worst_triangle(d: np.ndarray):
+    """Return (excess, i, j, k) maximizing d[i,j] - d[i,k] - d[k,j], the
+    first maximum in k-major, then row-major order; floats or integers."""
     n = d.shape[0]
-    worst = (-np.inf, 0, 0, 0)
+    worst = (-math.inf, 0, 0, 0)
     for k in range(n):
         excess = d - (d[:, k : k + 1] + d[k : k + 1, :])
         t = int(np.argmax(excess))
         i, j = divmod(t, n)
         if excess[i, j] > worst[0]:
-            worst = (float(excess[i, j]), i, j, k)
+            worst = (excess[i, j], i, j, k)
     return worst
+
+
+def _as_integers(d: np.ndarray) -> np.ndarray:
+    """The Fraction table d times the lcm of its denominators: exact and
+    order-preserving, int64 when sums of three entries cannot overflow,
+    else Python ints."""
+    den = math.lcm(*(x.denominator for x in d.flat))
+    ints = [x.numerator * (den // x.denominator) for x in d.flat]
+    small = max(map(abs, ints), default=0) < 2**61
+    return np.array(ints, dtype=np.int64 if small else object).reshape(d.shape)
 
 
 class Semimetric:
@@ -241,33 +251,23 @@ class Semimetric:
             if (d < 0).any():
                 i, j = np.argwhere(d < 0)[0]
                 raise ValidationError(f"negative entry d({labs[i]},{labs[j]})={d[i, j]}")
-            excess, i, j, k = _worst_triangle_float(d)
-            if excess > TRIANGLE_RTOL * max(1.0, float(d[i, j])):
-                raise ValidationError(
-                    f"triangle inequality violated: d({labs[i]},{labs[j]})={d[i, j]} > "
-                    f"d({labs[i]},{labs[k]})+d({labs[k]},{labs[j]})="
-                    f"{d[i, k]}+{d[k, j]}"
-                )
-            return
-        for i in range(n):
-            if d[i, i] != 0:
-                raise ValidationError(f"nonzero diagonal at {labs[i]}: {d[i, i]}")
-            for j in range(n):
-                if d[i, j] != d[j, i]:
-                    raise ValidationError(
-                        f"asymmetric table: d({labs[i]},{labs[j]}) != d({labs[j]},{labs[i]})"
-                    )
-                if d[i, j] < 0:
-                    raise ValidationError(f"negative entry d({labs[i]},{labs[j]})={d[i, j]}")
-        worst = None
-        for k in range(n):
+            excess, i, j, k = _worst_triangle(d)
+            violated = excess > TRIANGLE_RTOL * max(1.0, float(d[i, j]))
+        else:
             for i in range(n):
+                if d[i, i] != 0:
+                    raise ValidationError(f"nonzero diagonal at {labs[i]}: {d[i, i]}")
                 for j in range(n):
-                    excess = d[i, j] - d[i, k] - d[k, j]
-                    if excess > 0 and (worst is None or excess > worst[0]):
-                        worst = (excess, i, j, k)
-        if worst is not None:
-            _, i, j, k = worst
+                    if d[i, j] != d[j, i]:
+                        raise ValidationError(
+                            f"asymmetric table: d({labs[i]},{labs[j]}) != d({labs[j]},{labs[i]})"
+                        )
+                    if d[i, j] < 0:
+                        raise ValidationError(f"negative entry d({labs[i]},{labs[j]})={d[i, j]}")
+            # exact, and scaling keeps the first maximum in place
+            excess, i, j, k = _worst_triangle(_as_integers(d))
+            violated = excess > 0
+        if violated:
             raise ValidationError(
                 f"triangle inequality violated: d({labs[i]},{labs[j]})={d[i, j]} > "
                 f"d({labs[i]},{labs[k]})+d({labs[k]},{labs[j]})={d[i, k]}+{d[k, j]}"

@@ -96,41 +96,22 @@ class WeightedGraph:
 
 
 def _all_pairs(graph: WeightedGraph):
-    """Shortest-path matrix in graph vertex order; raises on disconnected
-    input."""
+    """Shortest-path matrix in graph vertex order, by the Floyd-Warshall
+    kernel in both modes (an object array of Fractions in rational mode,
+    where Fraction + inf is inf); raises on disconnected input."""
     nv = len(graph.vertices)
     if graph.mode == MODE_FLOAT:
-        d = np.full((nv, nv), np.inf)
+        d = np.full((nv, nv), math.inf)
         np.fill_diagonal(d, 0.0)
-        for iu, iv, w in graph.edges:
-            d[iu, iv] = d[iv, iu] = float(w)
-        d = _kernels.floyd_warshall(d)
-        if not np.isfinite(d).all():
-            raise ValidationError("graph is disconnected")
-        return d
-    INF = None
-    d = [[INF] * nv for _ in range(nv)]
-    for i in range(nv):
-        d[i][i] = Fraction(0)
+    else:
+        d = np.full((nv, nv), math.inf, dtype=object)
+        np.fill_diagonal(d, Fraction(0))
     for iu, iv, w in graph.edges:
-        d[iu][iv] = d[iv][iu] = w
-    for k in range(nv):
-        dk = d[k]
-        for i in range(nv):
-            dik = d[i][k]
-            if dik is INF:
-                continue
-            di = d[i]
-            for j in range(nv):
-                if dk[j] is INF:
-                    continue
-                alt = dik + dk[j]
-                if di[j] is INF or alt < di[j]:
-                    di[j] = alt
-    for row in d:
-        if any(x is INF for x in row):
-            raise ValidationError("graph is disconnected")
-    return np.array(d, dtype=object)
+        d[iu, iv] = d[iv, iu] = w
+    d = _kernels.floyd_warshall(d)
+    if not (d < math.inf).all():  # a NaN weight fails too
+        raise ValidationError("graph is disconnected")
+    return d
 
 
 def graph_metric(graph: WeightedGraph) -> Semimetric:

@@ -1,15 +1,15 @@
 """Dense LP, assignment and convex-QP solvers sized for a few hundred
 variables.
 
-A program is stored as arrays, one entry per constraint row:
+A program is a set of pair rows, stored as arrays with one entry per row:
 
-    v1[r] * x[i1[r]] + v2[r] * x[i2[r]] >= b[r],    i2[r] = -1 for one entry
+    x[i1[r]] + x[i2[r]] >= b[r],    i1[r] != i2[r]
 
-with coefficients +-1 (the sparse kernels exploit that structure; v2 is
-stored as 0 where i2 = -1).  LinearProgram.from_sparse and
-QuadraticProgram.from_sparse are the only constructors; they validate the
-arrays in vectorised checks and store them read-only.  The exact simplex
-reads them as Python lists of Fractions.
+which is every row the distance computations build.
+LinearProgram.from_sparse and QuadraticProgram.from_sparse are the only
+constructors; they validate the arrays in vectorised checks and store them
+read-only.  The constant vector max(b, 0) meets every pair row, so no
+program is ever infeasible.
 
 The linear solver solves the dual of
 
@@ -19,8 +19,9 @@ with a revised primal simplex, because the dual's basis is only n x n no
 matter how many rows the primal has (rows here grow quadratically in the
 taxon count while variables grow linearly).  The all-slack dual basis is
 feasible exactly when c >= 0, so solve_lp accepts nonnegative objectives
-only; every program this package assembles has one.  Exact-rational solves
-follow the same route with Fraction arithmetic and Bland's rule throughout.
+only; every program this package assembles has one, and with c >= 0 and a
+feasible primal the dual is bounded.  Exact-rational solves follow the
+same route with Fraction arithmetic and Bland's rule throughout.
 
 The uniform-weight pair-row LP
 
@@ -32,21 +33,26 @@ solve_assignment takes g itself, runs the O(n^3) Hungarian kernel
 (shortest augmenting paths; the same code on floats and on Fractions, so
 the rational route does no simplex pivoting), and returns x = (u + v) / 2
 from the assignment potentials with the dual y_ij = (P_ij + P_ji) / 2 from
-the permutation.  The certificate keys match solve_lp's ("dual" with one
-entry per pair row, "duality_gap"), and the audit is O(n^2).
+the permutation.  Its certificate has solve_lp's keys ("dual" with one
+entry per pair row, "duality_gap").
+
+Both norm-1 routes certify the same program, and one O(m + n) audit
+judges both results: the pair rows and x >= 0 within FEAS_ATOL of the data
+scale max(1, max|b|), y >= 0 and A^T y <= c within FEAS_ATOL of
+max(1, max c), and the duality gap |b.y - c.x| within GAP_RTOL relative;
+in rational mode every check is exact and the gap must be zero.
 
 The quadratic solver is a primal active-set method for strictly convex
-diagonal objectives sum w_j x_j^2 over rows whose coefficients are all +1.
-With A >= 0 entrywise, raising a negative x_j to 0 keeps every row and
-lowers the objective, so the optimum is >= 0 without an x >= 0 row, and
-the constant vector max(b, 0) meets every row: a QP is never infeasible.
-Working-set rows stay linearly independent automatically (a blocking row
-has a.p != 0 while working rows have a.p == 0), so the small KKT systems
-never need rank checks.  Its KKT residuals are audited relative to the data
-scale s = max(1, max|b|, max|2wx|): stationarity, primal (rows and x >= 0)
-and dual parts against KKT_TOL * s, complementarity against KKT_TOL * s^2.
+diagonal objectives sum w_j x_j^2 over pair rows.  With A >= 0 entrywise,
+raising a negative x_j to 0 keeps every row and lowers the objective, so
+the optimum is >= 0 without an x >= 0 row.  Working-set rows stay
+linearly independent automatically (a blocking row has a.p != 0 while
+working rows have a.p == 0), so the small KKT systems never need rank
+checks.  Its KKT residuals are audited relative to the data scale
+s = max(1, max|b|, max|2wx|): stationarity, primal (rows and x >= 0) and
+dual parts against KKT_TOL * s, complementarity against KKT_TOL * s^2.
 
-A singular linear system inside either float solver, or a failed KKT audit,
+A singular linear system inside either float solver, or a failed audit,
 is reported as a TreegromovError with an instance summary, never as a bare
 numpy error.
 """
@@ -54,6 +60,7 @@ numpy error.
 from __future__ import annotations
 
 import math
+import numbers
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -71,7 +78,6 @@ from .core import (
 )
 
 STATUS_OPTIMAL = "optimal"
-STATUS_INFEASIBLE = "infeasible"
 
 FEAS_ATOL = 1e-9
 GAP_RTOL = 1e-8
@@ -99,37 +105,43 @@ def _check(ok, message):
         raise ValidationError(f"{message} (entry {bad[0]})")
 
 
-class _RowProgram:
-    """Shared storage: read-only row arrays (i1, v1, i2, v2, b)."""
+def _indices(a):
+    """The 1-D index array a as int64; ValidationError at its first entry
+    that is not an integer, or is one too large for int64."""
+    if a.dtype.kind not in "iu":
+        values = a.tolist()
+        _check(
+            np.array(
+                [isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in values],
+                dtype=bool,
+            ),
+            "row indices must be integers",
+        )
+        _check(np.array([abs(v) < 2**63 for v in values], dtype=bool), "variable index out of range")
+    return a.astype(np.int64)
 
-    __slots__ = ("n_vars", "i1", "v1", "i2", "v2", "b", "mode")
+
+class _RowProgram:
+    """Shared storage: read-only pair-row arrays (i1, i2, b)."""
+
+    __slots__ = ("n_vars", "i1", "i2", "b", "mode")
 
     def _init_rows(self, n_vars, rows, mode):
         check_mode(mode)
         try:
-            i1, v1, i2, v2, b = (np.array(a) for a in rows)
-            index_kinds = {a.dtype.kind for a in (i1, i2) if a.size}
-            v1 = v1.astype(np.float64)
-            v2 = v2.astype(np.float64)
+            i1, i2, b = (np.array(a) for a in rows)
             b = _scalars(b, mode)
         except (TypeError, ValueError) as exc:
-            raise ValidationError(
-                f"rows must be five arrays (i1, v1, i2, v2, b): {exc}"
-            ) from None
-        if i1.ndim != 1 or len({a.shape for a in (i1, v1, i2, v2, b)}) != 1:
+            raise ValidationError(f"rows must be three arrays (i1, i2, b): {exc}") from None
+        if i1.ndim != 1 or len({a.shape for a in (i1, i2, b)}) != 1:
             raise ValidationError("row arrays must be 1-D and of equal length")
-        if not index_kinds <= {"i", "u"}:
-            raise ValidationError("row indices must be integers")
-        i1, i2 = i1.astype(np.int64), i2.astype(np.int64)
-        two = i2 >= 0
-        v2 = np.where(two, v2, 0.0)
-        _check((0 <= i1) & (i1 < n_vars) & (-1 <= i2) & (i2 < n_vars),
+        i1, i2 = _indices(i1), _indices(i2)
+        _check((0 <= i1) & (i1 < n_vars) & (0 <= i2) & (i2 < n_vars),
                "variable index out of range")
         _check(i1 != i2, "variable appears twice in one row")
-        _check((np.abs(v1) == 1) & ((np.abs(v2) == 1) | ~two), "coefficients must be +-1")
         if mode == MODE_FLOAT:
             _check(np.isfinite(b), "rhs must be finite")
-        for name, arr in (("i1", i1), ("v1", v1), ("i2", i2), ("v2", v2), ("b", b)):
+        for name, arr in (("i1", i1), ("i2", i2), ("b", b)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "n_vars", int(n_vars))
@@ -144,13 +156,13 @@ class _RowProgram:
 
 
 class LinearProgram(_RowProgram):
-    """min c.x subject to the stored rows and 0 <= x."""
+    """min c.x subject to the stored pair rows and 0 <= x."""
 
     __slots__ = ("c",)
 
     @classmethod
     def from_sparse(cls, objective, rows, mode=MODE_FLOAT):
-        """rows: (i1, v1, i2, v2, b), see the module docstring."""
+        """rows: (i1, i2, b), see the module docstring."""
         self = object.__new__(cls)
         c = _scalars(objective, mode)
         if mode == MODE_FLOAT:
@@ -168,20 +180,19 @@ class LinearProgram(_RowProgram):
 
 
 class QuadraticProgram(_RowProgram):
-    """min sum_j w_j x_j^2 subject to the stored rows; w finite and
-    strictly positive, every row coefficient +1, float mode only."""
+    """min sum_j w_j x_j^2 subject to the stored pair rows; w finite and
+    strictly positive, float mode only."""
 
     __slots__ = ("weights",)
 
     @classmethod
     def from_sparse(cls, weights, rows):
+        """rows: (i1, i2, b), see the module docstring."""
         self = object.__new__(cls)
         w = _scalars(weights, MODE_FLOAT)
         _check(np.isfinite(w), "quadratic weights must be finite")
         _check(w > 0, "quadratic weights must be strictly positive")
         self._init_rows(len(w), rows, MODE_FLOAT)
-        _check((self.v1 == 1) & ((self.v2 == 1) | (self.i2 < 0)),
-               "quadratic program coefficients must be +1")
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
         return self
@@ -195,8 +206,7 @@ class OptResult:
 
     value/argmin are in the solve's mode; kkt_residual is None for LPs.
     certificate carries the machine-checkable evidence: dual vector and
-    duality gap for optimal LPs, a Farkas ray for infeasible ones, KKT
-    residual components for QPs.
+    duality gap for LPs and assignments, KKT residual components for QPs.
     """
 
     __slots__ = (
@@ -236,86 +246,123 @@ class OptResult:
         return OptResult(**fields)
 
     def __repr__(self):
-        if self.status != STATUS_OPTIMAL:
-            return f"OptResult({self.status}, method={self.method})"
         return (
-            f"OptResult(optimal, value={self.value}, "
+            f"OptResult({self.status}, value={self.value}, "
             f"iterations={self.iterations}, method={self.method})"
         )
 
 
-# ---------------------------------------------------------------------------
-# Row arithmetic helpers
-# ---------------------------------------------------------------------------
-
-def _rows_in_mode(prog, mode):
-    """The stored rows: float64 arrays in float mode, Python lists in
-    rational mode (values as Fractions, so the exact simplex never divides
-    two ints)."""
-    i1, v1, i2, v2, b = prog.i1, prog.v1, prog.i2, prog.v2, prog.b
-    if mode == MODE_FLOAT:
-        return i1, v1, i2, v2, np.asarray(b, dtype=np.float64)
-    v1 = [Fraction(v) for v in v1.tolist()]
-    v2 = [Fraction(v) for v in v2.tolist()]
-    return i1.tolist(), v1, i2.tolist(), v2, b.tolist()
-
-
-def _scatter_rows(i1, v1, i2, v2, y, n_vars):
-    """A^T y for the sparse row encoding."""
-    out = np.zeros(n_vars)
-    np.add.at(out, i1, v1 * y)
-    second = i2 >= 0
-    np.add.at(out, i2[second], v2[second] * y[second])
+def _scatter_rows(i1, i2, y, n_vars):
+    """A^T y for the pair rows, in y's dtype (Fractions stay exact)."""
+    out = np.zeros(n_vars, dtype=y.dtype)
+    np.add.at(out, i1, y)
+    np.add.at(out, i2, y)
     return out
+
+
+def _instance(b, n_vars):
+    return f"rows={len(b)}, vars={n_vars}, max|b|={float(np.abs(b).max(initial=0.0)):.6g}"
+
+
+# ---------------------------------------------------------------------------
+# The norm-1 audit, shared by solve_lp and solve_assignment
+# ---------------------------------------------------------------------------
+
+def _certify(route, i1, i2, b, c, x, y, mode):
+    """Audit x and y as optimal primal and dual solutions of
+
+        min c.x  s.t.  x[i1] + x[i2] >= b,  x >= 0
+
+    in O(m + n), with c None for unit weights (value x.sum()).  The checks
+    run in this order: the pair rows, x >= 0, y >= 0, A^T y <= c and the
+    duality gap |b.y - value| (see the module docstring for the
+    tolerances).  In float mode the entries of x and y below zero, within
+    tolerance, are set to zero before the later checks see them.  Returns
+    (x, y, value, gap); x and y keep their rational types as given.  A
+    failed check raises TreegromovError.
+    """
+    n = len(x)
+    instance = _instance(b, n)
+    if mode == MODE_FLOAT:
+        xs, ys = x, y
+        tol = FEAS_ATOL * max(1.0, float(np.abs(b).max(initial=0.0)))
+        ytol = FEAS_ATOL * max(1.0, 1.0 if c is None else float(c.max(initial=0.0)))
+    else:
+        xs, ys = np.array(x, dtype=object), np.array(y, dtype=object)
+        tol = ytol = 0
+    # argmax and argmin pick a NaN first, and "not <= tol" fails on it
+    short = b - (xs[i1] + xs[i2])
+    k = int(np.argmax(short)) if len(b) else -1
+    if k >= 0 and not short[k] <= tol:
+        raise TreegromovError(
+            f"{route} breaks the pair row ({i1[k]},{i2[k]}) by {short[k]}; "
+            f"instance: {instance}"
+        )
+    k = int(np.argmin(xs)) if n else -1
+    if k >= 0 and not -xs[k] <= tol:
+        raise TreegromovError(
+            f"{route} puts x[{k}] = {xs[k]} below zero; instance: {instance}"
+        )
+    k = int(np.argmin(ys)) if len(b) else -1
+    if k >= 0 and not -ys[k] <= ytol:
+        raise TreegromovError(
+            f"{route} dual puts y[{k}] = {ys[k]} below zero; instance: {instance}"
+        )
+    if mode == MODE_FLOAT:
+        x = xs = np.maximum(xs, 0.0)
+        y = ys = np.maximum(ys, 0.0)
+    over = _scatter_rows(i1, i2, ys, n) - (1 if c is None else c)
+    k = int(np.argmax(over)) if n else -1
+    if k >= 0 and not over[k] <= ytol:
+        raise TreegromovError(
+            f"{route} dual breaks A^T y <= c at x[{k}] by {over[k]}; "
+            f"instance: {instance}"
+        )
+    if mode == MODE_FLOAT:
+        value = float(xs.sum()) if c is None else float(np.dot(c, xs))
+        gap = abs(float(np.dot(b, ys)) - value)
+        ok = gap <= GAP_RTOL * max(1.0, abs(value))  # NaN fails
+    else:
+        zero = Fraction(0)
+        if c is None:
+            value = sum(xs.tolist(), zero)
+        else:
+            value = sum((ci * xi for ci, xi in zip(c.tolist(), xs.tolist())), zero)
+        gap = abs(sum((bk * yk for bk, yk in zip(b.tolist(), ys.tolist()) if yk), zero) - value)
+        ok = gap == 0
+    if not ok:
+        raise TreegromovError(
+            f"{route} duality gap {gap} exceeds tolerance; instance: {instance}"
+        )
+    return x, y, value, gap
 
 
 # ---------------------------------------------------------------------------
 # Float LP, dual route
 # ---------------------------------------------------------------------------
 
-def _lp_float_dual(i1, v1, i2, v2, b, c):
-    """Returns a dict with status plus primal/dual data.  Requires c >= 0."""
+def _lp_float_dual(i1, i2, b, c):
+    """Primal x and dual y read off the simplex's final basis, y as solved
+    (solve_lp's audit judges its sign).  Requires c >= 0."""
     n = len(c)
     m = len(b)
-    c = np.asarray(c, dtype=np.float64)
-    ci1 = np.concatenate([i1, np.arange(n, dtype=np.int64)])
-    cv1 = np.concatenate([v1, np.ones(n)])
-    ci2 = np.concatenate([i2, np.full(n, -1, dtype=np.int64)])
-    cv2 = np.concatenate([v2, np.zeros(n)])
-    g = np.concatenate([-b, np.zeros(n)])
     max_iter = 20000 + 100 * n
-    status, basis, iters, ray_col, ray_d = _kernels.dual_simplex(
-        ci1, cv1, ci2, cv2, g, c, BLAND_AFTER, PIVOT_TOL, max_iter
+    status, basis, iters, xB, pi = _kernels.dual_simplex(
+        i1, i2, b, c, BLAND_AFTER, PIVOT_TOL, max_iter
     )
     if status == _kernels.LP_ITER_LIMIT:
         raise TreegromovError(
             f"simplex iteration limit ({max_iter}) hit on {m} rows x {n} vars"
         )
-    basis = np.asarray(basis, dtype=np.int64)
-    B = _kernels.dense_basis(ci1, cv1, ci2, cv2, basis, n)
     if status == _kernels.LP_DUAL_UNBOUNDED:
-        ray = np.zeros(m + n)
-        ray[ray_col] = 1.0
-        for t in range(n):
-            ray[basis[t]] -= ray_d[t]
-        ray_y = np.maximum(ray[:m], 0.0)
-        return {"status": STATUS_INFEASIBLE, "iterations": int(iters), "farkas": ray_y}
-    xB = np.linalg.solve(B, c)
-    pi = np.linalg.solve(B.T, g[basis])
-    x = -pi
+        raise TreegromovError(
+            f"simplex found the dual unbounded, which a pair-row program "
+            f"cannot be; instance: {_instance(b, n)}"
+        )
     y = np.zeros(m)
-    for t in range(n):
-        if basis[t] < m:
-            y[basis[t]] = xB[t]
-    y = np.maximum(y, 0.0)
-    return {
-        "status": STATUS_OPTIMAL,
-        "iterations": int(iters),
-        "x": x,
-        "y": y,
-        "primal_value": float(np.dot(c, np.maximum(x, 0.0))),
-        "dual_value": float(np.dot(b, y)),
-    }
+    pair = basis < m
+    y[basis[pair]] = xB[pair]
+    return {"iterations": int(iters), "x": -pi, "y": y}
 
 
 # ---------------------------------------------------------------------------
@@ -346,15 +393,13 @@ def _frac_solve(mat, rhs):
     return [M[r][n] for r in range(n)]
 
 
-def _lp_rational_dual(i1, v1, i2, v2, b, c):
-    """Exact mirror of _lp_float_dual; Bland's rule from the start."""
+def _lp_rational_dual(i1, i2, b, c):
+    """Exact mirror of _lp_float_dual on lists of Fractions; Bland's rule
+    from the start.  Column j < m of the dual is pair row j, column m + k
+    the slack of x[k]."""
     n = len(c)
     m = len(b)
-    zero = Fraction(0)
-    ci1 = list(i1) + list(range(n))
-    cv1 = list(v1) + [Fraction(1)] * n
-    ci2 = list(i2) + [-1] * n
-    cv2 = list(v2) + [zero] * n
+    zero, one = Fraction(0), Fraction(1)
     g = [-x for x in b] + [zero] * n
     ncol = m + n
     basis = list(range(m, ncol))
@@ -363,12 +408,14 @@ def _lp_rational_dual(i1, v1, i2, v2, b, c):
         in_basis[col] = True
     max_iter = 20000 + 100 * n
 
+    def column(col):
+        return (i1[col], i2[col]) if col < m else (col - m,)
+
     for it in range(1, max_iter + 1):
         B = [[zero] * n for _ in range(n)]
         for t, col in enumerate(basis):
-            B[ci1[col]][t] = cv1[col]
-            if ci2[col] >= 0:
-                B[ci2[col]][t] = cv2[col]
+            for r in column(col):
+                B[r][t] = one
         xB = _frac_solve(B, list(c))
         Bt = [[B[r][t] for r in range(n)] for t in range(n)]
         pi = _frac_solve(Bt, [g[col] for col in basis])
@@ -376,32 +423,21 @@ def _lp_rational_dual(i1, v1, i2, v2, b, c):
         for j in range(ncol):
             if in_basis[j]:
                 continue
-            red = g[j] - cv1[j] * pi[ci1[j]]
-            if ci2[j] >= 0:
-                red -= cv2[j] * pi[ci2[j]]
+            red = g[j]
+            for r in column(j):
+                red -= pi[r]
             if red < 0:
                 entering = j
                 break
         if entering < 0:
-            x = [-p for p in pi]
             y = [zero] * m
             for t, col in enumerate(basis):
                 if col < m:
                     y[col] = xB[t]
-            value = sum(ci * xi for ci, xi in zip(c, x))
-            dual_value = sum(bi * yi for bi, yi in zip(b, y))
-            return {
-                "status": STATUS_OPTIMAL,
-                "iterations": it,
-                "x": x,
-                "y": y,
-                "primal_value": value,
-                "dual_value": dual_value,
-            }
+            return {"iterations": it, "x": [-p for p in pi], "y": y}
         a = [zero] * n
-        a[ci1[entering]] = cv1[entering]
-        if ci2[entering] >= 0:
-            a[ci2[entering]] += cv2[entering]
+        for r in column(entering):
+            a[r] = one
         d = _frac_solve(B, a)
         theta = None
         for t in range(n):
@@ -410,16 +446,10 @@ def _lp_rational_dual(i1, v1, i2, v2, b, c):
                 if theta is None or r < theta:
                     theta = r
         if theta is None:
-            ray = [zero] * ncol
-            ray[entering] = Fraction(1)
-            for t in range(n):
-                ray[basis[t]] -= d[t]
-            ray_y = [x if x > 0 else zero for x in ray[:m]]
-            return {
-                "status": STATUS_INFEASIBLE,
-                "iterations": it,
-                "farkas": ray_y,
-            }
+            raise TreegromovError(
+                f"exact simplex found the dual unbounded, which a pair-row "
+                f"program cannot be; instance: {_instance(b, n)}"
+            )
         leave = -1
         leave_var = ncol
         for t in range(n):
@@ -436,10 +466,6 @@ def _lp_rational_dual(i1, v1, i2, v2, b, c):
 # solve_lp
 # ---------------------------------------------------------------------------
 
-def _instance(b, n_vars):
-    return f"rows={len(b)}, vars={n_vars}, max|b|={float(np.abs(b).max(initial=0.0)):.6g}"
-
-
 @contextmanager
 def _singular_as_error(route, b, n_vars):
     """Re-raise a LinAlgError from the float kernels or the certificate
@@ -453,29 +479,9 @@ def _singular_as_error(route, b, n_vars):
         ) from exc
 
 
-def _check_farkas(i1, v1, i2, v2, b, ray, n_vars):
-    """Audit a float Farkas ray for A x >= b, x >= 0: ray >= 0,
-    A^T ray <= 0 and b.ray > 0."""
-    back = _scatter_rows(i1, v1, i2, v2, ray, n_vars)
-    if (ray < 0).any() or back.max(initial=0.0) > 1e-7 or float(np.dot(b, ray)) <= 0:
-        raise TreegromovError("invalid Farkas certificate produced")
-
-
-def _verify_primal_float(i1, v1, i2, v2, b, x, n_vars):
-    x = np.maximum(x, 0.0)
-    vals = _kernels.row_dot(i1, v1, i2, v2, x)
-    worst = float((b - vals).max(initial=0.0))
-    scale = max(1.0, float(np.abs(b).max(initial=0.0)))
-    if not worst <= FEAS_ATOL * scale:  # NaN fails
-        raise TreegromovError(
-            f"solver produced an infeasible point (violation {worst:.3e}); "
-            f"instance: {_instance(b, n_vars)}"
-        )
-    return x
-
-
 def solve_lp(lp: LinearProgram, mode: str | None = None) -> OptResult:
-    """Globally solve the LP with the dual-route simplex.
+    """Globally solve the LP with the dual-route simplex, and audit the
+    primal and dual solutions (see the module docstring).
 
     mode defaults to the program's own mode; a rational program may be
     solved in float mode (exact data converted down), never the reverse.
@@ -492,44 +498,16 @@ def solve_lp(lp: LinearProgram, mode: str | None = None) -> OptResult:
             "solve_lp requires a nonnegative objective (dual-route simplex)"
         )
 
-    i1, v1, i2, v2, b = _rows_in_mode(lp, mode)
+    i1, i2 = lp.i1, lp.i2
     if mode == MODE_RATIONAL:
-        out = _lp_rational_dual(i1, v1, i2, v2, b, lp.c.tolist())
+        b, c = lp.b, lp.c
+        out = _lp_rational_dual(i1.tolist(), i2.tolist(), b.tolist(), c.tolist())
     else:
+        b = np.asarray(lp.b, dtype=np.float64)
         c = np.asarray(lp.c, dtype=np.float64)
         with _singular_as_error("simplex", b, lp.n_vars):
-            out = _lp_float_dual(i1, v1, i2, v2, b, c)
-    if out["status"] == STATUS_INFEASIBLE:
-        ray = out["farkas"]
-        if mode == MODE_FLOAT:
-            _check_farkas(i1, v1, i2, v2, b, ray, lp.n_vars)
-        return OptResult(
-            STATUS_INFEASIBLE,
-            None,
-            None,
-            out["iterations"],
-            mode,
-            "dual",
-            certificate={"farkas_ray": ray},
-        )
-    if mode == MODE_RATIONAL:
-        x = out["x"]
-        # exact feasibility audit
-        for r in range(len(b)):
-            val = v1[r] * x[i1[r]]
-            if i2[r] >= 0:
-                val += v2[r] * x[i2[r]]
-            if val < b[r]:
-                raise TreegromovError("exact simplex returned an infeasible point")
-        if out["primal_value"] != out["dual_value"]:
-            raise TreegromovError("exact simplex: duality gap is nonzero")
-        value, gap = out["primal_value"], Fraction(0)
-    else:
-        x = _verify_primal_float(i1, v1, i2, v2, b, out["x"], lp.n_vars)
-        value = float(np.dot(c, x))
-        gap = abs(out["dual_value"] - value)
-        if not gap <= GAP_RTOL * max(1.0, abs(value)):  # NaN fails
-            raise TreegromovError(f"duality gap {gap:.3e} exceeds tolerance")
+            out = _lp_float_dual(i1, i2, b, c)
+    x, y, value, gap = _certify("simplex", i1, i2, b, c, out["x"], out["y"], mode)
     return OptResult(
         STATUS_OPTIMAL,
         value,
@@ -537,7 +515,7 @@ def solve_lp(lp: LinearProgram, mode: str | None = None) -> OptResult:
         out["iterations"],
         mode,
         "dual",
-        certificate={"dual": out["y"], "duality_gap": gap},
+        certificate={"dual": y, "duality_gap": gap},
     )
 
 
@@ -552,12 +530,9 @@ def solve_assignment(g, mode: str = MODE_FLOAT) -> OptResult:
     g is a symmetric n x n table with a zero diagonal and nonnegative
     entries.  The assignment potentials u, v give x = (u + v) / 2, and the
     permutation matrix P gives the dual y_ij = (P_ij + P_ji) / 2, one entry
-    per pair row in np.triu_indices order (see the module docstring).  Both
-    are audited in O(n^2): the pair rows and x >= 0 within FEAS_ATOL of the
-    data scale in float mode (entries of x below zero within it are set to
-    zero) and exactly in rational mode, y >= 0 with A^T y <= 1, and the
-    duality gap |b.y - sum x|, exactly zero in rational mode and within
-    GAP_RTOL in float mode.  A failed audit raises TreegromovError.
+    per pair row in np.triu_indices order (see the module docstring).
+    Both pass solve_lp's audit of the same program with unit weights; a
+    failed check raises TreegromovError.
     """
     check_mode(mode)
     g = scalar_array(g, mode)
@@ -572,53 +547,15 @@ def solve_assignment(g, mode: str = MODE_FLOAT) -> OptResult:
         )
     col_of_row, u, v, steps = _kernels.max_assignment(g.tolist())
     iu, ju = np.triu_indices(n, 1)
-    b = g[iu, ju]
     perm = np.array(col_of_row, dtype=np.int64)
     halves = (perm[iu] == ju).astype(np.int64) + (perm[ju] == iu)
     if mode == MODE_FLOAT:
         x = (np.array(u, dtype=np.float64) + np.array(v, dtype=np.float64)) / 2
         y = halves / 2
-        zero = 0.0
-        tol = FEAS_ATOL * max(1.0, float(b.max(initial=0.0)))
     else:
         x = np.array([Fraction(a + c) / 2 for a, c in zip(u, v)], dtype=object)
-        y = np.array([Fraction(h, 2) for h in halves.tolist()], dtype=object)
-        zero = tol = Fraction(0)
-    instance = _instance(np.asarray(b, dtype=float), n)
-    # argmax and argmin pick a NaN first, and "not <= tol" fails on it
-    short = b - (x[iu] + x[ju])
-    k = int(np.argmax(short)) if len(b) else -1
-    if k >= 0 and not short[k] <= tol:
-        raise TreegromovError(
-            f"assignment potentials break the pair row ({iu[k]},{ju[k]}) by "
-            f"{short[k]}; instance: {instance}"
-        )
-    k = int(np.argmin(x)) if n else -1
-    if k >= 0 and not -x[k] <= tol:
-        raise TreegromovError(
-            f"assignment potentials put x[{k}] = {x[k]} below zero; "
-            f"instance: {instance}"
-        )
-    back = np.full(n, zero, dtype=y.dtype)
-    np.add.at(back, iu, y)
-    np.add.at(back, ju, y)
-    if (y < 0).any() or (back > 1).any():
-        raise TreegromovError("assignment dual breaks y >= 0 or A^T y <= 1")
-    if mode == MODE_FLOAT:
-        x = np.maximum(x, 0.0)
-        value = float(x.sum())
-        gap = abs(float(np.dot(b, y)) - value)
-        ok = gap <= GAP_RTOL * max(1.0, abs(value))  # NaN fails
-        dual = y
-    else:
-        value = sum(x.tolist(), zero)
-        gap = abs(sum((bk * yk for bk, yk in zip(b.tolist(), y.tolist()) if yk), zero) - value)
-        ok = gap == 0
-        dual = y.tolist()
-    if not ok:
-        raise TreegromovError(
-            f"assignment duality gap {gap} exceeds tolerance; instance: {instance}"
-        )
+        y = [Fraction(h, 2) for h in halves.tolist()]
+    x, y, value, gap = _certify("assignment", iu, ju, g[iu, ju], None, x, y, mode)
     return OptResult(
         STATUS_OPTIMAL,
         value,
@@ -626,7 +563,7 @@ def solve_assignment(g, mode: str = MODE_FLOAT) -> OptResult:
         steps,
         mode,
         "assignment",
-        certificate={"dual": dual, "duality_gap": gap},
+        certificate={"dual": y, "duality_gap": gap},
     )
 
 
@@ -634,36 +571,28 @@ def solve_assignment(g, mode: str = MODE_FLOAT) -> OptResult:
 # solve_qp
 # ---------------------------------------------------------------------------
 
-def _feasible_start(i1, v1, i2, v2, b, n):
-    """Zero if it meets every row, else the constant vector max(b)/2 if it
-    does, else the constant max(b), which meets every +1 row."""
-    scale = max(1.0, float(np.abs(b).max(initial=0.0)))
-    tol = FEAS_ATOL * scale
-    if len(b) == 0 or b.max(initial=0.0) <= tol:
-        return np.zeros(n)
-    x = np.full(n, float(b.max()) / 2.0)
-    if (_kernels.row_dot(i1, v1, i2, v2, x) >= b - tol).all():
-        return x
-    return np.full(n, float(b.max()))
-
-
 def solve_qp(qp: QuadraticProgram, mode: str = MODE_FLOAT) -> OptResult:
     """Globally solve the strictly convex QP by primal active-set iteration.
 
     Every QP is feasible (see the module docstring), so the status is always
-    optimal.  Entries of the kernel's x below zero count in the primal KKT
-    part, and the returned argmin is x clipped at zero, which keeps every
-    +1 row."""
+    optimal.  The start is zero if it meets every row within tolerance,
+    else the constant max(b)/2, which meets every pair row.  Entries of the
+    kernel's x below zero count in the primal KKT part, and the returned
+    argmin is x clipped at zero, which keeps every pair row."""
     if mode != MODE_FLOAT:
         raise ValidationError("quadratic solves are float-only")
-    i1, v1, i2, v2, b = qp.i1, qp.v1, qp.i2, qp.v2, qp.b
+    i1, i2, b = qp.i1, qp.i2, qp.b
     n = qp.n_vars
     w = qp.weights
-    x0 = _feasible_start(i1, v1, i2, v2, b, n)
+    top = float(b.max(initial=0.0))
+    if top <= FEAS_ATOL * max(1.0, float(np.abs(b).max(initial=0.0))):
+        x0 = np.zeros(n)
+    else:
+        x0 = np.full(n, top / 2.0)
     max_iter = 1000 + 20 * (len(b) + n)
     with _singular_as_error("active-set QP", b, n):
         status, x, work, iters = _kernels.active_set_qp(
-            i1, v1, i2, v2, b, w, x0, 1e-11, max_iter
+            i1, i2, b, w, x0, 1e-11, max_iter
         )
     if status == _kernels.QP_ITER_LIMIT:
         raise TreegromovError("active-set QP iteration limit hit")
@@ -674,17 +603,16 @@ def solve_qp(qp: QuadraticProgram, mode: str = MODE_FLOAT) -> OptResult:
     if work.size:
         k = work.size
         AW = np.zeros((k, n))
-        AW[np.arange(k), i1[work]] = v1[work]
-        second = i2[work] >= 0
-        AW[np.nonzero(second)[0], i2[work[second]]] += v2[work[second]]
+        AW[np.arange(k), i1[work]] = 1.0
+        AW[np.arange(k), i2[work]] = 1.0
         AWD = AW / w[None, :]
         G = AWD @ AW.T
         with _singular_as_error("active-set QP multipliers", b, n):
             nu = 2.0 * np.linalg.solve(G, b[work])
         mu[work] = nu
     grad = 2.0 * w * x
-    stationarity = float(np.abs(grad - _scatter_rows(i1, v1, i2, v2, mu, n)).max(initial=0.0))
-    resid = _kernels.row_dot(i1, v1, i2, v2, x) - b
+    stationarity = float(np.abs(grad - _scatter_rows(i1, i2, mu, n)).max(initial=0.0))
+    resid = x[i1] + x[i2] - b
     primal = float(np.maximum(-np.concatenate([resid, x]), 0.0).max(initial=0.0))
     dual = float(np.maximum(-mu, 0.0).max(initial=0.0))
     comp = float(np.abs(mu * resid).max(initial=0.0))

@@ -8,10 +8,11 @@ fast implementations.  Tree metrics and splits also have the package's
 former routes here, one traversal per taxon and one walk per edge, so the
 one-pass rewrites can be compared with them bit for bit.
 
-Two reference routes that the package no longer runs live here as well: a
-dense two-phase primal simplex (independent of the package's dual route),
-and the norm-inf epigraph LP, built as a package LinearProgram so that
-solve_lp can be checked against the closed form max|rho - rho'| / 2.
+A dense two-phase primal simplex, independent of the package's dual
+route, is here as well; it and the vertex enumeration also solve programs
+the package no longer builds, such as the norm-inf epigraph LP
+(assemble_dense with epigraph=True), whose optimum is the closed form
+max|rho - rho'| / 2.
 """
 
 from __future__ import annotations
@@ -368,33 +369,6 @@ def lp_primal_oracle(c, A, b):
 
 
 # ---------------------------------------------------------------------------
-# the norm-inf epigraph LP, as a program for the package's solve_lp
-
-
-def epigraph_lp(rho, rho_prime, variant="full"):
-    """min t over the relabeling rows plus t >= delta_x for every taxon,
-    as a LinearProgram in the semimetrics' mode (variable n is t).  Rows
-    are built by loops here, independently of the package's pair arrays."""
-    from treegromov import LinearProgram
-
-    n = len(rho.taxa)
-    d, dp = rho.table, rho_prime.table
-    rows = []  # (i1, v1, i2, v2, b)
-    for i in range(n):
-        for j in range(i + 1, n):
-            rows.append((i, 1, j, 1, abs(d[i, j] - dp[i, j])))
-    if variant == "full":
-        for i in range(n):
-            for j in range(i + 1, n):
-                rows.append((i, 1, j, -1, -(d[i, j] + dp[i, j])))
-                rows.append((j, 1, i, -1, -(d[i, j] + dp[i, j])))
-    for i in range(n):
-        rows.append((n, 1, i, -1, 0))
-    columns = tuple(list(col) for col in zip(*rows))
-    return LinearProgram.from_sparse([0] * n + [1], columns, mode=rho.mode)
-
-
-# ---------------------------------------------------------------------------
 # distances straight from the definitions
 
 
@@ -506,6 +480,38 @@ def robinson_foulds_walk(t1, t2):
     difference of the non-trivial split sets."""
     nontrivial = [{s for s in splits_walk(t) if not s.is_trivial()} for t in (t1, t2)]
     return len(nontrivial[0] ^ nontrivial[1])
+
+
+def worst_triangle_loop(table):
+    """(i, j, k) of the first largest excess d(i,j) - d(i,k) - d(k,j) > 0
+    by a loop in k-major, then row-major order, else None; the former
+    rational route of Semimetric validation, exact on Fractions."""
+    n = len(table)
+    worst = None
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                excess = table[i][j] - table[i][k] - table[k][j]
+                if excess > 0 and (worst is None or excess > worst[0]):
+                    worst = (excess, i, j, k)
+    return None if worst is None else worst[1:]
+
+
+def triangle_witness_loop(rho):
+    """First (i, j, k) by a triple loop in lexicographic order with
+    d(i,k) - d(i,j) - d(j,k) above the tolerance of the CLI's validate
+    (1e-9 times max(1, max d) on floats, 0 on Fractions), as labels, else
+    None; the CLI's former route, cell by cell."""
+    labs = rho.taxa.labels
+    tab = rho.table
+    n = len(labs)
+    tol = 0 if rho.mode == "rational" else 1e-9 * max(1.0, float(tab.max(initial=0.0)))
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if tab[i, k] - tab[i, j] - tab[j, k] > tol:
+                    return labs[i], labs[j], labs[k]
+    return None
 
 
 def four_point_oracle(table, rtol=FOUR_POINT_RTOL):

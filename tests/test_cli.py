@@ -381,6 +381,38 @@ def test_validate_triangle_violation(tmp_path, capsys):
     assert "four-point: SKIPPED" in out
 
 
+@pytest.mark.parametrize("mode", ["float", "rational"])
+def test_triangle_witness_matches_the_loop(mode):
+    # random symmetric tables break the triangle inequality in many places;
+    # the first witness in (i, j, k) order must be the triple loop's, also
+    # on float tables just inside and just outside the tolerance
+    from treegromov.cli import _triangle_witness
+
+    import _oracles as orc
+
+    rng = np.random.default_rng(17)
+    labs = [f"t{i}" for i in range(9)]
+    seen = 0
+    for trial in range(40):
+        n = int(rng.integers(3, 10))
+        d = np.triu(rng.integers(1, 12, size=(n, n)), 1)
+        d = d + d.T
+        if mode == "rational":
+            tab = [[Fraction(int(x), 3) for x in row] for row in d]
+        else:
+            tab = d / 3.0
+            if trial % 2:  # closed under shortest paths, then nudged
+                for k in range(n):
+                    tab = np.minimum(tab, tab[:, k : k + 1] + tab[k : k + 1, :])
+                i, j = rng.choice(n, size=2, replace=False)
+                tab[i, j] = tab[j, i] = tab[i, j] + float(rng.choice([0.5e-9, 2e-9])) * 4
+        rho = semimetric_from_table(labs[:n], tab, mode=mode, validate=False)
+        want = orc.triangle_witness_loop(rho)
+        assert _triangle_witness(rho) == want
+        seen += want is not None
+    assert seen > 20
+
+
 def test_validate_four_point_failure(tmp_path, capsys):
     # the 4-cycle metric satisfies the triangle inequality but no tree
     # realizes it

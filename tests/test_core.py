@@ -20,7 +20,7 @@ from treegromov import (
     tree_to_semimetric,
     write_newick,
 )
-from treegromov.core import as_scalar, format_scalar, parse_scalar
+from treegromov.core import as_scalar, format_scalar, parse_scalar, scalar_array
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +196,66 @@ def test_semimetric_rational_exact_validation():
     flt = rho.to_float()
     assert flt.mode == "float"
     assert flt.dist("x", "y") == pytest.approx(1 / 3)
+
+
+def test_scalar_array_rational_coerces_every_cell_into_a_new_array():
+    src = np.array([[0, Fraction(1, 3)], ["2/7", np.int64(4)]], dtype=object)
+    out = scalar_array(src, "rational")
+    assert out.shape == (2, 2) and out.dtype == object
+    assert all(type(x) is Fraction for x in out.ravel())
+    assert out.tolist() == [[0, Fraction(1, 3)], [Fraction(2, 7), 4]]
+    assert not np.shares_memory(out, src)
+    src[0, 0] = Fraction(5)
+    assert out[0, 0] == 0
+    assert scalar_array([], "rational").shape == (0,)
+    for bad in ([[0, 0.5], [0.5, 0]], np.array([[0.0, 1.0], [1.0, 0.0]])):
+        with pytest.raises(ValidationError, match="rational mode does not accept float"):
+            scalar_array(bad, "rational")
+
+
+@pytest.mark.parametrize(
+    "mode,unit",
+    [("float", 1), ("rational", 1), ("rational", Fraction(1, 6)), ("rational", 10**19)],
+)
+def test_semimetric_reports_the_first_of_tied_triangle_violations(mode, unit):
+    # d(a,b) = d(c,d) = 7 and every other pair 3 (in units of `unit`; the
+    # last one is too large for int64 sums): each long pair breaks the
+    # triangle inequality through both other points, and the first maximum
+    # in k-major, then row-major order is (c,d) through a
+    tab = [[0, 7, 3, 3], [7, 0, 3, 3], [3, 3, 0, 7], [3, 3, 7, 0]]
+    tab = np.array(tab, dtype=float) if mode == "float" else [[x * unit for x in row] for row in tab]
+    with pytest.raises(ValidationError) as err:
+        semimetric_from_table(list("abcd"), tab, mode=mode)
+    num = "{}.0" if mode == "float" else "{}"
+    want = "triangle inequality violated: d(c,d)={} > d(c,a)+d(a,d)={}+{}"
+    assert str(err.value) == want.format(*(num.format(v * unit) for v in (7, 3, 3)))
+
+
+@pytest.mark.parametrize("unit", [1, Fraction(1, 6), 10**19])
+def test_semimetric_rational_triangle_check_matches_the_loop(unit):
+    import _oracles as orc
+
+    rng = np.random.default_rng(29)
+    labs = [f"t{i}" for i in range(8)]
+    raised = 0
+    for _ in range(30):
+        n = int(rng.integers(3, 9))
+        d = np.triu(rng.integers(1, 10, size=(n, n)), 1)
+        tab = [[int(x) * unit for x in row] for row in d + d.T]
+        want = orc.worst_triangle_loop(tab)
+        if want is None:
+            semimetric_from_table(labs[:n], tab, mode="rational")
+            continue
+        i, j, k = want
+        message = (
+            f"triangle inequality violated: d({labs[i]},{labs[j]})={tab[i][j]} > "
+            f"d({labs[i]},{labs[k]})+d({labs[k]},{labs[j]})={tab[i][k]}+{tab[k][j]}"
+        )
+        with pytest.raises(ValidationError) as err:
+            semimetric_from_table(labs[:n], tab, mode="rational")
+        assert str(err.value) == message
+        raised += 1
+    assert raised > 10
 
 
 def test_semimetric_mode_mixing_rejected():

@@ -88,6 +88,11 @@ def test_graph_metric_rational_exact():
     )
     d = graph_metric(g)
     assert d.dist("a", "c") == Fraction(1, 2)
+    assert all(type(x) is Fraction for x in d.table.ravel())
+    rng = np.random.default_rng(8)
+    for _ in range(5):
+        d = graph_metric(_random_graph(rng, mode="rational"))
+        assert all(type(x) is Fraction for x in d.table.ravel())
 
 
 def test_graph_metric_modes_agree():
@@ -108,9 +113,11 @@ def test_graph_metric_modes_agree():
 
 
 def test_graph_metric_disconnected():
-    g = WeightedGraph(["a", "b", "c"], [("a", "b", 1.0)])
-    with pytest.raises(ValidationError):
-        graph_metric(g)
+    for mode in ("float", "rational"):
+        g = WeightedGraph(["a", "b", "c", "d"], [("a", "b", 1), ("c", "d", 2)], mode=mode)
+        for check in (graph_metric, check_extendable):
+            with pytest.raises(ValidationError, match="graph is disconnected"):
+                check(g)
 
 
 def test_graph_metric_satisfies_triangle():

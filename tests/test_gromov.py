@@ -28,7 +28,6 @@ from treegromov import (
     realize_extension,
     restrict,
     semimetric_from_table,
-    solve_lp,
     tree_distance,
     tree_to_semimetric,
     write_newick,
@@ -423,13 +422,21 @@ def test_quadrangle_feasible_fails_closed_on_nan():
         realize_extension(r1, r2, delta)
 
 
-def test_verify_primal_fails_closed_on_nan():
-    from treegromov.solver import _verify_primal_float
+def test_verify_primal_fails_closed_on_nan(monkeypatch):
+    # a NaN in the simplex's primal point fails the norm-1 audit
+    from treegromov import solver
 
-    i1, i2 = np.array([0]), np.array([1])
-    v = np.ones(1)
-    with pytest.raises(TreegromovError, match="infeasible point"):
-        _verify_primal_float(i1, v, i2, v, np.array([1.0]), np.array([math.nan, 1.0]), 2)
+    real = solver._lp_float_dual
+
+    def nan_x(*args):
+        out = real(*args)
+        out["x"][0] = math.nan
+        return out
+
+    monkeypatch.setattr(solver, "_lp_float_dual", nan_x)
+    r1, r2 = _quartet_pair()
+    with pytest.raises(TreegromovError, match=r"simplex breaks the pair row \(0,1\) by nan"):
+        gromov_distance(r1, r2, GromovSpec(norm=1, taxon_weights=(1, 1, 1, 1)))
 
 
 def test_quadrangle_feasible_lists_both_families_pair_major():
@@ -670,16 +677,22 @@ def test_norm2_rational_rejected():
 
 
 def test_inf_lp_route_matches_closed_form():
+    # the norm-inf epigraph LP, min t over the relabeling rows and
+    # t - delta_x >= 0, solved by the oracles' LP solvers
     for seed in range(4):
         r1, r2 = _random_pair(6, seed + 1400, weight_model="uniform01")
         closed = gromov_distance(r1, r2, GromovSpec(norm="inf"))
         for variant in ("full", "lower"):
-            lp = solve_lp(orc.epigraph_lp(r1, r2, variant))
-            assert lp.value == pytest.approx(closed.value, abs=1e-9)
+            A, b, _ = orc.assemble_dense(r1.table, r2.table, variant, epigraph=True)
+            value, _ = orc.lp_primal_oracle([0] * 6 + [1], A, b)
+            assert value == pytest.approx(closed.value, abs=1e-9)
     r1, r2 = _quartet_pair(mode="rational")
     closed = gromov_distance(r1, r2, GromovSpec(norm="inf"))
-    lp = solve_lp(orc.epigraph_lp(r1, r2))
-    assert lp.value == closed.value  # exact
+    tables = [[list(row) for row in r.table] for r in (r1, r2)]
+    rows, rhs = orc.assemble_dense_exact(*tables, "full")
+    rows = [r + [0] for r in rows] + [[-int(i == x) for i in range(4)] + [1] for x in range(4)]
+    value, _ = orc.lp_vertex_oracle_exact([0] * 4 + [1], rows, rhs + [0] * 4)
+    assert value == closed.value  # exact
 
 
 @pytest.mark.parametrize("seed", [1, 2])

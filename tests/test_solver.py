@@ -1,10 +1,9 @@
 """LP and QP solvers against hand instances and enumeration oracles.
 
-Programs are given as row arrays (i1, v1, i2, v2, b): row r reads
-v1[r] x[i1[r]] + v2[r] x[i2[r]] >= b[r], with i2[r] = -1 for a single
-entry and coefficients +-1 (+1 only for QPs), which covers every program
-the distance computations assemble; the oracles re-solve the same systems
-by brute force.  An upper bound x_j <= u_j is the row -x_j >= -u_j.
+Programs are given as pair-row arrays (i1, i2, b): row r reads
+x[i1[r]] + x[i2[r]] >= b[r] with i1[r] != i2[r], which covers every
+program the distance computations assemble; the oracles re-solve the same
+systems by brute force.
 """
 
 from fractions import Fraction
@@ -21,23 +20,27 @@ from treegromov import (
     solve_lp,
     solve_qp,
 )
-from treegromov import _kernels
-from treegromov.solver import STATUS_INFEASIBLE, STATUS_OPTIMAL
+from treegromov import _kernels, solver
+from treegromov.solver import STATUS_OPTIMAL
 
 
 def _rows(*rows):
-    """Row arrays from (i1, v1, i2, v2, b) tuples, one per row."""
+    """Row arrays from (i1, i2, b) tuples, one per row."""
     return tuple(list(col) for col in zip(*rows))
 
 
 def _dense_from_rows(rows, nvars):
-    i1, v1, i2, v2, b = (np.asarray(col) for col in rows)
+    i1, i2, b = (np.asarray(col) for col in rows)
     A = np.zeros((len(b), nvars))
     r = np.arange(len(b))
-    A[r, i1] = v1
-    two = i2 >= 0
-    A[r[two], i2[two]] += v2[two]
+    A[r, i1] = 1.0
+    A[r, i2] = 1.0
     return A, b.astype(float)
+
+
+def _random_rows(rng, nv, count, rhs):
+    """count pair rows on nv variables, right-hand sides from rhs()."""
+    return _rows(*((*rng.choice(nv, size=2, replace=False), rhs()) for _ in range(count)))
 
 
 # ---------------------------------------------------------------------------
@@ -46,67 +49,36 @@ def _dense_from_rows(rows, nvars):
 
 def test_lp_single_pair_row():
     # min x0 + x1 subject to x0 + x1 >= 4
-    lp = LinearProgram.from_sparse([1, 1], _rows((0, 1, 1, 1, 4)))
+    lp = LinearProgram.from_sparse([1, 1], _rows((0, 1, 4)))
     res = solve_lp(lp)
     assert res.status == STATUS_OPTIMAL
     assert res.value == pytest.approx(4.0)
     assert res.argmin.sum() == pytest.approx(4.0)
 
 
-def test_lp_upper_bounds_bind():
-    # min x0 + 3*x1 with x0 + x1 >= 4, x0 <= 1: forced to (1, 3)
-    lp = LinearProgram.from_sparse([1, 3], _rows((0, 1, 1, 1, 4), (0, -1, -1, 0, -1)))
-    res = solve_lp(lp)
-    assert res.value == pytest.approx(10.0)
-    assert res.argmin[0] == pytest.approx(1.0)
-
-
-def test_lp_infeasible_farkas():
-    # x0 >= 3 and -x0 >= -1 cannot hold together
-    rows = _rows((0, 1, -1, 0, 3), (0, -1, -1, 0, -1))
-    lp = LinearProgram.from_sparse([1], rows)
-    res = solve_lp(lp)
-    assert res.status == STATUS_INFEASIBLE
-    ray = np.asarray(res.certificate["farkas_ray"], dtype=float)
-    A, b = _dense_from_rows(rows, 1)
-    assert (ray >= -1e-12).all()
-    assert (A.T @ ray <= 1e-9).all()
-    assert b @ ray > 1e-9
-
-
 def test_lp_rational_exact():
+    # x0 carries both rows at cost 1, cheaper than x1 + x2 at cost 5
     lp = LinearProgram.from_sparse(
-        [Fraction(1), Fraction(2)],
-        _rows((0, 1, 1, 1, Fraction(7, 3)), (0, 1, 1, -1, Fraction(-1, 2))),
+        [Fraction(1), Fraction(2), Fraction(3)],
+        _rows((0, 1, Fraction(7, 3)), (0, 2, Fraction(1, 2))),
         mode="rational",
     )
     res = solve_lp(lp)
     assert res.status == STATUS_OPTIMAL
     assert isinstance(res.value, Fraction)
     assert res.value == Fraction(7, 3)  # all weight on x0
+    assert list(res.argmin) == [Fraction(7, 3), 0, 0]
     assert res.certificate["duality_gap"] == 0
 
 
-def test_lp_rational_infeasible_exact_farkas():
-    lp = LinearProgram.from_sparse(
-        [Fraction(1)],
-        _rows((0, 1, -1, 0, Fraction(3)), (0, -1, -1, 0, Fraction(-1))),
-        mode="rational",
-    )
-    res = solve_lp(lp)
-    assert res.status == STATUS_INFEASIBLE
-    ray = res.certificate["farkas_ray"]
-    assert all(y >= 0 for y in ray)
-
-
 def test_lp_mode_guards():
-    lp = LinearProgram.from_sparse([1.0], _rows((0, 1, -1, 0, 1.5)))
+    lp = LinearProgram.from_sparse([1.0, 1.0], _rows((0, 1, 1.5)))
     with pytest.raises(ValidationError):
         solve_lp(lp, mode="rational")
 
 
 def test_lp_rejects_negative_objective():
-    rows = _rows((0, 1, -1, 0, 1))
+    rows = _rows((0, 1, 1))
     with pytest.raises(ValidationError, match="nonnegative objective"):
         solve_lp(LinearProgram.from_sparse([1.0, -0.5], rows))
     lp = LinearProgram.from_sparse([Fraction(1), Fraction(-1, 2)], rows, mode="rational")
@@ -121,20 +93,15 @@ def test_lp_methods_agree():
     rng = np.random.default_rng(11)
     for _ in range(20):
         nv = int(rng.integers(2, 5))
-        rows = []
-        for _ in range(int(rng.integers(2, 7))):
-            i, j = rng.choice(nv, size=2, replace=False)
-            rows.append((i, 1, j, int(rng.choice([-1, 1])), float(rng.integers(-4, 8))))
-        rows = _rows(*rows)
+        rows = _random_rows(rng, nv, int(rng.integers(2, 7)), lambda: float(rng.integers(-4, 8)))
         c = rng.integers(1, 5, size=nv).astype(float)
         res = solve_lp(LinearProgram.from_sparse(list(c), rows))
         A, b = _dense_from_rows(rows, nv)
         primal, _ = orc.lp_primal_oracle(c, A, b)
-        assert (res.status == STATUS_OPTIMAL) == (primal is not None)
-        if res.status == STATUS_OPTIMAL:
-            assert res.value == pytest.approx(primal, abs=1e-8)
-            want, _ = orc.lp_vertex_oracle(c, A, b)
-            assert res.value == pytest.approx(want, abs=1e-8)
+        assert res.status == STATUS_OPTIMAL
+        assert res.value == pytest.approx(primal, abs=1e-8)
+        want, _ = orc.lp_vertex_oracle(c, A, b)
+        assert res.value == pytest.approx(want, abs=1e-8)
 
 
 def test_primal_oracle_handles_negative_objective():
@@ -148,26 +115,20 @@ def test_primal_oracle_handles_negative_objective():
 
 
 def test_lp_oracle_sweep_with_bounds():
+    # the bounds x <= max b never bind at a pair-row optimum (each x_j > 0
+    # is tight on a row, so x_j <= b of that row): enumeration with them
+    # finds the package's optimum, which meets them
     rng = np.random.default_rng(23)
     for _ in range(15):
         nv = int(rng.integers(2, 5))
-        rows = []
-        for _ in range(int(rng.integers(2, 6))):
-            i, j = rng.choice(nv, size=2, replace=False)
-            rows.append((i, 1, j, 1, float(rng.integers(1, 9))))
-        upper = [float(rng.integers(3, 9)) for _ in range(nv)]
-        A, b = _dense_from_rows(_rows(*rows), nv)
-        rows = _rows(*rows, *((j, -1, -1, 0, -u) for j, u in enumerate(upper)))
+        rows = _random_rows(rng, nv, int(rng.integers(2, 6)), lambda: float(rng.integers(1, 9)))
         c = rng.integers(1, 4, size=nv).astype(float)
-        lp = LinearProgram.from_sparse(list(c), rows)
-        res = solve_lp(lp)
+        res = solve_lp(LinearProgram.from_sparse(list(c), rows))
+        A, b = _dense_from_rows(rows, nv)
+        upper = [b.max()] * nv
         want, _ = orc.lp_vertex_oracle(c, A, b, upper)
-        if want is None:
-            assert res.status == STATUS_INFEASIBLE
-        else:
-            assert res.status == STATUS_OPTIMAL
-            assert res.value == pytest.approx(want, abs=1e-8)
-            assert (np.asarray(res.argmin) <= np.asarray(upper) + 1e-9).all()
+        assert res.value == pytest.approx(want, abs=1e-8)
+        assert (np.asarray(res.argmin) <= b.max() + 1e-9).all()
 
 
 def test_lp_rational_oracle_sweep():
@@ -179,7 +140,7 @@ def test_lp_rational_oracle_sweep():
         for _ in range(int(rng.integers(2, 5))):
             i, j = sorted(rng.choice(nv, size=2, replace=False))
             rhs = Fraction(int(rng.integers(1, 9)), int(rng.integers(1, 4)))
-            rows.append((i, 1, j, 1, rhs))
+            rows.append((i, j, rhs))
             dense = [Fraction(0)] * nv
             dense[i] = dense[j] = Fraction(1)
             dense_rows.append(dense)
@@ -187,7 +148,7 @@ def test_lp_rational_oracle_sweep():
         c = [Fraction(int(rng.integers(1, 4))) for _ in range(nv)]
         lp = LinearProgram.from_sparse(c, rows, mode="rational")
         res = solve_lp(lp)
-        want, _ = orc.lp_vertex_oracle_exact(c, dense_rows, rows[4])
+        want, _ = orc.lp_vertex_oracle_exact(c, dense_rows, rows[2])
         assert res.status == STATUS_OPTIMAL
         assert res.value == want  # exact equality, no tolerance
 
@@ -198,7 +159,7 @@ def test_lp_degenerate_instances_terminate():
     rng = np.random.default_rng(97)
     for _ in range(10):
         nv = 4
-        rows = _rows(*((i, 1, j, 1, 2.0) for i in range(nv) for j in range(i + 1, nv)))
+        rows = _rows(*((i, j, 2.0) for i in range(nv) for j in range(i + 1, nv)))
         c = rng.integers(1, 3, size=nv).astype(float)
         lp = LinearProgram.from_sparse(list(c), rows)
         res = solve_lp(lp)
@@ -209,33 +170,37 @@ def test_lp_degenerate_instances_terminate():
 
 def test_lp_sparse_row_validation():
     # one case per check; each names the offending entry
-    good = _rows((0, 1, 1, 1, 1), (1, -1, -1, 0, -2))
-    LinearProgram.from_sparse([1, 1], good)
+    good = _rows((0, 1, 1), (1, 2, -2))
+    LinearProgram.from_sparse([1, 1, 1], good)
     cases = [
-        (good[:1] + ([1, 2],) + good[2:], "coefficients must be"),
-        (good[:3] + ([0, 0],) + good[4:], "coefficients must be"),
-        (([0, 5],) + good[1:], "out of range"),
-        (good[:2] + ([1, -2],) + good[3:], "out of range"),
-        (good[:2] + ([0, -1],) + good[3:], "appears twice"),
-        (good[:4] + ([1.0],), "equal length"),
-        (good[:4] + ([1.0, float("nan")],), "rhs must be finite"),
-        (good[:4] + ([1.0, float("inf")],), "rhs must be finite"),
-        (([0.0, 1.0],) + good[1:], "indices must be integers"),
-        (good[:4], "five arrays"),
+        (([0, 5],) + good[1:], r"out of range \(entry 1\)"),
+        ((good[0], [1, -1], good[2]), r"out of range \(entry 1\)"),
+        ((good[0], [1, 2**70], good[2]), r"out of range \(entry 1\)"),
+        ((good[0], [1, 1], good[2]), r"appears twice in one row \(entry 1\)"),
+        (([0.0, 1.0],) + good[1:], r"indices must be integers \(entry 0\)"),
+        ((good[0], [1, 2.5], good[2]), r"indices must be integers \(entry 0\)"),
+        ((good[0], [1, None], good[2]), r"indices must be integers \(entry 1\)"),
+        (good[:2] + ([1.0],), "equal length"),
+        (good[:2] + ([1.0, float("nan")],), r"rhs must be finite \(entry 1\)"),
+        (good[:2] + ([1.0, float("inf")],), r"rhs must be finite \(entry 1\)"),
+        (good[:2], "three arrays"),
+        (([0, 1], [1, 1.0], [1, -1], [2, 0], [1, -2]), "three arrays"),
     ]
     for rows, message in cases:
         with pytest.raises(ValidationError, match=message):
-            LinearProgram.from_sparse([1, 1], rows)
+            LinearProgram.from_sparse([1, 1, 1], rows)
+        with pytest.raises(ValidationError, match=message):
+            QuadraticProgram.from_sparse([1, 1, 1], rows)
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValidationError, match=r"objective must be finite \(entry 1\)"):
-            LinearProgram.from_sparse([1, bad], good)
+            LinearProgram.from_sparse([1, bad, 1], good)
 
 
 def test_program_arrays_are_read_only_copies():
-    i1, v1, i2, v2, b = (np.array(col) for col in _rows((0, 1, 1, 1, 4.0)))
-    lp = LinearProgram.from_sparse([1, 1], (i1, v1, i2, v2, b))
+    i1, i2, b = (np.array(col) for col in _rows((0, 1, 4.0)))
+    lp = LinearProgram.from_sparse([1, 1], (i1, i2, b))
     assert lp.n_rows == 1
-    for arr in (lp.i1, lp.v1, lp.i2, lp.v2, lp.b, lp.c):
+    for arr in (lp.i1, lp.i2, lp.b, lp.c):
         with pytest.raises(ValueError):
             arr[0] = 0
     b[0] = 5.0  # the caller's arrays stay writable and detached
@@ -246,13 +211,107 @@ def test_rational_rows_stay_fractions():
     # the exact route divides; int rows must not turn that into float
     # division
     lp = LinearProgram.from_sparse(
-        [1, 1], _rows((0, 1, 1, 1, 1), (0, -1, -1, 0, -1), (1, -1, -1, 0, -1)),
-        mode="rational",
+        [1, 1, 1], _rows((0, 1, 1), (1, 2, 1), (0, 2, 1)), mode="rational"
     )
     assert all(isinstance(x, Fraction) for x in lp.b)
     res = solve_lp(lp)
-    assert res.value == 1 and isinstance(res.value, Fraction)
+    assert res.value == Fraction(3, 2) and isinstance(res.value, Fraction)
     assert all(isinstance(x, Fraction) for x in res.argmin)
+    assert all(isinstance(y, Fraction) for y in res.certificate["dual"])
+
+
+# ---------------------------------------------------------------------------
+# LP audit
+
+
+def _bent_dual(monkeypatch, mode, bend):
+    """Make the simplex of the given mode hand solve_lp a changed result."""
+    name = "_lp_float_dual" if mode == "float" else "_lp_rational_dual"
+    real = getattr(solver, name)
+
+    def bent(*args):
+        out = real(*args)
+        bend(out)
+        return out
+
+    monkeypatch.setattr(solver, name, bent)
+
+
+def _audit_lp(mode):
+    # min x0 + x1 + x2 over the three pair rows >= 2: x = (1, 1, 1), and
+    # y = (1/2, 1/2, 1/2) puts A^T y = 1 on every variable
+    two = 2 if mode == "rational" else 2.0
+    rows = _rows((0, 1, two), (1, 2, two), (0, 2, two))
+    return LinearProgram.from_sparse([1, 1, 1], rows, mode=mode)
+
+
+@pytest.mark.parametrize("mode", ["float", "rational"])
+@pytest.mark.parametrize(
+    "where,match",
+    [(0, r"dual puts y\[0\] = -.* below zero"), (1, r"dual breaks A\^T y <= c at x\[1\]")],
+)
+def test_lp_audit_rejects_a_bent_dual(monkeypatch, mode, where, match):
+    # y0 = -1/2 breaks y >= 0; raising y0 and y1 by 1/4 each puts
+    # A^T y = 3/2 on x1, above its cost 1; both keep b.y = c.x
+    quarter = Fraction(1, 4) if mode == "rational" else 0.25
+
+    def bend(out):
+        y = out["y"]
+        if where == 0:
+            y[0] -= 4 * quarter
+            y[1] += 4 * quarter
+        else:
+            y[0] += quarter
+            y[1] += quarter
+            y[2] -= 2 * quarter
+
+    lp = _audit_lp(mode)
+    assert solve_lp(lp).certificate["dual"][0] == 2 * quarter
+    _bent_dual(monkeypatch, mode, bend)
+    with pytest.raises(TreegromovError, match=match + ".*rows=3, vars=3, max.b.=2"):
+        solve_lp(lp)
+
+
+@pytest.mark.parametrize("mode", ["float", "rational"])
+def test_lp_audit_rejects_a_bent_primal(monkeypatch, mode):
+    def lower(out):
+        out["x"][0] -= 1
+
+    _bent_dual(monkeypatch, mode, lower)
+    with pytest.raises(TreegromovError, match=r"simplex breaks the pair row \(0,1\) by 1"):
+        solve_lp(_audit_lp(mode))
+
+
+def test_lp_duality_gap_check_fails_closed_on_nan(monkeypatch):
+    # half the dual keeps y >= 0 and A^T y <= c but opens a gap of half
+    # the value; a NaN in the dual fails the audit too
+    def halve(out):
+        out["y"] /= 2
+
+    _bent_dual(monkeypatch, "float", halve)
+    with pytest.raises(TreegromovError, match="duality gap 1.5 exceeds"):
+        solve_lp(_audit_lp("float"))
+
+    def nan(out):
+        out["y"][:] = float("nan")
+
+    _bent_dual(monkeypatch, "float", nan)
+    with pytest.raises(TreegromovError, match="below zero"):
+        solve_lp(_audit_lp("float"))
+
+
+def test_lp_dual_unbounded_kernel_result_raises(monkeypatch):
+    # a pair-row LP is always feasible, so only rounding could make the
+    # simplex report its dual unbounded; that is an error, not a status
+    real = _kernels.dual_simplex
+
+    def unbounded(*args):
+        _, *rest = real(*args)
+        return (_kernels.LP_DUAL_UNBOUNDED, *rest)
+
+    monkeypatch.setattr(_kernels, "dual_simplex", unbounded)
+    with pytest.raises(TreegromovError, match="dual unbounded.*rows=3, vars=3, max.b.=2"):
+        solve_lp(_audit_lp("float"))
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +320,7 @@ def test_rational_rows_stay_fractions():
 
 def test_qp_projection_onto_halfspace():
     # min x0^2 + x1^2 with x0 + x1 >= 2: projection of the origin is (1, 1)
-    qp = QuadraticProgram.from_sparse([1, 1], _rows((0, 1, 1, 1, 2)))
+    qp = QuadraticProgram.from_sparse([1, 1], _rows((0, 1, 2)))
     res = solve_qp(qp)
     assert res.status == STATUS_OPTIMAL
     assert res.value == pytest.approx(2.0)
@@ -271,31 +330,25 @@ def test_qp_projection_onto_halfspace():
 
 def test_qp_weighted():
     # min 4 x0^2 + x1^2 with x0 + x1 >= 5: optimum at (1, 4)
-    qp = QuadraticProgram.from_sparse([4, 1], _rows((0, 1, 1, 1, 5)))
+    qp = QuadraticProgram.from_sparse([4, 1], _rows((0, 1, 5)))
     res = solve_qp(qp)
     assert np.allclose(res.argmin, [1.0, 4.0], atol=1e-8)
     assert res.value == pytest.approx(20.0)
 
 
 def test_qp_inactive_constraints_stay_at_zero():
-    qp = QuadraticProgram.from_sparse([1, 1, 1], _rows((0, 1, 1, 1, 2), (0, 1, 2, 1, -5)))
+    qp = QuadraticProgram.from_sparse([1, 1, 1], _rows((0, 1, 2), (0, 2, -5)))
     res = solve_qp(qp)
     assert res.argmin[2] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_qp_oracle_sweep():
-    # +1 rows only: the solver adds no x >= 0 rows, the oracle gets them
-    # explicitly, and both must find the same optimum, which is >= 0
+    # the solver adds no x >= 0 rows, the oracle gets them explicitly, and
+    # both must find the same optimum, which is >= 0
     rng = np.random.default_rng(31)
     for _ in range(15):
         nv = int(rng.integers(2, 5))
-        rows = []
-        for _ in range(int(rng.integers(2, 7))):
-            i, j = rng.choice(nv, size=2, replace=False)
-            if rng.random() < 0.25:
-                j = -1
-            rows.append((i, 1, j, 1 if j >= 0 else 0, float(rng.integers(-3, 7))))
-        rows = _rows(*rows)
+        rows = _random_rows(rng, nv, int(rng.integers(2, 7)), lambda: float(rng.integers(-3, 7)))
         w = rng.integers(1, 4, size=nv).astype(float)
         qp = QuadraticProgram.from_sparse(list(w), rows)
         A, b = _dense_from_rows(rows, nv)
@@ -308,23 +361,14 @@ def test_qp_oracle_sweep():
 
 
 def test_qp_rejects_coefficients_other_than_plus_one():
-    for rows in (_rows((0, 1, 1, 1, 2), (0, 1, 1, -1, 2)), _rows((0, 1, 1, 1, 2), (1, -1, -1, 0, -3))):
-        with pytest.raises(ValidationError, match=r"coefficients must be \+1 \(entry 1\)"):
+    # rows carry no coefficients: the former (i1, v1, i2, v2, b) arrays
+    # with a -1 are refused, and so is a variable twice in one row
+    for rows in (
+        ([0, 0], [1, 1], [1, 1], [1, -1], [2, 2]),
+        _rows((0, 1, 2), (1, 1, -3)),
+    ):
+        with pytest.raises(ValidationError, match="three arrays|appears twice"):
             QuadraticProgram.from_sparse([1, 1], rows)
-
-
-def test_qp_single_entry_rows_start_at_max_b(monkeypatch):
-    # x0 >= 4 breaks the constant start max(b)/2 = 2, so the start is the
-    # constant max(b) = 4; the LP simplex never runs
-    from treegromov import solver
-
-    def no_lp(*args):
-        raise AssertionError("solve_qp called the LP simplex")
-
-    monkeypatch.setattr(solver, "_lp_float_dual", no_lp)
-    res = solve_qp(QuadraticProgram.from_sparse([1, 1, 1], _rows((0, 1, -1, 0, 4), (1, 1, 2, 1, 1))))
-    assert np.allclose(res.argmin, [4.0, 0.5, 0.5], atol=1e-9)
-    assert res.value == pytest.approx(16.5)
 
 
 def test_qp_clips_small_negative_entries_and_counts_them(monkeypatch):
@@ -339,7 +383,7 @@ def test_qp_clips_small_negative_entries_and_counts_them(monkeypatch):
         return status, x, work, iters
 
     monkeypatch.setattr(_kernels, "active_set_qp", nudged)
-    res = solve_qp(QuadraticProgram.from_sparse([1, 1, 1], _rows((0, 1, 1, 1, 2))))
+    res = solve_qp(QuadraticProgram.from_sparse([1, 1, 1], _rows((0, 1, 2))))
     assert res.argmin[2] == 0.0 and not np.signbit(res.argmin[2])
     assert res.certificate["kkt"]["primal"] == 1e-13
 
@@ -353,26 +397,11 @@ def test_qp_kkt_audit_fails_closed_on_nan(monkeypatch):
 
     monkeypatch.setattr(_kernels, "active_set_qp", nan_point)
     with pytest.raises(TreegromovError, match="KKT audit"):
-        solve_qp(QuadraticProgram.from_sparse([1, 1], _rows((0, 1, 1, 1, 2))))
-
-
-def test_lp_duality_gap_check_fails_closed_on_nan(monkeypatch):
-    from treegromov import solver
-
-    real = solver._lp_float_dual
-
-    def nan_dual(*args):
-        out = real(*args)
-        out["dual_value"] = float("nan")
-        return out
-
-    monkeypatch.setattr(solver, "_lp_float_dual", nan_dual)
-    with pytest.raises(TreegromovError, match="duality gap"):
-        solve_lp(LinearProgram.from_sparse([1, 1], _rows((0, 1, 1, 1, 4))))
+        solve_qp(QuadraticProgram.from_sparse([1, 1], _rows((0, 1, 2))))
 
 
 def test_qp_certificate_multipliers():
-    qp = QuadraticProgram.from_sparse([1, 1], _rows((0, 1, 1, 1, 2)))
+    qp = QuadraticProgram.from_sparse([1, 1], _rows((0, 1, 2)))
     res = solve_qp(qp)
     mu = res.certificate["multipliers"]
     assert (np.asarray(mu) >= -1e-12).all()
@@ -391,19 +420,19 @@ def test_qp_kkt_audit_rejects_a_perturbed_optimum(monkeypatch):
         return status, x + 1e-3, work, iters
 
     monkeypatch.setattr(_kernels, "active_set_qp", perturbed)
-    qp = QuadraticProgram.from_sparse([1, 1], _rows((0, 1, 1, 1, 2)))
+    qp = QuadraticProgram.from_sparse([1, 1], _rows((0, 1, 2)))
     with pytest.raises(TreegromovError, match="KKT audit.*rows=1, vars=2, max.b.=2"):
         solve_qp(qp)
 
 
 def test_qp_rejects_bad_weights():
     with pytest.raises(ValidationError):
-        QuadraticProgram.from_sparse([0, 1], _rows((0, 1, -1, 0, 1)))
+        QuadraticProgram.from_sparse([0, 1], _rows((0, 1, 1)))
     with pytest.raises(ValidationError):
-        QuadraticProgram.from_sparse([-1, 1], _rows((0, 1, -1, 0, 1)))
+        QuadraticProgram.from_sparse([-1, 1], _rows((0, 1, 1)))
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValidationError, match=r"weights must be finite \(entry 0\)"):
-            QuadraticProgram.from_sparse([bad, 1], _rows((0, 1, -1, 0, 1)))
+            QuadraticProgram.from_sparse([bad, 1], _rows((0, 1, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +440,7 @@ def test_qp_rejects_bad_weights():
 
 
 def test_opt_result_with_updates():
-    lp = LinearProgram.from_sparse([1], _rows((0, 1, -1, 0, 2)))
+    lp = LinearProgram.from_sparse([1, 1], _rows((0, 1, 2)))
     res = solve_lp(lp)
     res2 = res.with_updates(value=99.0)
     assert res2.value == 99.0
