@@ -3,8 +3,11 @@
 Kernels here never touch the domain types; the calling modules convert to
 and from them.  All but two operate on plain float64 arrays.  The
 exceptions are max_assignment and tree_certificate, which run on a list of
-row lists so that the same code is exact on Fractions.  They stay on lists
-in float mode too, so there is one implementation.  Each O(n) step of
+row lists so that the same code is exact on Python ints: in rational mode
+their callers scale the Fraction table by the lcm of its denominators
+(core._as_integers), which is exact and order-preserving, and no Fraction
+reaches them.  They stay on lists in float mode too, so there is one
+implementation.  Each O(n) step of
 max_assignment scans one row, and at the benchmark's sizes numpy's
 per-call overhead outweighs the vector work: on a 2-core x86-64 host, a
 column-vectorised numpy version took 0.26-0.28 s for 45 assignments at
@@ -115,7 +118,7 @@ def four_point(d: np.ndarray, tol: float):
 def tree_certificate(d, eps) -> bool:
     """True when the Gromov products at taxon 0 of the table d (a list of
     row lists) form an eps-ultrametric; False at the first pair that does
-    not.  Exact when the entries are ints or Fractions and eps is 0."""
+    not.  Exact when the entries are ints (or Fractions) and eps is 0."""
     n = len(d)
     if n < 4:
         return True
@@ -317,7 +320,9 @@ def max_assignment(g):
 
     Returns (col_of_row, u, v, steps): the permutation, dual potentials
     with u_i + v_j >= g[i][j] and equality on matched edges, and the number
-    of Dijkstra steps.  Exact when the entries are ints or Fractions.  The
+    of Dijkstra steps.  Exact when the entries are ints (or Fractions); it
+only adds, subtracts and compares, so scaling g by L > 0 scales u and v
+by L and keeps the permutation and the step count.  The
     start is u = row maxima, v = 0, with each row matched to its first
     argmax column when that column is still free."""
     n = len(g)

@@ -190,14 +190,14 @@ def _worst_triangle(d: np.ndarray):
     return worst
 
 
-def _as_integers(d: np.ndarray) -> np.ndarray:
-    """The Fraction table d times the lcm of its denominators: exact and
-    order-preserving, int64 when sums of three entries cannot overflow,
-    else Python ints."""
+def _as_integers(d: np.ndarray):
+    """(ints, den): the Fraction array d times den, the lcm of its
+    denominators.  The scaling is exact and order-preserving; ints is int64
+    when sums of three entries cannot overflow, else Python ints."""
     den = math.lcm(*(x.denominator for x in d.flat))
     ints = [x.numerator * (den // x.denominator) for x in d.flat]
     small = max(map(abs, ints), default=0) < 2**61
-    return np.array(ints, dtype=np.int64 if small else object).reshape(d.shape)
+    return np.array(ints, dtype=np.int64 if small else object).reshape(d.shape), den
 
 
 class Semimetric:
@@ -265,7 +265,7 @@ class Semimetric:
                     if d[i, j] < 0:
                         raise ValidationError(f"negative entry d({labs[i]},{labs[j]})={d[i, j]}")
             # exact, and scaling keeps the first maximum in place
-            excess, i, j, k = _worst_triangle(_as_integers(d))
+            excess, i, j, k = _worst_triangle(_as_integers(d)[0])
             violated = excess > 0
         if violated:
             raise ValidationError(

@@ -34,8 +34,8 @@ DEFAULT_CYCLE_CAP = 16
 
 
 class WeightedGraph:
-    """Simple undirected graph with nonnegative edge weights; vertex
-    names are non-empty strings."""
+    """Simple undirected graph with finite nonnegative edge weights;
+    vertex names are non-empty strings."""
 
     __slots__ = ("vertices", "edges", "index", "mode")
 
@@ -62,6 +62,8 @@ class WeightedGraph:
                 raise ValidationError(f"parallel edge ({u!r},{v!r})")
             seen.add((iu, iv))
             w = as_scalar(w, mode)
+            if mode == MODE_FLOAT and not math.isfinite(w):
+                raise ValidationError(f"non-finite weight {w} on ({u!r},{v!r})")
             if w < 0:
                 raise ValidationError(f"negative weight on ({u!r},{v!r})")
             canon.append((iu, iv, w))

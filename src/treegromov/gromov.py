@@ -62,12 +62,14 @@ facts, with the audit solve_lp runs.  Weighted norm 1 stays on the LP
 simplex.
 
 The program is assembled from one set of pair arrays: the upper-triangle
-pairs i < j in row-major order (np.triu_indices), with |rho - rho'| and
-rho + rho' on them.  In rational mode these are object arrays of
-Fractions, so both modes run the same expressions.  The same arrays feed
-the pair rows, the gap table of the assignment, the tight pair of the
-norm-inf closed form, quadrangle_feasible and the active-row list of
-format_certificate.
+pairs i < j in row-major order (np.triu_indices), with |rho - rho'| on
+them.  The same arrays feed the pair rows, the gap table of the
+assignment, the tight pair of the norm-inf closed form and the active-row
+list of format_certificate.  In rational mode the assignment and its audit
+run on that gap table scaled to integers (solver.solve_assignment), and
+quadrangle_feasible, which also needs rho + rho', compares the pair
+entries of both tables and delta scaled by one common lcm; Fractions
+appear only in what they return.
 
 Every quadrangle-feasible delta, each optimum among them, is realizable:
 the carrier graph (a rho-weighted clique on the taxa, a rho'-weighted
@@ -110,6 +112,7 @@ from .core import (
     TaxonSet,
     TreegromovError,
     ValidationError,
+    _as_integers,
     as_scalar,
 )
 from .solver import (
@@ -227,11 +230,11 @@ def _check_pair(rho: Semimetric, rho_prime: Semimetric):
 
 
 def _pair_arrays(rho, rho_prime):
-    """(iu, ju, gap, total): the pairs iu < ju in row-major order with
-    |rho - rho'| and rho + rho' on them, in the semimetrics' mode."""
+    """(iu, ju, gap): the pairs iu < ju in row-major order with
+    |rho - rho'| on them, in the semimetrics' mode; also the pair rows
+    x_iu + x_ju >= gap, as (i1, i2, b) for solver.from_sparse."""
     iu, ju = np.triu_indices(len(rho.taxa), 1)
-    d, dp = rho.table[iu, ju], rho_prime.table[iu, ju]
-    return iu, ju, np.abs(d - dp), d + dp
+    return iu, ju, np.abs(rho.table[iu, ju] - rho_prime.table[iu, ju])
 
 
 def dinf_closed_form(rho: Semimetric, rho_prime: Semimetric):
@@ -244,18 +247,11 @@ def dinf_closed_form(rho: Semimetric, rho_prime: Semimetric):
     return _max_abs_gap(rho.table, rho_prime.table, rho.mode) / 2
 
 
-def _assemble_rows(rho, rho_prime):
-    """Rows (i1, i2, b) for solver.from_sparse: the pair rows
-    x_i + x_j >= gap in pair order."""
-    iu, ju, gap, _ = _pair_arrays(rho, rho_prime)
-    return iu, ju, gap
-
-
 def _gap_table(rho, rho_prime):
     """|rho - rho'| on the pairs, mirrored into a symmetric n x n table with
     a zero diagonal: the assignment sees the pair rows' data, also on
     tables built with validate=False."""
-    iu, ju, gap, _ = _pair_arrays(rho, rho_prime)
+    iu, ju, gap = _pair_arrays(rho, rho_prime)
     n = len(rho.taxa)
     if rho.mode == MODE_FLOAT:
         g = np.zeros((n, n))
@@ -353,11 +349,11 @@ def gromov_distance(rho: Semimetric, rho_prime: Semimetric, spec: GromovSpec) ->
         if spec.taxon_weights is None:
             result = solve_assignment(_gap_table(rho, rho_prime), mode)
         else:
-            lp = LinearProgram.from_sparse(weights, _assemble_rows(rho, rho_prime), mode=mode)
+            lp = LinearProgram.from_sparse(weights, _pair_arrays(rho, rho_prime), mode=mode)
             result = solve_lp(lp)
         result = result.with_updates(argmin=DeltaVector(taxa, result.argmin, mode))
     else:  # norm 2
-        result = solve_qp(QuadraticProgram.from_sparse(weights, _assemble_rows(rho, rho_prime)))
+        result = solve_qp(QuadraticProgram.from_sparse(weights, _pair_arrays(rho, rho_prime)))
         raw = result.value
         cert = dict(result.certificate)
         cert["raw_objective"] = raw
@@ -375,7 +371,7 @@ def gromov_distance(rho: Semimetric, rho_prime: Semimetric, spec: GromovSpec) ->
 
 def _argmax_pair(rho, rho_prime):
     """Labels of the first pair, in row-major order, with the largest gap."""
-    iu, ju, gap, _ = _pair_arrays(rho, rho_prime)
+    iu, ju, gap = _pair_arrays(rho, rho_prime)
     if not len(gap):
         return None
     k = int(np.argmax(gap))
@@ -397,8 +393,10 @@ def quadrangle_feasible(rho: Semimetric, rho_prime: Semimetric, delta: DeltaVect
 
     Returns (ok, violations); each violation is a tuple
     (family, x, y, amount) with family "pair" or "difference" and amount
-    the (positive) excess.  Exact in rational mode, relative tolerance
-    FEAS_RTOL in float mode.
+    the (positive) excess.  Exact in rational mode, where the comparisons
+    run on the pair entries of both tables and delta times the lcm of all
+    their denominators (core._as_integers) and only the amounts are turned
+    back into Fractions; relative tolerance FEAS_RTOL in float mode.
     """
     _check_pair(rho, rho_prime)
     if delta.taxa != rho.taxa:
@@ -406,19 +404,29 @@ def quadrangle_feasible(rho: Semimetric, rho_prime: Semimetric, delta: DeltaVect
     labs = rho.taxa.labels
     dv = delta.values
     tol = _feas_tol(rho, rho_prime)
-    iu, ju, gap, total = _pair_arrays(rho, rho_prime)
+    iu, ju = np.triu_indices(len(labs), 1)
+    d, dp = rho.table[iu, ju], rho_prime.table[iu, ju]
+    if rho.mode == MODE_RATIONAL:
+        m = len(iu)
+        ints, den = _as_integers(np.concatenate([d, dp, dv]))
+        d, dp, dv = ints[:m], ints[m : 2 * m], ints[2 * m :]
+    gap, total = np.abs(d - dp), d + dp
     short = gap - (dv[iu] + dv[ju])
     excess = np.abs(dv[iu] - dv[ju]) - total
     # "not <= tol" rather than "> tol", so that a NaN counts as a violation
     short_bad = ~(short <= tol)
     excess_bad = ~(excess <= tol)
+
+    def amount(a):
+        return a if rho.mode == MODE_FLOAT else Fraction(int(a), den)
+
     violations = []
     for k in np.flatnonzero(short_bad | excess_bad):
         pair = labs[iu[k]], labs[ju[k]]
         if short_bad[k]:
-            violations.append(("pair", *pair, short[k]))
+            violations.append(("pair", *pair, amount(short[k])))
         if excess_bad[k]:
-            violations.append(("difference", *pair, excess[k]))
+            violations.append(("difference", *pair, amount(excess[k])))
     return not violations, violations
 
 
@@ -580,7 +588,7 @@ def format_certificate(
         if rho is not None and rho_prime is not None:
             lines.append("active pair rows (delta_x + delta_y = |rho - rho'|):")
             labs = delta.taxa.labels
-            iu, ju, gap, _ = _pair_arrays(rho, rho_prime)
+            iu, ju, gap = _pair_arrays(rho, rho_prime)
             # relative to the gaps alone: a floor at 1 would mark every
             # row active on small-scale data
             tol = 0 if result.mode == MODE_RATIONAL else FEAS_RTOL * gap.max(initial=0.0)

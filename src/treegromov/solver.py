@@ -30,17 +30,20 @@ The uniform-weight pair-row LP
 on a symmetric table g with a zero diagonal is half the maximum-weight
 assignment on g (the proof is in the gromov module docstring).
 solve_assignment takes g itself, runs the O(n^3) Hungarian kernel
-(shortest augmenting paths; the same code on floats and on Fractions, so
-the rational route does no simplex pivoting), and returns x = (u + v) / 2
-from the assignment potentials with the dual y_ij = (P_ij + P_ji) / 2 from
-the permutation.  Its certificate has solve_lp's keys ("dual" with one
-entry per pair row, "duality_gap").
+(shortest augmenting paths; the same code on floats and, in rational
+mode, on g scaled to Python ints by the lcm of its denominators, so the
+rational route does no simplex pivoting and no Fraction arithmetic), and
+returns x = (u + v) / 2 from the assignment potentials with the dual
+y_ij = (P_ij + P_ji) / 2 from the permutation.  Its certificate has
+solve_lp's keys ("dual" with one entry per pair row, "duality_gap").
 
 Both norm-1 routes certify the same program, and one O(m + n) audit
 judges both results: the pair rows and x >= 0 within FEAS_ATOL of the data
 scale max(1, max|b|), y >= 0 and A^T y <= c within FEAS_ATOL of
 max(1, max c), and the duality gap |b.y - c.x| within GAP_RTOL relative;
-in rational mode every check is exact and the gap must be zero.
+in rational mode every check is exact and the gap must be zero.  The
+assignment is audited on its integer program times 2 lcm (see
+solve_assignment), which gives the same verdicts.
 
 The quadratic solver is a primal active-set method for strictly convex
 diagonal objectives sum w_j x_j^2 over pair rows.  With A >= 0 entrywise,
@@ -72,6 +75,7 @@ from .core import (
     MODE_RATIONAL,
     TreegromovError,
     ValidationError,
+    _as_integers,
     as_scalar,
     check_mode,
     scalar_array,
@@ -260,15 +264,19 @@ def _scatter_rows(i1, i2, y, n_vars):
     return out
 
 
-def _instance(b, n_vars):
-    return f"rows={len(b)}, vars={n_vars}, max|b|={float(np.abs(b).max(initial=0.0)):.6g}"
+def _instance(b, n_vars, scale=1):
+    """Instance summary for error messages; b is scale times the data."""
+    top = np.abs(b).max(initial=0)
+    if scale != 1:
+        top = Fraction(top, scale)
+    return f"rows={len(b)}, vars={n_vars}, max|b|={float(top):.6g}"
 
 
 # ---------------------------------------------------------------------------
 # The norm-1 audit, shared by solve_lp and solve_assignment
 # ---------------------------------------------------------------------------
 
-def _certify(route, i1, i2, b, c, x, y, mode):
+def _certify(route, i1, i2, b, c, x, y, mode, scales=(1, 1)):
     """Audit x and y as optimal primal and dual solutions of
 
         min c.x  s.t.  x[i1] + x[i2] >= b,  x >= 0
@@ -277,12 +285,20 @@ def _certify(route, i1, i2, b, c, x, y, mode):
     run in this order: the pair rows, x >= 0, y >= 0, A^T y <= c and the
     duality gap |b.y - value| (see the module docstring for the
     tolerances).  In float mode the entries of x and y below zero, within
-    tolerance, are set to zero before the later checks see them.  Returns
-    (x, y, value, gap); x and y keep their rational types as given.  A
-    failed check raises TreegromovError.
+    tolerance, are set to zero before the later checks see them.
+
+    In rational mode the program may come scaled by scales = (sx, sy) > 0:
+    b and x are sx times the data, c and y are sy times it.  Every check
+    is exact, and positive scaling preserves each verdict, so this is the
+    same audit; solve_assignment uses it to audit on integers.  The value,
+    the gap and every amount in a message are divided back into data
+    units.  Returns (x, y, value, gap); x and y keep their types as given,
+    value and gap are Fractions in rational mode.  A failed check raises
+    TreegromovError.
     """
     n = len(x)
-    instance = _instance(b, n)
+    sx, sy = scales
+    instance = _instance(b, n, sx)
     if mode == MODE_FLOAT:
         xs, ys = x, y
         tol = FEAS_ATOL * max(1.0, float(np.abs(b).max(initial=0.0)))
@@ -290,23 +306,27 @@ def _certify(route, i1, i2, b, c, x, y, mode):
     else:
         xs, ys = np.array(x, dtype=object), np.array(y, dtype=object)
         tol = ytol = 0
+
+    def units(amount, scale):
+        return amount if scale == 1 else Fraction(amount, scale)
+
     # argmax and argmin pick a NaN first, and "not <= tol" fails on it
     short = b - (xs[i1] + xs[i2])
     k = int(np.argmax(short)) if len(b) else -1
     if k >= 0 and not short[k] <= tol:
         raise TreegromovError(
-            f"{route} breaks the pair row ({i1[k]},{i2[k]}) by {short[k]}; "
+            f"{route} breaks the pair row ({i1[k]},{i2[k]}) by {units(short[k], sx)}; "
             f"instance: {instance}"
         )
     k = int(np.argmin(xs)) if n else -1
     if k >= 0 and not -xs[k] <= tol:
         raise TreegromovError(
-            f"{route} puts x[{k}] = {xs[k]} below zero; instance: {instance}"
+            f"{route} puts x[{k}] = {units(xs[k], sx)} below zero; instance: {instance}"
         )
     k = int(np.argmin(ys)) if len(b) else -1
     if k >= 0 and not -ys[k] <= ytol:
         raise TreegromovError(
-            f"{route} dual puts y[{k}] = {ys[k]} below zero; instance: {instance}"
+            f"{route} dual puts y[{k}] = {units(ys[k], sy)} below zero; instance: {instance}"
         )
     if mode == MODE_FLOAT:
         x = xs = np.maximum(xs, 0.0)
@@ -315,7 +335,7 @@ def _certify(route, i1, i2, b, c, x, y, mode):
     k = int(np.argmax(over)) if n else -1
     if k >= 0 and not over[k] <= ytol:
         raise TreegromovError(
-            f"{route} dual breaks A^T y <= c at x[{k}] by {over[k]}; "
+            f"{route} dual breaks A^T y <= c at x[{k}] by {units(over[k], sy)}; "
             f"instance: {instance}"
         )
     if mode == MODE_FLOAT:
@@ -323,13 +343,13 @@ def _certify(route, i1, i2, b, c, x, y, mode):
         gap = abs(float(np.dot(b, ys)) - value)
         ok = gap <= GAP_RTOL * max(1.0, abs(value))  # NaN fails
     else:
-        zero = Fraction(0)
         if c is None:
-            value = sum(xs.tolist(), zero)
+            value = sum(xs.tolist())
         else:
-            value = sum((ci * xi for ci, xi in zip(c.tolist(), xs.tolist())), zero)
-        gap = abs(sum((bk * yk for bk, yk in zip(b.tolist(), ys.tolist()) if yk), zero) - value)
+            value = sum(ci * xi for ci, xi in zip(c.tolist(), xs.tolist()))
+        gap = abs(sum(bk * yk for bk, yk in zip(b.tolist(), ys.tolist()) if yk) - value)
         ok = gap == 0
+        value, gap = Fraction(value, sx * sy), Fraction(gap, sx * sy)
     if not ok:
         raise TreegromovError(
             f"{route} duality gap {gap} exceeds tolerance; instance: {instance}"
@@ -533,6 +553,14 @@ def solve_assignment(g, mode: str = MODE_FLOAT) -> OptResult:
     per pair row in np.triu_indices order (see the module docstring).
     Both pass solve_lp's audit of the same program with unit weights; a
     failed check raises TreegromovError.
+
+    In rational mode the kernel runs on g times L, the lcm of its
+    denominators (core._as_integers), so every cell is a Python int.  The
+    kernel only adds, subtracts and compares, so its permutation and step
+    count are those on g and its potentials are L times them.  The audit
+    runs on the program times 2L, which is integral: b' = 2L g,
+    x' = u + v, y' = 2y and c' = 2.  Only value, argmin and dual become
+    Fractions, at the end.
     """
     check_mode(mode)
     g = scalar_array(g, mode)
@@ -541,6 +569,8 @@ def solve_assignment(g, mode: str = MODE_FLOAT) -> OptResult:
         raise ValidationError(f"gap table must be square, got shape {g.shape}")
     if mode == MODE_FLOAT and not np.isfinite(g).all():
         raise ValidationError("gap table must be finite")
+    if mode == MODE_RATIONAL:
+        g, den = _as_integers(g)
     if (g != g.T).any() or (g.diagonal() != 0).any() or (g < 0).any():
         raise ValidationError(
             "gap table must be symmetric and nonnegative with a zero diagonal"
@@ -551,11 +581,15 @@ def solve_assignment(g, mode: str = MODE_FLOAT) -> OptResult:
     halves = (perm[iu] == ju).astype(np.int64) + (perm[ju] == iu)
     if mode == MODE_FLOAT:
         x = (np.array(u, dtype=np.float64) + np.array(v, dtype=np.float64)) / 2
-        y = halves / 2
+        x, y, value, gap = _certify("assignment", iu, ju, g[iu, ju], None, x, halves / 2, mode)
     else:
-        x = np.array([Fraction(a + c) / 2 for a, c in zip(u, v)], dtype=object)
+        x2 = np.array([a + c for a, c in zip(u, v)], dtype=object)
+        twos = np.full(n, 2, dtype=np.int64)
+        _, _, value, gap = _certify(
+            "assignment", iu, ju, 2 * g[iu, ju], twos, x2, halves, mode, scales=(2 * den, 2)
+        )
+        x = np.array([Fraction(a, 2 * den) for a in x2.tolist()], dtype=object)
         y = [Fraction(h, 2) for h in halves.tolist()]
-    x, y, value, gap = _certify("assignment", iu, ju, g[iu, ju], None, x, y, mode)
     return OptResult(
         STATUS_OPTIMAL,
         value,

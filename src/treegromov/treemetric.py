@@ -28,7 +28,9 @@ rounding on nonnegative tables, whose entries are all within the scale tol
 is relative to.  A certified table therefore never holds a quadruple the
 scan would flag, and the scan runs only when the certificate fails.  In
 rational mode eps = 0, and the certificate holds exactly when the table is
-a tree metric.
+a tree metric; it runs on the table times the lcm of its denominators,
+since at eps = 0 every comparison it makes is unchanged by a positive
+scaling.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .core import (
     Semimetric,
     TaxonSet,
     ValidationError,
+    _as_integers,
     as_scalar,
     check_mode,
 )
@@ -167,7 +170,7 @@ def four_point_check(rho: Semimetric):
         )
     else:
         tol = 0
-        certified = _kernels.tree_certificate(d.tolist(), 0)
+        certified = _kernels.tree_certificate(_as_integers(d)[0].tolist(), 0)
     if certified:
         return True, None
     i, j, k, l = _kernels.four_point(d, tol)

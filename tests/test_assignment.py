@@ -20,13 +20,15 @@ from treegromov import (
     TreegromovError,
     ValidationError,
     gromov_distance,
+    parse_newick,
+    quadrangle_feasible,
     random_binary_tree,
     random_caterpillar,
     semimetric_from_table,
     solve_assignment,
     tree_to_semimetric,
 )
-from treegromov import _kernels
+from treegromov import _kernels, solver
 
 
 def _pair(n, seed, kind="uniform01", mode="float"):
@@ -114,6 +116,101 @@ def test_rational_d1_matches_the_rational_simplex(n):
     res = gromov_distance(r1, r2, GromovSpec(norm=1))
     assert res.value == _unit_lp(r1, r2).value
     _check_certificate(res, r1, r2)
+
+
+def _fraction_tree(n, seed, lengths):
+    """Newick of a random binary tree on n taxa, each edge length drawn
+    from lengths (Fraction strings)."""
+    rng = np.random.default_rng(seed)
+    items = [f"t{k:02d}:{rng.choice(lengths)}" for k in range(n)]
+    while len(items) > 2:
+        i = int(rng.integers(len(items) - 1))
+        items[i : i + 2] = [f"({items[i]},{items[i + 1]}):{rng.choice(lengths)}"]
+    return f"({items[0]},{items[1]});"
+
+
+def _int_cells_only(monkeypatch):
+    """Make max_assignment refuse any cell that is not a Python int."""
+    real = _kernels.max_assignment
+
+    def ints_only(g):
+        assert all(type(cell) is int for row in g for cell in row)
+        return real(g)
+
+    monkeypatch.setattr(_kernels, "max_assignment", ints_only)
+
+
+def test_rational_kernel_sees_only_ints(monkeypatch):
+    _int_cells_only(monkeypatch)
+    for seed in range(4):
+        r1, r2 = _pair(12, seed, "unit", "rational")
+        res = gromov_distance(r1, r2, GromovSpec(norm=1, variant="full"))
+        assert isinstance(res.value, Fraction)
+        assert all(isinstance(x, Fraction) for x in res.argmin.values)
+        assert res.value == _unit_lp(r1, r2).value
+        _check_certificate(res, r1, r2)
+
+
+@pytest.mark.parametrize("n", [5, 9, 14])
+def test_rational_d1_mixed_denominators_matches_the_rational_simplex(monkeypatch, n):
+    _int_cells_only(monkeypatch)
+    lengths = ["1/3", "2/7", "5/11", "1", "3/2", "13/17"]
+    for seed in range(3):
+        r1, r2 = (
+            tree_to_semimetric(parse_newick(_fraction_tree(n, s, lengths), mode="rational"))
+            for s in (seed, seed + 50)
+        )
+        assert len({x.denominator for x in r1.table.flat}) > 2
+        res = gromov_distance(r1, r2, GromovSpec(norm=1))
+        assert res.value == _unit_lp(r1, r2).value
+        _check_certificate(res, r1, r2)
+        ok, _ = quadrangle_feasible(r1, r2, res.argmin)
+        assert ok
+
+
+def test_rational_d1_above_int64_matches_the_rational_simplex(monkeypatch):
+    # entries above 2**61 take core._as_integers' Python-int path
+    _int_cells_only(monkeypatch)
+    for seed in range(3):
+        r1, r2 = (
+            tree_to_semimetric(random_binary_tree(8, s, "unit", "rational")).scaled(
+                Fraction(2**70 + 1, 3)
+            )
+            for s in (seed, seed + 100)
+        )
+        assert r1.table.max() > 2**61
+        res = gromov_distance(r1, r2, GromovSpec(norm=1))
+        assert res.value == _unit_lp(r1, r2).value
+        _check_certificate(res, r1, r2)
+        g = (_gaps(r1, r2)).tolist()
+        assert res.value == Fraction(_brute_assignment(g)) / 2
+
+
+def test_solve_assignment_on_fractions_equals_brute_force():
+    rng = np.random.default_rng(8)
+    for n in range(1, 7):
+        for _ in range(10):
+            g = np.full((n, n), Fraction(0), dtype=object)
+            for i in range(n):
+                for j in range(i + 1, n):
+                    g[i, j] = g[j, i] = Fraction(int(rng.integers(0, 30)), int(rng.choice([1, 3, 7, 11])))
+            res = solve_assignment(g, mode="rational")
+            assert res.value == Fraction(_brute_assignment(g.tolist())) / 2
+            assert res.certificate["duality_gap"] == 0
+            assert all(isinstance(x, Fraction) for x in res.argmin)
+
+
+def test_scaled_audit_reports_data_units():
+    # the program x0 + x1 >= 1/3, audited times 6 on integers
+    b, x = np.array([2], dtype=object), np.array([0, 0], dtype=object)
+    with pytest.raises(TreegromovError, match=r"pair row \(0,1\) by 1/3; .*max\|b\|=0\.333333"):
+        solver._certify("assignment", np.array([0]), np.array([1]), b, np.array([2, 2]),
+                        x, [1], "rational", scales=(6, 2))
+    # x = (1/6, 1/6) meets it; y = 1 gives the gap 1/3 - 1/3 = 0
+    xs = np.array([1, 1], dtype=object)
+    _, _, value, gap = solver._certify("assignment", np.array([0]), np.array([1]), b,
+                                       np.array([2, 2]), xs, [2], "rational", scales=(6, 2))
+    assert value == Fraction(1, 3) and gap == 0 and isinstance(gap, Fraction)
 
 
 @pytest.mark.parametrize("n", [100, 200, 400])

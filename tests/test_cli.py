@@ -277,18 +277,48 @@ def test_experiment_parallelogram(capsys):
         assert float(r[1]) == pytest.approx(float(r[2]), rel=1e-9)
 
 
-def test_experiment_equality_trailer(capsys):
-    code, out, _ = run(
-        capsys, ["experiment", "equality", "--n", "6", "--trials", "3", "--seed", "2"]
-    )
+def _count_solves(monkeypatch):
+    """Wrap the gromov_distance the CLI calls; returns the list of
+    (norm, variant) it is called with."""
+    from treegromov import cli
+
+    calls = []
+    real = cli.gromov_distance
+
+    def spy(rho, rho_prime, spec):
+        calls.append((spec.norm, spec.variant))
+        return real(rho, rho_prime, spec)
+
+    monkeypatch.setattr(cli, "gromov_distance", spy)
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["float", "rational"])
+def test_dist_solves_once_per_norm(monkeypatch, capsys, mode):
+    calls = _count_solves(monkeypatch)
+    code, out, _ = run(capsys, ["dist", Q1, Q2, "--norm", "all", "--variant", "both", "--mode", mode])
     assert code == 0
-    header, rows, trailer = _parse_csv(out)
-    assert header == ["trial", "gap1", "gap2", "max_gap"]
-    gaps = [max(float(r[1]), float(r[2])) for r in rows]
-    assert len(trailer) == 1 and trailer[0].startswith("#max_gap=")
-    reported = float(trailer[0].split("=", 1)[1])
-    assert reported == pytest.approx(max(gaps), abs=1e-15)
-    assert all(g >= -1e-8 for g in gaps)
+    assert calls == [("1", "full"), ("2", "full"), ("inf", "full")]
+    fields = dict(part.split("=") for part in out.strip().split(", "))
+    for nm in ("1", "2", "inf"):
+        assert fields[f"D{nm}"] == fields[f"Dt{nm}"]
+    calls.clear()
+    assert run(capsys, ["dist", Q1, Q2, "--norm", "1", "--variant", "lower", "--mode", mode])[0] == 0
+    assert calls == [("1", "lower")]
+
+
+@pytest.mark.parametrize("experiment", ["compare", "caterpillar"])
+def test_experiment_solves_once_per_norm(monkeypatch, capsys, experiment):
+    calls = _count_solves(monkeypatch)
+    code, _, _ = run(capsys, ["experiment", experiment, "--n", "6", "--trials", "3", "--seed", "2"])
+    assert code == 0
+    assert calls == [("1", "full"), ("2", "full"), ("inf", "full")] * 3
+
+
+def test_experiment_equality_is_gone(capsys):
+    with pytest.raises(SystemExit):
+        main(["experiment", "equality", "--n", "6"])
+    capsys.readouterr()
 
 
 def test_experiment_extra_column(tmp_path, capsys):

@@ -61,6 +61,13 @@ def test_weighted_graph_validation():
         WeightedGraph(["a", 3], [])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_weighted_graph_rejects_non_finite_weights(bad):
+    # a NaN weight used to pass and then read as "graph is disconnected"
+    with pytest.raises(ValidationError, match=r"non-finite weight .* on \('b','c'\)"):
+        WeightedGraph(["a", "b", "c"], [("a", "b", 1.0), ("b", "c", bad)])
+
+
 def test_graph_metric_path():
     g = WeightedGraph(
         ["a", "b", "c", "d"],

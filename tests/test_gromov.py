@@ -458,6 +458,22 @@ def test_quadrangle_feasible_lists_both_families_pair_major():
     assert all(isinstance(amount, Fraction) for *_, amount in violations)
 
 
+@pytest.mark.parametrize("unit", [Fraction(2, 7), Fraction(10**20, 3)])
+def test_quadrangle_feasible_rational_amounts_in_data_units(unit):
+    # the comparisons run on integers; the amounts come back in the
+    # tables' own units, whatever the scaling (int64 or Python ints)
+    r1, r2 = _quartet_pair(mode="rational")
+    r1, r2 = r1.scaled(unit), r2.scaled(unit)
+    delta = DeltaVector(r1.taxa, [9 * unit, 0, 0, 0], "rational")
+    ok, violations = quadrangle_feasible(r1, r2, delta)
+    assert not ok
+    assert [v[3] for v in violations] == [4 * unit, 4 * unit, 3 * unit, unit, unit]
+    assert all(type(v[3]) is Fraction for v in violations)
+    # a bump of 1/11, a denominator neither table has, is seen exactly
+    delta = DeltaVector(r1.taxa, [5 * unit + Fraction(1, 11), 0, 0, 0], "rational")
+    assert quadrangle_feasible(r1, r2, delta)[1][0] == ("difference", "1", "2", Fraction(1, 11))
+
+
 def test_rational_dinf_and_tight_pair_exact():
     labs = list("abcd")
     t1 = [[0, 1, 2, 3], [1, 0, 1, 2], [2, 1, 0, 1], [3, 2, 1, 0]]

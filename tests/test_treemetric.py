@@ -327,6 +327,63 @@ def test_rational_bump_witness_matches_exact_oracle():
         _check_against_oracle(tab, mode="rational")
 
 
+def _fraction_newick(n, seed):
+    """A random binary tree on n taxa with edge lengths of mixed
+    denominators, as Newick."""
+    rng = np.random.default_rng(seed)
+    lengths = ["1/3", "2/7", "5/11", "1", "3/2", "13/17"]
+    items = [f"t{k:02d}:{rng.choice(lengths)}" for k in range(n)]
+    while len(items) > 2:
+        i = int(rng.integers(len(items) - 1))
+        items[i : i + 2] = [f"({items[i]},{items[i + 1]}):{rng.choice(lengths)}"]
+    return f"({items[0]},{items[1]});"
+
+
+def test_rational_four_point_matches_float_mode(monkeypatch):
+    # the rational certificate runs on the table scaled to integers; its
+    # verdicts and the scan's witnesses are those of float mode wherever
+    # float mode is exact enough to tell
+    real = _kernels.tree_certificate
+    cells = []
+
+    def spy(d, eps):
+        cells.extend(type(x) for row in d for x in row)
+        return real(d, eps)
+
+    monkeypatch.setattr(_kernels, "tree_certificate", spy)
+    tables = []
+    for seed in range(6):
+        tables.append(tree_to_semimetric(random_binary_tree(9, seed, "unit", "rational")).table)
+        tables.append(tree_to_semimetric(parse_newick(_fraction_newick(10, seed), mode="rational")).table)
+    seen = {True: 0, False: 0}
+    for tab in tables:
+        bumped = tab.copy()
+        i, j = np.unravel_index(np.argmax(tab.astype(float)), tab.shape)
+        bumped[i, j] = bumped[j, i] = tab[i, j] + Fraction(1, 3)
+        for t in (tab, bumped):
+            rho = semimetric_from_table(_labels(len(t)), t, mode="rational", validate=False)
+            cells.clear()
+            got = four_point_check(rho)
+            assert cells and set(cells) == {int}
+            assert got == four_point_check(rho.to_float())
+            seen[got[0]] += 1
+    assert seen[True] == len(tables) and seen[False] == len(tables)
+
+
+def test_validate_rational_n80_tree(capsys, tmp_path):
+    from treegromov.cli import main
+
+    path = tmp_path / "tree.nwk"
+    path.write_text(_fraction_newick(80, 3) + "\n")
+    want = (
+        "symmetric: PASS\nzero-diagonal: PASS\nnonnegative: PASS\ntriangle: PASS\n"
+        "four-point: PASS\nsource: tree, 80 taxa\n"
+    )
+    for mode in ("rational", "float"):
+        assert main(["validate", str(path), "--mode", mode]) == 0
+        assert capsys.readouterr().out == want
+
+
 # ---------------------------------------------------------------------------
 # path-difference distances
 
