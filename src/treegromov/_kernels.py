@@ -40,6 +40,7 @@ LP_DUAL_UNBOUNDED = 1  # primal infeasible: on pair rows, only rounding
 LP_ITER_LIMIT = 2
 
 QP_OPTIMAL = 0
+QP_NO_STEP = 1  # rows infeasible: on pair rows, only rounding
 QP_ITER_LIMIT = 2
 
 
@@ -228,78 +229,104 @@ def dual_simplex(i1, i2, b, c_rhs, bland_after: int, tol: float, max_iter: int):
 
 
 # ---------------------------------------------------------------------------
-# Primal active-set method for  min sum_j w_j x_j^2  s.t.  A x >= b
+# Dual active-set method (Goldfarb-Idnani) for  min sum_j w_j x_j^2  s.t.  A x >= b
 # ---------------------------------------------------------------------------
 #
-# The working set stays linearly independent automatically: a blocking row
-# satisfies a.p != 0 while every working row satisfies a.p == 0, so a
-# blocking row can never be a combination of working rows.  Hence, in exact
-# arithmetic, the small KKT systems below are nonsingular.  The step and tie
-# tolerances are absolute, so on badly scaled data a nearly dependent row
-# can still enter and np.linalg.solve raises; solve_qp reports that as a
-# TreegromovError.
+# With D = diag(1/(2w)) the unconstrained minimiser is x = 0, and a working
+# set N of pair rows with multipliers u >= 0 gives the iterate x = D N u,
+# which is stationary by construction.  Each outer step picks the most
+# violated row p (column n_p, slack s_p < 0); each inner step moves the
+# multipliers along (-r, 1), where r = Minv N^T D n_p with the carried
+# Minv = (N^T D N)^-1.  The primal direction z = D (n_p - N r) has
+# z.n_p = n_p.D.n_p - (N^T D n_p).r, which is also the Schur complement
+# that borders Minv when p joins, so z itself is never formed.  The step is
+# the smaller of the primal step -s_p / z.n_p, which makes p tight and adds
+# it, and the dual step min u_j / r_j over r_j > 0, which zeroes u_q and
+# drops q by a rank-one downdate of Minv.  A row enters only when
+# z.n_p > 1e-12 (D[a] + D[c]), judged relative to its own scale, so it is
+# never a combination of the working rows: the working set stays
+# independent and never exceeds n rows (a full set takes dual steps only,
+# which also holds under rounding).  r and z depend on w alone, the
+# feasibility test is tol * max|b|, and u and x are linear in b, so
+# scaling b by s scales x and u by s and leaves every choice of working
+# set as it was.  No linear system is solved and nothing can raise; a row
+# with no finite step (z.n_p = 0 and no r_j > 0) proves the rows
+# infeasible, which pair rows never are, and ends the solve with
+# QP_NO_STEP.
 
-def active_set_qp(i1, i2, b, w, x0, tol: float, max_iter: int):
-    """Returns (status, x, work_rows, iterations)."""
+def active_set_qp(i1, i2, b, w, tol: float, max_iter: int):
+    """Returns (status, x, work_rows, iterations).  iterations counts the
+    final pricing pass and every step that adds or drops a row; a step
+    that would make it exceed max_iter ends the solve with QP_ITER_LIMIT."""
     m = b.shape[0]
     n = w.shape[0]
-    x = x0.astype(np.float64).copy()
-    work = []
-    in_work = np.zeros(m, dtype=bool)
-    winv = 1.0 / w
-
-    for it in range(1, max_iter + 1):
-        k = len(work)
-        if k == 0:
-            xhat = np.zeros(n)
-            nu = np.zeros(0)
-        else:
-            rows = np.array(work, dtype=np.int64)
-            AW = np.zeros((k, n))
-            AW[np.arange(k), i1[rows]] = 1.0
-            AW[np.arange(k), i2[rows]] = 1.0
-            AWD = AW * winv[None, :]
-            G = AWD @ AW.T
-            sol = np.linalg.solve(G, b[rows])
-            xhat = AWD.T @ sol
-            nu = 2.0 * sol
-
-        p = xhat - x
-        if np.abs(p).max(initial=0.0) <= tol * (1.0 + np.abs(x).max(initial=0.0)):
-            if k == 0:
-                return (QP_OPTIMAL, xhat, np.zeros(0, dtype=np.int64), it)
-            worst = int(np.argmin(nu))
-            if nu[worst] >= -tol:
-                return (QP_OPTIMAL, xhat, np.array(work, dtype=np.int64), it)
-            # drop the most negative multiplier; ties go to the lowest row id
-            ties = np.nonzero(nu <= nu[worst] + 1e-12)[0]
-            rows = np.array(work, dtype=np.int64)
-            drop_pos = int(ties[np.argmin(rows[ties])])
-            in_work[work[drop_pos]] = False
-            work.pop(drop_pos)
-            x = xhat
-            continue
-
-        ap = p[i1] + p[i2]
-        ax = x[i1] + x[i2]
-        desc = (~in_work) & (ap < -1e-12)
-        alpha = 1.0
-        blocking = -1
-        if desc.any():
-            idx = np.nonzero(desc)[0]
-            steps = (ax[idx] - b[idx]) / (-ap[idx])
-            steps = np.maximum(steps, 0.0)
-            amin = float(steps.min())
-            if amin < 1.0 - 1e-12:
-                alpha = amin
-                close = idx[steps <= amin + 1e-12]
-                blocking = int(close.min())
-        x = x + alpha * p
-        if blocking >= 0:
-            work.append(blocking)
-            in_work[blocking] = True
-
-    return (QP_ITER_LIMIT, x, np.array(work, dtype=np.int64), max_iter)
+    d = 0.5 / w
+    feas = tol * float(np.abs(b).max(initial=0.0))
+    minv = np.zeros((n, n))
+    work = np.zeros(n, dtype=np.int64)
+    w1 = np.zeros(n, dtype=np.int64)
+    w2 = np.zeros(n, dtype=np.int64)
+    u = np.zeros(n)
+    dp = np.zeros(n)  # D n_p: nonzero only at the candidate's two entries
+    x = np.zeros(n)
+    k = 0
+    it = 1
+    while m:
+        s = x[i1] + x[i2] - b
+        s[work[:k]] = 0.0
+        p = int(np.argmin(s))
+        sp = float(s[p])
+        if sp >= -feas:
+            break
+        a, c = int(i1[p]), int(i2[p])
+        dp[a], dp[c] = d[a], d[c]
+        dpp = d[a] + d[c]
+        up = 0.0
+        while True:
+            if it >= max_iter:
+                return (QP_ITER_LIMIT, x, work[:k].copy(), it)
+            it += 1
+            cv = dp[w1[:k]] + dp[w2[:k]]
+            r = minv[:k, :k] @ cv
+            sigma = dpp - float(cv @ r)
+            tp = -sp / sigma if k < n and sigma > 1e-12 * dpp else np.inf
+            td, q = np.inf, -1
+            pos = (r > 0.0).nonzero()[0]
+            if pos.size:
+                ratios = u[pos] / r[pos]
+                j = int(np.argmin(ratios))
+                td, q = float(ratios[j]), int(pos[j])
+            if tp == np.inf and q < 0:
+                return (QP_NO_STEP, x, work[:k].copy(), it)
+            if tp <= td:
+                # p joins: border Minv with the Schur complement sigma
+                u[:k] -= tp * r
+                rs = r / sigma
+                minv[:k, :k] += r[:, None] * rs
+                minv[:k, k] = -rs
+                minv[k, :k] = -rs
+                minv[k, k] = 1.0 / sigma
+                work[k], w1[k], w2[k], u[k] = p, a, c, up + tp
+                k += 1
+                break
+            # q leaves: move it to the last slot, then downdate Minv
+            u[:k] -= td * r
+            up += td
+            if tp != np.inf:
+                sp += td * sigma
+            last = k - 1
+            if q != last:
+                swap = [q, last]
+                for arr in (work, w1, w2, u):
+                    arr[swap] = arr[swap[::-1]]
+                minv[swap, :k] = minv[swap[::-1], :k]
+                minv[:k, swap] = minv[:k, swap[::-1]]
+            col = minv[:last, last] / minv[last, last]
+            minv[:last, :last] -= minv[:last, last, None] * col
+            k = last
+        dp[a] = dp[c] = 0.0
+        x = d * (np.bincount(w1[:k], u[:k], n) + np.bincount(w2[:k], u[:k], n))
+    return (QP_OPTIMAL, x, work[:k].copy(), it)
 
 
 # ---------------------------------------------------------------------------

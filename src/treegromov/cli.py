@@ -8,6 +8,7 @@ is deterministic given flags and seed (byte-identical in rational mode).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -450,7 +451,10 @@ def _add_common_flags(p, norms=("1", "2", "inf", "all"), variants=("full", "lowe
     p.add_argument("--out", default=None, metavar="PATH")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args keeps
+    no state between calls, and in-process callers run main many times."""
     parser = argparse.ArgumentParser(
         prog="treegromov",
         description="Gromov-type distances between trees and semimetric spaces",

@@ -45,18 +45,26 @@ in rational mode every check is exact and the gap must be zero.  The
 assignment is audited on its integer program times 2 lcm (see
 solve_assignment), which gives the same verdicts.
 
-The quadratic solver is a primal active-set method for strictly convex
-diagonal objectives sum w_j x_j^2 over pair rows.  With A >= 0 entrywise,
-raising a negative x_j to 0 keeps every row and lowers the objective, so
-the optimum is >= 0 without an x >= 0 row.  Working-set rows stay
-linearly independent automatically (a blocking row has a.p != 0 while
-working rows have a.p == 0), so the small KKT systems never need rank
-checks.  Its KKT residuals are audited relative to the data scale
-s = max(1, max|b|, max|2wx|): stationarity, primal (rows and x >= 0) and
-dual parts against KKT_TOL * s, complementarity against KKT_TOL * s^2.
+The quadratic solver is the dual active-set method of Goldfarb and Idnani
+(1983) for strictly convex diagonal objectives sum w_j x_j^2 over pair
+rows.  With A >= 0 entrywise, raising a negative x_j to 0 keeps every row
+and lowers the objective, so the optimum is >= 0 without an x >= 0 row.
+It starts at the unconstrained minimiser x = 0, adds the most violated
+row at each step, and carries the inverse of the working set's small
+system, updated by bordering when a row joins and by a rank-one downdate
+when one leaves.  A row joins only when its step direction z has
+z.n_p > 0, judged relative to the row's own scale, so it is never a
+combination of the working rows and the working set stays independent
+with no rank checks.  Every test in the kernel is relative, so scaling b
+scales the solution and changes no step.  The multipliers are solved
+again on the returned working set, and the KKT residuals are audited
+relative to the data scale s = max(1, max|b|, max|2wx|): stationarity,
+primal (rows and x >= 0) and dual parts against KKT_TOL * s,
+complementarity against KKT_TOL * s^2.
 
-A singular linear system inside either float solver, or a failed audit,
-is reported as a TreegromovError with an instance summary, never as a bare
+A singular linear system inside the float simplex or the QP's multiplier
+solve, a kernel that stops without an optimum, or a failed audit is
+reported as a TreegromovError with an instance summary, never as a bare
 numpy error.
 """
 
@@ -606,30 +614,32 @@ def solve_assignment(g, mode: str = MODE_FLOAT) -> OptResult:
 # ---------------------------------------------------------------------------
 
 def solve_qp(qp: QuadraticProgram, mode: str = MODE_FLOAT) -> OptResult:
-    """Globally solve the strictly convex QP by primal active-set iteration.
+    """Globally solve the strictly convex QP by the dual active-set method
+    of Goldfarb and Idnani (see _kernels.active_set_qp).
 
     Every QP is feasible (see the module docstring), so the status is always
-    optimal.  The start is zero if it meets every row within tolerance,
-    else the constant max(b)/2, which meets every pair row.  Entries of the
-    kernel's x below zero count in the primal KKT part, and the returned
-    argmin is x clipped at zero, which keeps every pair row."""
+    optimal.  The kernel starts at the unconstrained minimiser x = 0 and
+    adds violated rows until none is left.  Its own multipliers stay
+    inside it: the multipliers are solved again on the returned working
+    set, and the KKT audit judges x against them.  Entries of the kernel's x below zero
+    count in the primal KKT part, and the returned argmin is x clipped at
+    zero, which keeps every pair row."""
     if mode != MODE_FLOAT:
         raise ValidationError("quadratic solves are float-only")
     i1, i2, b = qp.i1, qp.i2, qp.b
     n = qp.n_vars
     w = qp.weights
-    top = float(b.max(initial=0.0))
-    if top <= FEAS_ATOL * max(1.0, float(np.abs(b).max(initial=0.0))):
-        x0 = np.zeros(n)
-    else:
-        x0 = np.full(n, top / 2.0)
     max_iter = 1000 + 20 * (len(b) + n)
-    with _singular_as_error("active-set QP", b, n):
-        status, x, work, iters = _kernels.active_set_qp(
-            i1, i2, b, w, x0, 1e-11, max_iter
-        )
+    status, x, work, iters = _kernels.active_set_qp(i1, i2, b, w, 1e-11, max_iter)
     if status == _kernels.QP_ITER_LIMIT:
-        raise TreegromovError("active-set QP iteration limit hit")
+        raise TreegromovError(
+            f"active-set QP iteration limit ({max_iter}) hit; instance: {_instance(b, n)}"
+        )
+    if status == _kernels.QP_NO_STEP:
+        raise TreegromovError(
+            f"active-set QP found a row with no finite step, which a pair-row "
+            f"program cannot have; instance: {_instance(b, n)}"
+        )
     x = np.asarray(x, dtype=np.float64)
     work = np.asarray(work, dtype=np.int64)
     # multipliers on the working set; zero elsewhere

@@ -8,8 +8,10 @@ fast implementations.  Tree metrics and splits also have the package's
 former routes here, one traversal per taxon and one walk per edge, so the
 one-pass rewrites can be compared with them bit for bit.
 
-A dense two-phase primal simplex, independent of the package's dual
-route, is here as well; it and the vertex enumeration also solve programs
+The package's former norm-2 kernel, a primal active-set method that
+solves each working-set system from scratch, is kept as a reference for
+the dual active-set kernel that replaced it.  A dense two-phase primal
+simplex, independent of the package's dual route, is here as well; it and the vertex enumeration also solve programs
 the package no longer builds, such as the norm-inf epigraph LP
 (assemble_dense with epigraph=True), whose optimum is the closed form
 max|rho - rho'| / 2.
@@ -366,6 +368,93 @@ def lp_primal_oracle(c, A, b):
         if basis[r] < n:
             x[basis[r]] = T[r, total]
     return float(np.dot(c, x)), x
+
+
+# ---------------------------------------------------------------------------
+# QP by the primal active-set method (the package's former norm-2 kernel)
+#
+# The working set stays linearly independent in exact arithmetic: a
+# blocking row satisfies a.p != 0 while every working row satisfies
+# a.p == 0.  The step and tie tolerances are absolute, so on data scaled
+# far from 1 a nearly dependent row can enter and np.linalg.solve raises;
+# the reference is used only at scales 1e-3 to 1e1, where it solves.
+
+
+def primal_active_set_qp(i1, i2, b, w, x0, tol=1e-11, max_iter=None):
+    """min sum_j w_j x_j^2 over the pair rows x[i1] + x[i2] >= b from the
+    feasible start x0, rebuilding and solving the working-set KKT system
+    from scratch at every step.  Returns (converged, x, work_rows,
+    iterations)."""
+    m = b.shape[0]
+    n = w.shape[0]
+    if max_iter is None:
+        max_iter = 1000 + 20 * (m + n)
+    x = x0.astype(np.float64).copy()
+    work = []
+    in_work = np.zeros(m, dtype=bool)
+    winv = 1.0 / w
+
+    for it in range(1, max_iter + 1):
+        k = len(work)
+        if k == 0:
+            xhat = np.zeros(n)
+            nu = np.zeros(0)
+        else:
+            rows = np.array(work, dtype=np.int64)
+            AW = np.zeros((k, n))
+            AW[np.arange(k), i1[rows]] = 1.0
+            AW[np.arange(k), i2[rows]] = 1.0
+            AWD = AW * winv[None, :]
+            G = AWD @ AW.T
+            sol = np.linalg.solve(G, b[rows])
+            xhat = AWD.T @ sol
+            nu = 2.0 * sol
+
+        p = xhat - x
+        if np.abs(p).max(initial=0.0) <= tol * (1.0 + np.abs(x).max(initial=0.0)):
+            if k == 0:
+                return (True, xhat, np.zeros(0, dtype=np.int64), it)
+            worst = int(np.argmin(nu))
+            if nu[worst] >= -tol:
+                return (True, xhat, np.array(work, dtype=np.int64), it)
+            # drop the most negative multiplier; ties go to the lowest row id
+            ties = np.nonzero(nu <= nu[worst] + 1e-12)[0]
+            rows = np.array(work, dtype=np.int64)
+            drop_pos = int(ties[np.argmin(rows[ties])])
+            in_work[work[drop_pos]] = False
+            work.pop(drop_pos)
+            x = xhat
+            continue
+
+        ap = p[i1] + p[i2]
+        ax = x[i1] + x[i2]
+        desc = (~in_work) & (ap < -1e-12)
+        alpha = 1.0
+        blocking = -1
+        if desc.any():
+            idx = np.nonzero(desc)[0]
+            steps = (ax[idx] - b[idx]) / (-ap[idx])
+            steps = np.maximum(steps, 0.0)
+            amin = float(steps.min())
+            if amin < 1.0 - 1e-12:
+                alpha = amin
+                close = idx[steps <= amin + 1e-12]
+                blocking = int(close.min())
+        x = x + alpha * p
+        if blocking >= 0:
+            work.append(blocking)
+            in_work[blocking] = True
+
+    return (False, x, np.array(work, dtype=np.int64), max_iter)
+
+
+def primal_start(b, n):
+    """The former feasible start: zero if it meets every pair row, else
+    the constant max(b)/2, which meets every one."""
+    top = float(b.max(initial=0.0))
+    if top <= FEAS_TOL * max(1.0, float(np.abs(b).max(initial=0.0))):
+        return np.zeros(n)
+    return np.full(n, top / 2.0)
 
 
 # ---------------------------------------------------------------------------

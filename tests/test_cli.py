@@ -17,7 +17,7 @@ from treegromov import (
     tree_to_semimetric,
     write_newick,
 )
-from treegromov.cli import main
+from treegromov.cli import build_parser, main
 
 Q1 = "((1,2),(3,4));"
 Q2 = "((1,3),(2,4));"
@@ -500,3 +500,27 @@ def test_no_subcommand_errors():
 def test_unknown_norm_rejected():
     with pytest.raises(SystemExit):
         main(["dist", Q1, Q2, "--norm", "7"])
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    # main runs on one cached parser; each call must still read exactly
+    # what a fresh parser reads
+    calls = (
+        ["dist", Q1, Q2, "--norm", "2"],
+        ["experiment", "compare", "--n", "5", "--trials", "2", "--seed", "3"],
+        ["dist", Q1, Q2, "--csv", "--variant", "lower"],
+        ["validate", Q1],
+    )
+    warm = [run(capsys, argv) for argv in calls]
+    assert build_parser() is build_parser()
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run(capsys, argv))
+    assert warm == fresh
+    assert all(code == 0 for code, _, _ in warm)
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["dist", Q1, Q2, "--no-such-flag"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err

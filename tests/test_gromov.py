@@ -711,27 +711,41 @@ def test_inf_lp_route_matches_closed_form():
     assert value == closed.value  # exact
 
 
-@pytest.mark.parametrize("seed", [1, 2])
-@pytest.mark.parametrize("scale", [1e3, 1e4, 1e5, 1e6])
-def test_scaled_d2_certifies_or_raises_treegromov_error(seed, scale):
-    # Branch lengths in these units once made the active-set QP hit a
-    # singular working-set system that escaped as a bare LinAlgError.  A
-    # solve must now either certify its optimum or fail with the package's
-    # own error; each KKT part is judged relative to the data scale s.
-    t1 = random_binary_tree(30, seed=seed, weight_model="uniform01")
-    t2 = random_binary_tree(30, seed=seed + 100, weight_model="uniform01")
-    r1 = tree_to_semimetric(t1).scaled(scale)
-    r2 = tree_to_semimetric(t2).scaled(scale)
-    try:
-        res = gromov_distance(r1, r2, GromovSpec(norm=2))
-    except TreegromovError as exc:
-        assert "rows=" in str(exc) and "max|b|=" in str(exc)
-        return
+def _d2_pair(seed, scale, n=30):
+    return [
+        tree_to_semimetric(random_binary_tree(n, seed=s, weight_model="uniform01")).scaled(scale)
+        for s in (seed, seed + 100)
+    ]
+
+
+@pytest.mark.parametrize(
+    "scale, seed",
+    [(s, 1) for s in (1e3, 1e4, 1e5, 1e6)] + [(s, 2) for s in (1e3, 1e4, 1e5, 1e6, 1e7, 1e8)],
+)
+def test_scaled_d2_certifies(scale, seed):
+    # Branch lengths in these units once made the primal active-set QP hit
+    # a singular working-set system (its step tests were absolute).  Every
+    # case must now certify, with each KKT part judged relative to the
+    # data scale s.
+    r1, r2 = _d2_pair(seed, scale)
+    res = gromov_distance(r1, r2, GromovSpec(norm=2))
     s = max(1.0, float(r1.table.max()), float(r2.table.max()))
     kkt = res.certificate["kkt"]
     for part in ("stationarity", "primal", "dual"):
         assert kkt[part] <= 1e-9 * s, (part, kkt[part])
     assert kkt["complementarity"] <= 1e-9 * s * s
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_d2_raw_objective_is_homogeneous(seed):
+    # the pair-row QP is homogeneous: scaling the tables by s scales the
+    # optimum by s and the objective by s^2
+    base = gromov_distance(*_d2_pair(seed, 1.0), GromovSpec(norm=2)).certificate["raw_objective"]
+    assert base > 0
+    for e in range(-6, 10):
+        s = 10.0**e
+        raw = gromov_distance(*_d2_pair(seed, s), GromovSpec(norm=2)).certificate["raw_objective"]
+        assert raw == pytest.approx(s * s * base, rel=1e-9), s
 
 
 def test_certificates_render():

@@ -17,10 +17,13 @@ from treegromov import (
     QuadraticProgram,
     TreegromovError,
     ValidationError,
+    random_binary_tree,
     solve_lp,
     solve_qp,
+    tree_to_semimetric,
 )
 from treegromov import _kernels, solver
+from treegromov.gromov import _pair_arrays
 from treegromov.solver import STATUS_OPTIMAL
 
 
@@ -423,6 +426,64 @@ def test_qp_kkt_audit_rejects_a_perturbed_optimum(monkeypatch):
     qp = QuadraticProgram.from_sparse([1, 1], _rows((0, 1, 2)))
     with pytest.raises(TreegromovError, match="KKT audit.*rows=1, vars=2, max.b.=2"):
         solve_qp(qp)
+
+
+def test_qp_iteration_limit_is_loud(monkeypatch):
+    real = _kernels.active_set_qp
+
+    def one_step(i1, i2, b, w, tol, max_iter):
+        return real(i1, i2, b, w, tol, 1)
+
+    monkeypatch.setattr(_kernels, "active_set_qp", one_step)
+    qp = QuadraticProgram.from_sparse([1, 1, 1], _rows((0, 1, 2), (1, 2, 3)))
+    with pytest.raises(TreegromovError, match=r"active-set QP iteration limit.*rows=2, vars=3, max.b.=3"):
+        solve_qp(qp)
+
+
+def test_qp_kernel_without_a_finite_step_raises(monkeypatch):
+    def no_step(i1, i2, b, w, tol, max_iter):
+        return _kernels.QP_NO_STEP, np.zeros(len(w)), np.zeros(0, dtype=np.int64), 1
+
+    monkeypatch.setattr(_kernels, "active_set_qp", no_step)
+    qp = QuadraticProgram.from_sparse([1, 1], _rows((0, 1, 2)))
+    with pytest.raises(TreegromovError, match=r"active-set QP found a row with no finite step.*rows=1, vars=2"):
+        solve_qp(qp)
+
+
+@pytest.mark.parametrize("n", [20, 40, 80])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_qp_matches_the_primal_active_set_reference(n, weighted):
+    # the former kernel (tests/_oracles.py) on D2 programs of uniform(0,1]
+    # tree pairs at scales where it solves: equal values and argmins, and
+    # equal working sets wherever the optimum is nondegenerate (every tight
+    # row in the working set, every multiplier clearly positive)
+    rng = np.random.default_rng(n + weighted)
+    compared = 0
+    for seed in (1, 2):
+        base = [
+            tree_to_semimetric(random_binary_tree(n, seed=t, weight_model="uniform01"))
+            for t in (seed, seed + 100)
+        ]
+        w = rng.uniform(0.5, 2.0, size=n) if weighted else np.ones(n)
+        for scale in (1e-3, 1e-2, 1e-1, 1.0, 1e1):
+            i1, i2, b = _pair_arrays(*(r.scaled(scale) for r in base))
+            res = solve_qp(QuadraticProgram.from_sparse(w, (i1, i2, b)))
+            ok, x_ref, work_ref, _ = orc.primal_active_set_qp(i1, i2, b, w, orc.primal_start(b, n))
+            assert ok
+            x_ref = np.maximum(x_ref, 0.0)
+            top = float(np.abs(b).max())
+            assert res.value == pytest.approx(float(np.dot(w, x_ref * x_ref)), rel=1e-10)
+            assert np.abs(res.argmin - x_ref).max() <= 1e-9 * top
+            _, _, work, _ = _kernels.active_set_qp(i1, i2, b, w, 1e-11, 10**6)
+            mu = res.certificate["multipliers"]
+            tight = set(np.flatnonzero(res.argmin[i1] + res.argmin[i2] - b <= 1e-9 * top))
+            assert set(work) <= tight and set(work_ref) <= tight
+            if tight == set(work) and (mu[work] > 1e-6 * top).all():
+                assert sorted(work_ref) == sorted(work), (seed, scale)
+                compared += 1
+    # from n = 40 on, these tree pairs have more tight rows than independent
+    # ones, so their optimum is degenerate and only the subset check applies
+    assert compared >= 5 or n >= 40
 
 
 def test_qp_rejects_bad_weights():
