@@ -2,20 +2,21 @@
 
 Kernels here never touch the domain types; the calling modules convert to
 and from them.  All but two operate on plain float64 arrays.  The
-exceptions are max_assignment and tree_certificate, which run on a list of
-row lists so that the same code is exact on Python ints: in rational mode
-their callers scale the Fraction table by the lcm of its denominators
+exceptions are max_transport, the transportation kernel on the
+capacitated bipartite double cover that solves all of exact norm 1 and
+unweighted float norm 1, and tree_certificate.  They run on a list of row
+lists so that the same code is exact on Python ints: in rational mode
+their callers scale the Fraction data by the lcm of its denominators
 (core._as_integers), which is exact and order-preserving, and no Fraction
 reaches them.  They stay on lists in float mode too, so there is one
-implementation.  Each O(n) step of
-max_assignment scans one row, and at the benchmark's sizes numpy's
-per-call overhead outweighs the vector work: on a 2-core x86-64 host, a
-column-vectorised numpy version took 0.26-0.28 s for 45 assignments at
-n=50 (the gap tables of ten uniform(0,1] trees), against 0.15-0.17 s on
-lists; the two were even at n=100, and numpy was twice as fast at n=200
-(69 against 136 ms).  tree_certificate takes about 2 ms on an n=80 tree
-metric on the same host, against about 0.2 s for the four-point scan it
-saves.
+implementation.  Each O(n) step of max_transport scans a row, and at the
+benchmark's sizes numpy's per-call overhead outweighs the vector work: on
+a 2-core x86-64 host, a column-vectorised numpy assignment took 0.26-0.28
+s for 45 assignments at n=50 (the gap tables of ten uniform(0,1] trees),
+against 0.15-0.17 s on lists; the two were even at n=100, and numpy was
+twice as fast at n=200 (69 against 136 ms).  tree_certificate takes about
+2 ms on an n=80 tree metric on the same host, against about 0.2 s for the
+four-point scan it saves.
 
 Programs are pair rows x[i1[r]] + x[i2[r]] >= b[r] with i1[r] != i2[r],
 passed as the index arrays i1, i2 and the right-hand side b; every row has
@@ -330,73 +331,120 @@ def active_set_qp(i1, i2, b, w, tol: float, max_iter: int):
 
 
 # ---------------------------------------------------------------------------
-# Maximum-weight assignment (Hungarian method, shortest augmenting paths)
+# Maximum-profit transportation (successive shortest paths)
 # ---------------------------------------------------------------------------
 #
-# Maximise sum_i g[i][p(i)] over permutations p.  The dual is
-# min sum u + sum v subject to u_i + v_j >= g[i][j]; the reduced costs
-# u_i + v_j - g[i][j] stay >= 0 and are 0 on matched edges.  Each free row
-# is matched by Dijkstra on the reduced costs (every step finalises one
-# column and scans the row matched to it), then the potentials of the
-# scanned rows and finalised columns are shifted by their distance to the
-# free column reached, which keeps every reduced cost >= 0 and the new
-# matching tight.
+# Maximise sum g[i][j] f[i][j] over flows f >= 0 in which row i sends at
+# most cap[i] and column j takes at most cap[j] (the capacitated bipartite
+# double cover); with every cap 1 it is the maximum-weight assignment and
+# this is the Hungarian method.  The dual is min sum cap_i (u_i + v_i)
+# subject to u_i + v_j >= g[i][j]; the reduced costs u_i + v_j - g[i][j]
+# stay >= 0 and are 0 wherever flow runs.  Each row with residual supply
+# runs Dijkstra on them: each step finalises the first column of least
+# distance and, unless that column still takes flow, scans each row that
+# sends into it and was not scanned yet (at the column's distance: the
+# reverse arc costs 0).  The last such scan also finds the next column,
+# the one min(todo) would pick.  The potentials of the scanned rows and the
+# finalised columns then shift by their distance to the column reached,
+# which keeps the reduced costs >= 0 and makes the path tight, and the
+# path carries the least of the residual supply, the residual demand and
+# the flow on each arc it runs backwards.  Supply and demand have one total
+# and every row reaches every column, so all of it is sent, and the flow
+# and the potentials end with equal objectives.
 
-def max_assignment(g):
-    """Optimal assignment of the square table g (a list of row lists).
+def max_transport(g, cap):
+    """Optimal transportation on the square table g (a list of row lists)
+    with the integer capacities cap, one per row and column index.
 
-    Returns (col_of_row, u, v, steps): the permutation, dual potentials
-    with u_i + v_j >= g[i][j] and equality on matched edges, and the number
-    of Dijkstra steps.  Exact when the entries are ints (or Fractions); it
-only adds, subtracts and compares, so scaling g by L > 0 scales u and v
-by L and keeps the permutation and the step count.  The
-    start is u = row maxima, v = 0, with each row matched to its first
-    argmax column when that column is still free."""
+    Returns (sent, u, v, steps): sent[j] maps each row i that sends to
+    column j to its amount f_ij > 0, then the dual potentials, tight
+    wherever flow runs, and the number of Dijkstra steps.  It only adds,
+    subtracts and compares, so it is exact on ints, and scaling g by L > 0
+    scales u and v by L and keeps the flow and the step count.  The start
+    is u = row maxima, v = 0, each row sending to its first argmax column
+    as much as that column takes.  With unit caps the flow is a
+    permutation."""
     n = len(g)
     u = [max(row) for row in g]
     v = [0] * n
-    col_of_row = [-1] * n
-    row_of_col = [-1] * n
+    supply = list(cap)
+    demand = list(cap)
+    sent = [{} for _ in range(n)]
     for i, row in enumerate(g):
         j = row.index(u[i])
-        if row_of_col[j] < 0:
-            row_of_col[j] = i
-            col_of_row[i] = j
-    steps = 0
+        f = min(supply[i], demand[j])
+        if f > 0:
+            sent[j][i] = f
+            supply[i] -= f
+            demand[j] -= f
+    inf = float("inf")
+    seen = [0] * n  # the last search, numbered from 1, that scanned row i
+    via = [0] * n  # the column that search reached row i through
+    steps = search = 0
     for s in range(n):
-        if col_of_row[s] >= 0:
-            continue
-        us = u[s]
-        dist = [us + vj - gj for vj, gj in zip(v, g[s])]
-        pred = [s] * n
-        todo = list(range(n))
-        done = []
-        while True:
-            steps += 1
+        while supply[s] > 0:
+            search += 1
+            seen[s] = search
+            via[s] = -1
+            us = u[s]
+            dist = [us + vj - gj for vj, gj in zip(v, g[s])]
+            pred = [s] * n
+            todo = list(range(n))
+            done = []
             j1 = min(todo, key=dist.__getitem__)
-            d = dist[j1]
-            todo.remove(j1)
-            i = row_of_col[j1]
-            if i < 0:
-                break
-            done.append(j1)
-            base = d + u[i]
-            gi = g[i]
-            for j in todo:
-                cur = base + v[j] - gi[j]
-                if cur < dist[j]:
-                    dist[j] = cur
-                    pred[j] = i
-        for j in done:
-            shift = d - dist[j]
-            v[j] += shift
-            u[row_of_col[j]] -= shift
-        u[s] -= d
-        j = j1
-        while True:
-            i = pred[j]
-            row_of_col[j] = i
-            col_of_row[i], j = j, col_of_row[i]
-            if i == s:
-                break
-    return col_of_row, u, v, steps
+            while True:
+                steps += 1
+                d = dist[j1]
+                todo.remove(j1)
+                if demand[j1] > 0:
+                    break
+                done.append(j1)
+                nxt = -1
+                for i in sent[j1]:
+                    if seen[i] == search:
+                        continue
+                    seen[i] = search
+                    via[i] = j1
+                    base = d + u[i]
+                    gi = g[i]
+                    best = inf
+                    for j in todo:
+                        cur = base + v[j] - gi[j]
+                        dj = dist[j]
+                        if cur < dj:
+                            dist[j] = dj = cur
+                            pred[j] = i
+                        if dj < best:
+                            best = dj
+                            nxt = j
+                j1 = nxt if nxt >= 0 else min(todo, key=dist.__getitem__)
+            for j in done:
+                shift = d - dist[j]
+                v[j] += shift
+                for i in sent[j]:
+                    if via[i] == j:
+                        u[i] -= shift
+            u[s] -= d
+            amount = min(supply[s], demand[j1])
+            i = pred[j1]
+            while i != s:
+                back = sent[via[i]][i]
+                if back < amount:
+                    amount = back
+                i = pred[via[i]]
+            supply[s] -= amount
+            demand[j1] -= amount
+            j = j1
+            while True:
+                i = pred[j]
+                col = sent[j]
+                col[i] = col.get(i, 0) + amount
+                if i == s:
+                    break
+                j = via[i]
+                col = sent[j]
+                if col[i] == amount:
+                    del col[i]
+                else:
+                    col[i] -= amount
+    return sent, u, v, steps

@@ -43,30 +43,33 @@ breaks the triangle inequality the difference audit can fail; that is a
 ValidationError, never a silent second solve.  A failed bound audit
 contradicts the proof and raises TreegromovError.
 
-Norm 1 without taxon weights is half a maximum-weight assignment
-(Nemhauser-Trotter 1975, the bipartite double cover; Kuhn 1955).  Mirror g
-into a symmetric n x n table with g(x, x) = 0.  Let u, v be optimal
-assignment potentials on it: u_x + v_y >= g(x, y) for all x, y, with
-sum u + sum v = max_p sum_x g(x, p(x)).  Then delta = (u + v) / 2 is
-feasible: delta_x + delta_y = ((u_x + v_y) + (u_y + v_x)) / 2 >= g(x, y),
-and delta_x = (u_x + v_x) / 2 >= g(x, x) / 2 = 0.  Conversely, for a
-permutation matrix P put y_xy = (P_xy + P_yx) / 2 on each pair row.  Then
-y >= 0, the rows through x carry sum_{y != x} (P_xy + P_yx) / 2 = 1 - P_xx
-<= 1, so y is feasible for the LP dual (A^T y <= 1), and b.y = sum_{x !=
-y} g(x, y) P_xy / 2 = sum_x g(x, p(x)) / 2 because the diagonal is zero.
-By weak duality every feasible delta has sum delta >= b.y; at an optimal
-assignment the two sums meet, so D1 = Dt1 = max assignment / 2, and
-delta with y is the same dual certificate ("dual", "duality_gap") the
-simplex returns.  solver.solve_assignment audits exactly these three
-facts, with the audit solve_lp runs.  Weighted norm 1 stays on the LP
-simplex.
+Norm 1 is half a maximum-profit transportation problem (Nemhauser-Trotter
+1975, the bipartite double cover; Kuhn 1955 for unit weights, where it is
+an assignment).  Mirror g into a symmetric n x n table with g(x, x) = 0,
+and give row and column x the capacity w_x.  Let u, v be optimal
+potentials: u_x + v_y >= g(x, y) for all x, y, with sum_x w_x (u_x + v_x)
+= T, the largest sum g(x, y) F_xy over flows F >= 0 whose row and column
+sums at each x are at most w_x.  Then delta = (u + v) / 2 is feasible:
+delta_x + delta_y = ((u_x + v_y) + (u_y + v_x)) / 2 >= g(x, y), and
+delta_x = (u_x + v_x) / 2 >= g(x, x) / 2 = 0; and sum w delta = T / 2.
+Conversely, for such a flow put y_xy = (F_xy + F_yx) / 2 on each pair
+row.  Then y >= 0, the rows through x carry sum_{y != x} (F_xy + F_yx) / 2
+<= (w_x + w_x) / 2 - F_xx <= w_x, so y is feasible for the LP dual
+(A^T y <= w), and b.y = sum_{x != y} g(x, y) F_xy / 2 = sum g F / 2
+because the diagonal is zero.  By weak duality every feasible delta has
+sum w delta >= b.y; at an optimal flow the two sums meet, so D1 = Dt1 =
+T / 2, and delta with y is the same dual certificate ("dual",
+"duality_gap") the simplex returns.  The solver audits exactly these three
+facts, with the audit solve_lp runs.  Float weighted norm 1 stays on the
+LP simplex; every other norm-1 solve runs the transportation kernel.
 
 The program is assembled from one set of pair arrays: the upper-triangle
 pairs i < j in row-major order (np.triu_indices), with |rho - rho'| on
 them.  The same arrays feed the pair rows, the gap table of the
 assignment, the tight pair of the norm-inf closed form and the active-row
-list of format_certificate.  In rational mode the assignment and its audit
-run on that gap table scaled to integers (solver.solve_assignment), and
+list of format_certificate.  In rational mode the transportation and its
+audit run on that gap table and the weights scaled to integers (in
+solver.solve_assignment, or solve_lp with taxon weights), and
 quadrangle_feasible, which also needs rho + rho', compares the pair
 entries of both tables and delta scaled by one common lcm; Fractions
 appear only in what they return.

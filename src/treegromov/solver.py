@@ -11,7 +11,7 @@ constructors; they validate the arrays in vectorised checks and store them
 read-only.  The constant vector max(b, 0) meets every pair row, so no
 program is ever infeasible.
 
-The linear solver solves the dual of
+In float mode the linear solver solves the dual of
 
     min c.x   s.t.  A x >= b,  x >= 0
 
@@ -20,30 +20,33 @@ matter how many rows the primal has (rows here grow quadratically in the
 taxon count while variables grow linearly).  The all-slack dual basis is
 feasible exactly when c >= 0, so solve_lp accepts nonnegative objectives
 only; every program this package assembles has one, and with c >= 0 and a
-feasible primal the dual is bounded.  Exact-rational solves follow the
-same route with Fraction arithmetic and Bland's rule throughout.
+feasible primal the dual is bounded.
 
-The uniform-weight pair-row LP
+Every exact solve, and the float one without taxon weights, runs the
+transportation kernel _kernels.max_transport instead.  Rows with b <= 0
+are implied by x >= 0 and a pair's rows by its largest b, so the LP is
 
-    min sum_x x_x   s.t.  x_i + x_j >= g[i, j]  (i < j),  x >= 0
+    min sum_x c_x x_x   s.t.  x_i + x_j >= g[i, j]  (i < j),  x >= 0
 
-on a symmetric table g with a zero diagonal is half the maximum-weight
-assignment on g (the proof is in the gromov module docstring).
-solve_assignment takes g itself, runs the O(n^3) Hungarian kernel
-(shortest augmenting paths; the same code on floats and, in rational
-mode, on g scaled to Python ints by the lcm of its denominators, so the
-rational route does no simplex pivoting and no Fraction arithmetic), and
-returns x = (u + v) / 2 from the assignment potentials with the dual
-y_ij = (P_ij + P_ji) / 2 from the permutation.  Its certificate has
-solve_lp's keys ("dual" with one entry per pair row, "duality_gap").
+on the symmetric table g of the largest b on each pair (0 without a
+positive one), which is half the maximum-profit transportation on g with
+row and column capacities c (the proof is in the gromov module
+docstring).  Potentials u, v give x = (u + v) / 2 and the flow F gives
+the dual y_ij = (F_ij + F_ji) / 2 on the first row attaining g[i, j].
+solve_assignment takes g itself with unit capacities, where the kernel is
+the Hungarian method and F a permutation matrix; solve_lp in rational
+mode builds g from the rows.  In rational mode g and c are scaled to
+Python ints by the lcms of their denominators, so no Fraction reaches the
+kernel or its audit; the same code runs on floats.  Both return solve_lp's
+certificate keys ("dual" with one entry per pair row, "duality_gap").
 
-Both norm-1 routes certify the same program, and one O(m + n) audit
+Both routes certify the same kind of program, and one O(m + n) audit
 judges both results: the pair rows and x >= 0 within FEAS_ATOL of the data
 scale max(1, max|b|), y >= 0 and A^T y <= c within FEAS_ATOL of
 max(1, max c), and the duality gap |b.y - c.x| within GAP_RTOL relative;
 in rational mode every check is exact and the gap must be zero.  The
-assignment is audited on its integer program times 2 lcm (see
-solve_assignment), which gives the same verdicts.
+transportation answers are audited on their integer program times
+2 lcm (see _transport), which gives the same verdicts.
 
 The quadratic solver is the dual active-set method of Goldfarb and Idnani
 (1983) for strictly convex diagonal objectives sum w_j x_j^2 over pair
@@ -298,7 +301,7 @@ def _certify(route, i1, i2, b, c, x, y, mode, scales=(1, 1)):
     In rational mode the program may come scaled by scales = (sx, sy) > 0:
     b and x are sx times the data, c and y are sy times it.  Every check
     is exact, and positive scaling preserves each verdict, so this is the
-    same audit; solve_assignment uses it to audit on integers.  The value,
+    same audit; _transport uses it to audit on integers.  The value,
     the gap and every amount in a message are divided back into data
     units.  Returns (x, y, value, gap); x and y keep their types as given,
     value and gap are Fractions in rational mode.  A failed check raises
@@ -380,7 +383,7 @@ def _lp_float_dual(i1, i2, b, c):
     )
     if status == _kernels.LP_ITER_LIMIT:
         raise TreegromovError(
-            f"simplex iteration limit ({max_iter}) hit on {m} rows x {n} vars"
+            f"simplex iteration limit ({max_iter}) hit; instance: {_instance(b, n)}"
         )
     if status == _kernels.LP_DUAL_UNBOUNDED:
         raise TreegromovError(
@@ -391,103 +394,6 @@ def _lp_float_dual(i1, i2, b, c):
     pair = basis < m
     y[basis[pair]] = xB[pair]
     return {"iterations": int(iters), "x": -pi, "y": y}
-
-
-# ---------------------------------------------------------------------------
-# Rational LP (dual route, Bland's rule, exact arithmetic)
-# ---------------------------------------------------------------------------
-
-def _frac_solve(mat, rhs):
-    """Exact Gaussian elimination; mat is a list of Fraction rows."""
-    n = len(rhs)
-    M = [list(mat[r]) + [rhs[r]] for r in range(n)]
-    for col in range(n):
-        piv = -1
-        for r in range(col, n):
-            if M[r][col] != 0:
-                piv = r
-                break
-        if piv < 0:
-            raise TreegromovError("singular basis in exact simplex")
-        M[col], M[piv] = M[piv], M[col]
-        inv = M[col][col]
-        if inv != 1:
-            M[col] = [x / inv for x in M[col]]
-        prow = M[col]
-        for r in range(n):
-            f = M[r][col]
-            if r != col and f != 0:
-                M[r] = [a - f * p for a, p in zip(M[r], prow)]
-    return [M[r][n] for r in range(n)]
-
-
-def _lp_rational_dual(i1, i2, b, c):
-    """Exact mirror of _lp_float_dual on lists of Fractions; Bland's rule
-    from the start.  Column j < m of the dual is pair row j, column m + k
-    the slack of x[k]."""
-    n = len(c)
-    m = len(b)
-    zero, one = Fraction(0), Fraction(1)
-    g = [-x for x in b] + [zero] * n
-    ncol = m + n
-    basis = list(range(m, ncol))
-    in_basis = [False] * ncol
-    for col in basis:
-        in_basis[col] = True
-    max_iter = 20000 + 100 * n
-
-    def column(col):
-        return (i1[col], i2[col]) if col < m else (col - m,)
-
-    for it in range(1, max_iter + 1):
-        B = [[zero] * n for _ in range(n)]
-        for t, col in enumerate(basis):
-            for r in column(col):
-                B[r][t] = one
-        xB = _frac_solve(B, list(c))
-        Bt = [[B[r][t] for r in range(n)] for t in range(n)]
-        pi = _frac_solve(Bt, [g[col] for col in basis])
-        entering = -1
-        for j in range(ncol):
-            if in_basis[j]:
-                continue
-            red = g[j]
-            for r in column(j):
-                red -= pi[r]
-            if red < 0:
-                entering = j
-                break
-        if entering < 0:
-            y = [zero] * m
-            for t, col in enumerate(basis):
-                if col < m:
-                    y[col] = xB[t]
-            return {"iterations": it, "x": [-p for p in pi], "y": y}
-        a = [zero] * n
-        for r in column(entering):
-            a[r] = one
-        d = _frac_solve(B, a)
-        theta = None
-        for t in range(n):
-            if d[t] > 0:
-                r = xB[t] / d[t]
-                if theta is None or r < theta:
-                    theta = r
-        if theta is None:
-            raise TreegromovError(
-                f"exact simplex found the dual unbounded, which a pair-row "
-                f"program cannot be; instance: {_instance(b, n)}"
-            )
-        leave = -1
-        leave_var = ncol
-        for t in range(n):
-            if d[t] > 0 and xB[t] / d[t] == theta and basis[t] < leave_var:
-                leave_var = basis[t]
-                leave = t
-        in_basis[basis[leave]] = False
-        in_basis[entering] = True
-        basis[leave] = entering
-    raise TreegromovError(f"exact simplex iteration limit ({max_iter}) hit")
 
 
 # ---------------------------------------------------------------------------
@@ -508,8 +414,10 @@ def _singular_as_error(route, b, n_vars):
 
 
 def solve_lp(lp: LinearProgram, mode: str | None = None) -> OptResult:
-    """Globally solve the LP with the dual-route simplex, and audit the
-    primal and dual solutions (see the module docstring).
+    """Globally solve the LP and audit its primal and dual solutions (see
+    the module docstring): in float mode with the dual-route simplex
+    (method "dual"), in rational mode as a transportation problem on the
+    lcm-scaled integers (method "assignment").
 
     mode defaults to the program's own mode; a rational program may be
     solved in float mode (exact data converted down), never the reverse.
@@ -522,19 +430,15 @@ def solve_lp(lp: LinearProgram, mode: str | None = None) -> OptResult:
     if mode == MODE_RATIONAL and lp.mode == MODE_FLOAT:
         raise ValidationError("cannot solve a float program in rational mode")
     if (lp.c < 0).any():
-        raise ValidationError(
-            "solve_lp requires a nonnegative objective (dual-route simplex)"
-        )
+        raise ValidationError("solve_lp requires a nonnegative objective")
+    if mode == MODE_RATIONAL:
+        return _lp_transport(lp)
 
     i1, i2 = lp.i1, lp.i2
-    if mode == MODE_RATIONAL:
-        b, c = lp.b, lp.c
-        out = _lp_rational_dual(i1.tolist(), i2.tolist(), b.tolist(), c.tolist())
-    else:
-        b = np.asarray(lp.b, dtype=np.float64)
-        c = np.asarray(lp.c, dtype=np.float64)
-        with _singular_as_error("simplex", b, lp.n_vars):
-            out = _lp_float_dual(i1, i2, b, c)
+    b = np.asarray(lp.b, dtype=np.float64)
+    c = np.asarray(lp.c, dtype=np.float64)
+    with _singular_as_error("simplex", b, lp.n_vars):
+        out = _lp_float_dual(i1, i2, b, c)
     x, y, value, gap = _certify("simplex", i1, i2, b, c, out["x"], out["y"], mode)
     return OptResult(
         STATUS_OPTIMAL,
@@ -548,8 +452,69 @@ def solve_lp(lp: LinearProgram, mode: str | None = None) -> OptResult:
 
 
 # ---------------------------------------------------------------------------
-# solve_assignment: uniform-weight pair-row LP as an assignment
+# Norm 1 as a transportation problem: solve_assignment and rational solve_lp
 # ---------------------------------------------------------------------------
+
+def _transport(g, cap, rows, carry, c, mode, scales=(1, 1)):
+    """Run _kernels.max_transport on the table g (a list of row lists) with
+    the capacities cap, and audit x = (u + v) / 2 and, on the rows carry,
+    y = (F_ij + F_ji) / 2 (0 elsewhere) on the pair rows (i1, i2, b) with
+    costs c (None for unit costs).  In float mode every cap is 1.  In
+    rational mode g and b are Lb times the data and cap and c are Lc times
+    it, all integers, for scales = (Lb, Lc); the audit runs on the program
+    times (2 Lb, 2 Lc), where b' = 2b, x' = u + v, c' = 2c and y' = F_ij +
+    F_ji are integers, and only value, argmin and dual become Fractions.
+    """
+    i1, i2, b = rows
+    n = len(g)
+    sent, u, v, steps = _kernels.max_transport(g, cap)
+    flow = np.zeros((n, n), dtype=np.int64 if mode == MODE_FLOAT else object)
+    for j, col in enumerate(sent):
+        for i, f in col.items():
+            flow[i, j] = f
+    y2 = np.zeros(len(b), dtype=flow.dtype)
+    y2[carry] = flow[i1[carry], i2[carry]] + flow[i2[carry], i1[carry]]
+    if mode == MODE_FLOAT:
+        x = (np.array(u, dtype=np.float64) + np.array(v, dtype=np.float64)) / 2
+        x, y, value, gap = _certify("assignment", i1, i2, b, c, x, y2 / 2, mode)
+    else:
+        lb, lc = scales
+        x2 = np.array([p + q for p, q in zip(u, v)], dtype=object)
+        _, _, value, gap = _certify(
+            "assignment", i1, i2, 2 * b, 2 * c, x2, y2, mode, scales=(2 * lb, 2 * lc)
+        )
+        x = np.array([Fraction(a, 2 * lb) for a in x2.tolist()], dtype=object)
+        y = [Fraction(h, 2 * lc) for h in y2.tolist()]
+    return OptResult(
+        STATUS_OPTIMAL,
+        value,
+        x,
+        steps,
+        mode,
+        "assignment",
+        certificate={"dual": y, "duality_gap": gap},
+    )
+
+
+def _lp_transport(lp):
+    """The rational LP as a transportation problem (see the module
+    docstring) on b and c times the lcms Lb and Lc of their denominators;
+    the first row that attains a positive g_ij carries its pair's dual."""
+    n = lp.n_vars
+    b, lb = _as_integers(lp.b)
+    c, lc = _as_integers(lp.c)
+    g = [[0] * n for _ in range(n)]
+    first = [[-1] * n for _ in range(n)]
+    for r, (p, q, br) in enumerate(zip(lp.i1.tolist(), lp.i2.tolist(), b.tolist())):
+        if br > g[p][q]:
+            g[p][q] = g[q][p] = br
+            first[p][q] = first[q][p] = r
+    carry = [r for p, row in enumerate(first) for r in row[p + 1 :] if r >= 0]
+    return _transport(
+        g, c.tolist(), (lp.i1, lp.i2, b), np.array(carry, dtype=np.int64), c,
+        MODE_RATIONAL, scales=(lb, lc),
+    )
+
 
 def solve_assignment(g, mode: str = MODE_FLOAT) -> OptResult:
     """min sum_x x_x subject to x_i + x_j >= g[i, j] for every pair i < j
@@ -560,15 +525,8 @@ def solve_assignment(g, mode: str = MODE_FLOAT) -> OptResult:
     permutation matrix P gives the dual y_ij = (P_ij + P_ji) / 2, one entry
     per pair row in np.triu_indices order (see the module docstring).
     Both pass solve_lp's audit of the same program with unit weights; a
-    failed check raises TreegromovError.
-
-    In rational mode the kernel runs on g times L, the lcm of its
-    denominators (core._as_integers), so every cell is a Python int.  The
-    kernel only adds, subtracts and compares, so its permutation and step
-    count are those on g and its potentials are L times them.  The audit
-    runs on the program times 2L, which is integral: b' = 2L g,
-    x' = u + v, y' = 2y and c' = 2.  Only value, argmin and dual become
-    Fractions, at the end.
+    failed check raises TreegromovError.  In rational mode the kernel runs
+    on g times the lcm of its denominators (see _transport).
     """
     check_mode(mode)
     g = scalar_array(g, mode)
@@ -577,35 +535,17 @@ def solve_assignment(g, mode: str = MODE_FLOAT) -> OptResult:
         raise ValidationError(f"gap table must be square, got shape {g.shape}")
     if mode == MODE_FLOAT and not np.isfinite(g).all():
         raise ValidationError("gap table must be finite")
+    den = 1
     if mode == MODE_RATIONAL:
         g, den = _as_integers(g)
     if (g != g.T).any() or (g.diagonal() != 0).any() or (g < 0).any():
         raise ValidationError(
             "gap table must be symmetric and nonnegative with a zero diagonal"
         )
-    col_of_row, u, v, steps = _kernels.max_assignment(g.tolist())
     iu, ju = np.triu_indices(n, 1)
-    perm = np.array(col_of_row, dtype=np.int64)
-    halves = (perm[iu] == ju).astype(np.int64) + (perm[ju] == iu)
-    if mode == MODE_FLOAT:
-        x = (np.array(u, dtype=np.float64) + np.array(v, dtype=np.float64)) / 2
-        x, y, value, gap = _certify("assignment", iu, ju, g[iu, ju], None, x, halves / 2, mode)
-    else:
-        x2 = np.array([a + c for a, c in zip(u, v)], dtype=object)
-        twos = np.full(n, 2, dtype=np.int64)
-        _, _, value, gap = _certify(
-            "assignment", iu, ju, 2 * g[iu, ju], twos, x2, halves, mode, scales=(2 * den, 2)
-        )
-        x = np.array([Fraction(a, 2 * den) for a in x2.tolist()], dtype=object)
-        y = [Fraction(h, 2) for h in halves.tolist()]
-    return OptResult(
-        STATUS_OPTIMAL,
-        value,
-        x,
-        steps,
-        mode,
-        "assignment",
-        certificate={"dual": y, "duality_gap": gap},
+    ones = None if mode == MODE_FLOAT else np.ones(n, dtype=np.int64)
+    return _transport(
+        g.tolist(), [1] * n, (iu, ju, g[iu, ju]), slice(None), ones, mode, scales=(den, 1)
     )
 
 

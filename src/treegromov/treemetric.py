@@ -192,52 +192,46 @@ def _check_comparable(rho: Semimetric, rho_prime: Semimetric):
 
 
 def _pair_diffs(rho: Semimetric, rho_prime: Semimetric):
-    n = len(rho.taxa)
-    iu = np.triu_indices(n, k=1)
-    diff = rho.table[iu] - rho_prime.table[iu]
-    return np.abs(diff) if rho.mode == MODE_FLOAT else np.array(
-        [abs(x) for x in diff], dtype=object
-    )
+    """(diffs, den): |rho - rho'| on the pairs i < j, as floats with den 1,
+    or in rational mode as Python ints, the pair entries of both tables
+    times den, the lcm of all their denominators (core._as_integers)."""
+    iu = np.triu_indices(len(rho.taxa), k=1)
+    d, dp = rho.table[iu], rho_prime.table[iu]
+    if rho.mode == MODE_FLOAT:
+        return np.abs(d - dp), 1
+    ints, den = _as_integers(np.concatenate([d, dp]))
+    m = len(d)
+    # object dtype: a sum or square of int64 entries could overflow
+    return np.abs(ints[:m] - ints[m:]).astype(object), den
 
 
 def pd_distance_squared(rho: Semimetric, rho_prime: Semimetric):
     """Exact sum of squared pair differences (any mode)."""
     _check_comparable(rho, rho_prime)
-    diffs = _pair_diffs(rho, rho_prime)
-    if rho.mode == MODE_FLOAT:
-        return float(np.dot(diffs, diffs))
-    total = Fraction(0)
-    for x in diffs:
-        total += x * x
-    return total
+    diffs, den = _pair_diffs(rho, rho_prime)
+    total = np.dot(diffs, diffs)
+    return float(total) if rho.mode == MODE_FLOAT else Fraction(total, den * den)
 
 
 def pd_distance(rho: Semimetric, rho_prime: Semimetric, norm):
-    """Entrywise-difference distance over the n(n-1)/2 taxon pairs."""
+    """Entrywise-difference distance over the n(n-1)/2 taxon pairs; exact
+    in rational mode, where the sums run on integers and divide once."""
     _check_comparable(rho, rho_prime)
     key = normalize_norm(norm)
-    diffs = _pair_diffs(rho, rho_prime)
-    if rho.mode == MODE_FLOAT:
-        if key == "1":
-            return float(diffs.sum())
-        if key == "2":
-            return float(math.sqrt(np.dot(diffs, diffs)))
-        return float(diffs.max(initial=0.0))
-    if key == "1":
-        total = Fraction(0)
-        for x in diffs:
-            total += x
-        return total
-    if key == "inf":
-        return max(diffs, default=Fraction(0))
-    square = pd_distance_squared(rho, rho_prime)
-    root = _exact_sqrt(square)
-    if root is None:
-        raise ValidationError(
-            "norm-2 path difference is irrational here; use "
-            "pd_distance_squared or float mode"
-        )
-    return root
+    if key == "2":
+        square = pd_distance_squared(rho, rho_prime)
+        if rho.mode == MODE_FLOAT:
+            return math.sqrt(square)
+        root = _exact_sqrt(square)
+        if root is None:
+            raise ValidationError(
+                "norm-2 path difference is irrational here; use "
+                "pd_distance_squared or float mode"
+            )
+        return root
+    diffs, den = _pair_diffs(rho, rho_prime)
+    total = diffs.sum() if key == "1" else diffs.max(initial=0)
+    return float(total) if rho.mode == MODE_FLOAT else Fraction(total, den)
 
 
 def _exact_sqrt(q: Fraction):

@@ -10,7 +10,9 @@ one-pass rewrites can be compared with them bit for bit.
 
 The package's former norm-2 kernel, a primal active-set method that
 solves each working-set system from scratch, is kept as a reference for
-the dual active-set kernel that replaced it.  A dense two-phase primal
+the dual active-set kernel that replaced it, and so are its former exact
+norm-1 routes, the Fraction dual simplex and the Hungarian assignment
+kernel, for the transportation kernel that replaced both.  A dense two-phase primal
 simplex, independent of the package's dual route, is here as well; it and the vertex enumeration also solve programs
 the package no longer builds, such as the norm-inf epigraph LP
 (assemble_dense with epigraph=True), whose optimum is the closed form
@@ -455,6 +457,134 @@ def primal_start(b, n):
     if top <= FEAS_TOL * max(1.0, float(np.abs(b).max(initial=0.0))):
         return np.zeros(n)
     return np.full(n, top / 2.0)
+
+
+# ---------------------------------------------------------------------------
+# The package's former exact norm-1 routes: the Fraction dual simplex and
+# the Hungarian assignment kernel, both replaced by _kernels.max_transport
+
+
+def _frac_solve(mat, rhs):
+    """Exact Gaussian elimination; mat is a list of Fraction rows."""
+    n = len(rhs)
+    M = [list(mat[r]) + [rhs[r]] for r in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if M[r][col] != 0)
+        M[col], M[piv] = M[piv], M[col]
+        inv = M[col][col]
+        if inv != 1:
+            M[col] = [x / inv for x in M[col]]
+        prow = M[col]
+        for r in range(n):
+            f = M[r][col]
+            if r != col and f != 0:
+                M[r] = [a - f * p for a, p in zip(M[r], prow)]
+    return [M[r][n] for r in range(n)]
+
+
+def exact_dual_simplex(i1, i2, b, c):
+    """min c.x over the pair rows x[i1] + x[i2] >= b and x >= 0, for c >= 0,
+    by the primal simplex on the dual with Bland's rule, in Fractions.
+    Column j < m of the dual is pair row j, column m + k the slack of
+    x[k].  Returns (value, x, y)."""
+    i1, i2 = [int(a) for a in i1], [int(a) for a in i2]
+    b, c = [Fraction(a) for a in b], [Fraction(a) for a in c]
+    n = len(c)
+    m = len(b)
+    zero, one = Fraction(0), Fraction(1)
+    g = [-x for x in b] + [zero] * n
+    ncol = m + n
+    basis = list(range(m, ncol))
+    in_basis = [False] * m + [True] * n
+
+    def column(col):
+        return (i1[col], i2[col]) if col < m else (col - m,)
+
+    while True:
+        B = [[zero] * n for _ in range(n)]
+        for t, col in enumerate(basis):
+            for r in column(col):
+                B[r][t] = one
+        xB = _frac_solve(B, c)
+        Bt = [[B[r][t] for r in range(n)] for t in range(n)]
+        pi = _frac_solve(Bt, [g[col] for col in basis])
+        entering = next(
+            (j for j in range(ncol)
+             if not in_basis[j] and g[j] - sum(pi[r] for r in column(j)) < 0),
+            -1,
+        )
+        if entering < 0:
+            y = [zero] * m
+            for t, col in enumerate(basis):
+                if col < m:
+                    y[col] = xB[t]
+            x = [-p for p in pi]
+            return sum(ci * xi for ci, xi in zip(c, x)), x, y
+        a = [zero] * n
+        for r in column(entering):
+            a[r] = one
+        d = _frac_solve(B, a)
+        ratios = [(xB[t] / d[t], basis[t], t) for t in range(n) if d[t] > 0]
+        _, _, leave = min(ratios)  # ties: the smallest variable leaves
+        in_basis[basis[leave]] = False
+        in_basis[entering] = True
+        basis[leave] = entering
+
+
+def max_assignment(g):
+    """The Hungarian method (shortest augmenting paths) on the square table
+    g, a list of row lists: returns (col_of_row, u, v, steps), with the
+    dual potentials and the number of Dijkstra steps.  The start is u = row
+    maxima, v = 0, with each row matched to its first argmax column when
+    that column is still free."""
+    n = len(g)
+    u = [max(row) for row in g]
+    v = [0] * n
+    col_of_row = [-1] * n
+    row_of_col = [-1] * n
+    for i, row in enumerate(g):
+        j = row.index(u[i])
+        if row_of_col[j] < 0:
+            row_of_col[j] = i
+            col_of_row[i] = j
+    steps = 0
+    for s in range(n):
+        if col_of_row[s] >= 0:
+            continue
+        us = u[s]
+        dist = [us + vj - gj for vj, gj in zip(v, g[s])]
+        pred = [s] * n
+        todo = list(range(n))
+        done = []
+        while True:
+            steps += 1
+            j1 = min(todo, key=dist.__getitem__)
+            d = dist[j1]
+            todo.remove(j1)
+            i = row_of_col[j1]
+            if i < 0:
+                break
+            done.append(j1)
+            base = d + u[i]
+            gi = g[i]
+            for j in todo:
+                cur = base + v[j] - gi[j]
+                if cur < dist[j]:
+                    dist[j] = cur
+                    pred[j] = i
+        for j in done:
+            shift = d - dist[j]
+            v[j] += shift
+            u[row_of_col[j]] -= shift
+        u[s] -= d
+        j = j1
+        while True:
+            i = pred[j]
+            row_of_col[j] = i
+            col_of_row[i], j = j, col_of_row[i]
+            if i == s:
+                break
+    return col_of_row, u, v, steps
 
 
 # ---------------------------------------------------------------------------

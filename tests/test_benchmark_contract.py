@@ -59,7 +59,10 @@ def test_layer_tracer_installs_and_records_solver_spans(monkeypatch):
     summary = tracer.summary()
     assert summary["solver.solve_lp.rational"]["calls"] == 1
     assert summary["solver.solve_lp.float"]["calls"] == 1
-    assert tracer.counts["gromov.gromov_distance.route.assignment"] == 2
+    # unweighted norm 1 in both modes and rational weighted norm 1 run the
+    # transportation kernel; float weighted norm 1 runs the simplex
+    assert tracer.counts["gromov.gromov_distance.route.assignment"] == 3
+    assert tracer.counts["gromov.gromov_distance.route.dual"] == 1
     assert tracer.counts["solver.solve_qp.rows"] > 0
     assert solver.LinearProgram.__dict__["from_sparse"] is originals["lp"]
     assert solver.QuadraticProgram.__dict__["from_sparse"] is originals["qp"]

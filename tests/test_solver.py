@@ -156,6 +156,37 @@ def test_lp_rational_oracle_sweep():
         assert res.value == want  # exact equality, no tolerance
 
 
+def test_rational_lp_matches_the_fraction_simplex():
+    # the transportation route against the former Fraction dual simplex on
+    # general pair-row LPs: repeated pairs, right-hand sides <= 0, pairs
+    # without a row, zero costs and no rows at all
+    lp = LinearProgram.from_sparse([1, 1], _rows((0, 1, 1), (1, 0, 2), (0, 1, 2)), mode="rational")
+    assert list(solve_lp(lp).certificate["dual"]) == [0, 1, 0]
+    rng = np.random.default_rng(41)
+    for _ in range(60):
+        nv = int(rng.integers(2, 7))
+        rows = ([], [], [])
+        for _ in range(int(rng.integers(0, 12))):
+            i, j = rng.choice(nv, size=2, replace=False)
+            rhs = Fraction(int(rng.integers(-4, 9)), int(rng.choice([1, 2, 3, 5])))
+            for col, val in zip(rows, (int(i), int(j), rhs)):
+                col.append(val)
+        c = [Fraction(int(rng.integers(0, 4)), int(rng.choice([1, 2, 3]))) for _ in range(nv)]
+        res = solve_lp(LinearProgram.from_sparse(c, rows, mode="rational"))
+        want, _, _ = orc.exact_dual_simplex(*rows, c)
+        assert res.method == "assignment"
+        assert res.value == want and res.certificate["duality_gap"] == 0
+        # the dual sits only on the first row with its pair's largest b > 0
+        top = {}
+        for r, (i, j, rhs) in enumerate(zip(*rows)):
+            pair = min(i, j), max(i, j)
+            if rhs > top.get(pair, (0, -1))[0]:
+                top[pair] = rhs, r
+        carriers = {r for _, r in top.values()}
+        y = res.certificate["dual"]
+        assert all(y[r] == 0 for r in range(len(y)) if r not in carriers)
+
+
 def test_lp_degenerate_instances_terminate():
     # many coinciding right-hand sides produce degenerate vertices; the
     # pivot rule must still terminate and agree with enumeration
@@ -227,17 +258,41 @@ def test_rational_rows_stay_fractions():
 # LP audit
 
 
-def _bent_dual(monkeypatch, mode, bend):
-    """Make the simplex of the given mode hand solve_lp a changed result."""
-    name = "_lp_float_dual" if mode == "float" else "_lp_rational_dual"
-    real = getattr(solver, name)
+def _bent_dual(monkeypatch, bend):
+    """Make the float simplex hand solve_lp a changed result."""
+    real = solver._lp_float_dual
 
     def bent(*args):
         out = real(*args)
         bend(out)
         return out
 
-    monkeypatch.setattr(solver, name, bent)
+    monkeypatch.setattr(solver, "_lp_float_dual", bent)
+
+
+def _bent_answer(monkeypatch, mode, dy=(0, 0, 0), dx0=0):
+    """Hand solve_lp an answer to _audit_lp moved by dy on the dual (one
+    entry per row) and by dx0 on x[0]: the float simplex's, or in rational
+    mode the transportation kernel's, whose flow F and potentials give
+    y = (F_ij + F_ji) / 2 and x = (u + v) / 2 here (both lcms are 1)."""
+    if mode == "float":
+
+        def bend(out):
+            out["y"] += np.array(dy, dtype=float)
+            out["x"][0] += dx0
+
+        _bent_dual(monkeypatch, bend)
+        return
+    real = _kernels.max_transport
+
+    def bent(g, cap):
+        sent, u, v, steps = real(g, cap)
+        for (i, j), d in zip(((0, 1), (1, 2), (0, 2)), dy):
+            sent[j][i] = sent[j].get(i, 0) + int(2 * d)
+        u[0] += int(2 * dx0)
+        return sent, u, v, steps
+
+    monkeypatch.setattr(_kernels, "max_transport", bent)
 
 
 def _audit_lp(mode):
@@ -254,34 +309,20 @@ def _audit_lp(mode):
     [(0, r"dual puts y\[0\] = -.* below zero"), (1, r"dual breaks A\^T y <= c at x\[1\]")],
 )
 def test_lp_audit_rejects_a_bent_dual(monkeypatch, mode, where, match):
-    # y0 = -1/2 breaks y >= 0; raising y0 and y1 by 1/4 each puts
-    # A^T y = 3/2 on x1, above its cost 1; both keep b.y = c.x
-    quarter = Fraction(1, 4) if mode == "rational" else 0.25
-
-    def bend(out):
-        y = out["y"]
-        if where == 0:
-            y[0] -= 4 * quarter
-            y[1] += 4 * quarter
-        else:
-            y[0] += quarter
-            y[1] += quarter
-            y[2] -= 2 * quarter
-
+    # lowering y0 by 1 and raising y1 by 1 breaks y >= 0; raising y1 by
+    # 1/2 puts A^T y = 3/2 on x1, above its cost 1
     lp = _audit_lp(mode)
-    assert solve_lp(lp).certificate["dual"][0] == 2 * quarter
-    _bent_dual(monkeypatch, mode, bend)
+    assert solve_lp(lp).certificate["dual"][0] == Fraction(1, 2)
+    _bent_answer(monkeypatch, mode, dy=[(-1, 1, 0), (0, Fraction(1, 2), 0)][where])
     with pytest.raises(TreegromovError, match=match + ".*rows=3, vars=3, max.b.=2"):
         solve_lp(lp)
 
 
 @pytest.mark.parametrize("mode", ["float", "rational"])
 def test_lp_audit_rejects_a_bent_primal(monkeypatch, mode):
-    def lower(out):
-        out["x"][0] -= 1
-
-    _bent_dual(monkeypatch, mode, lower)
-    with pytest.raises(TreegromovError, match=r"simplex breaks the pair row \(0,1\) by 1"):
+    route = "simplex" if mode == "float" else "assignment"
+    _bent_answer(monkeypatch, mode, dx0=-1)
+    with pytest.raises(TreegromovError, match=rf"{route} breaks the pair row \(0,1\) by 1"):
         solve_lp(_audit_lp(mode))
 
 
@@ -291,14 +332,14 @@ def test_lp_duality_gap_check_fails_closed_on_nan(monkeypatch):
     def halve(out):
         out["y"] /= 2
 
-    _bent_dual(monkeypatch, "float", halve)
+    _bent_dual(monkeypatch, halve)
     with pytest.raises(TreegromovError, match="duality gap 1.5 exceeds"):
         solve_lp(_audit_lp("float"))
 
     def nan(out):
         out["y"][:] = float("nan")
 
-    _bent_dual(monkeypatch, "float", nan)
+    _bent_dual(monkeypatch, nan)
     with pytest.raises(TreegromovError, match="below zero"):
         solve_lp(_audit_lp("float"))
 
@@ -314,6 +355,17 @@ def test_lp_dual_unbounded_kernel_result_raises(monkeypatch):
 
     monkeypatch.setattr(_kernels, "dual_simplex", unbounded)
     with pytest.raises(TreegromovError, match="dual unbounded.*rows=3, vars=3, max.b.=2"):
+        solve_lp(_audit_lp("float"))
+
+
+def test_lp_iteration_limit_is_loud(monkeypatch):
+    real = _kernels.dual_simplex
+
+    def one_step(i1, i2, b, c_rhs, bland_after, tol, max_iter):
+        return real(i1, i2, b, c_rhs, bland_after, tol, 1)
+
+    monkeypatch.setattr(_kernels, "dual_simplex", one_step)
+    with pytest.raises(TreegromovError, match=r"simplex iteration limit.*rows=3, vars=3, max.b.=2"):
         solve_lp(_audit_lp("float"))
 
 

@@ -405,6 +405,29 @@ def test_pd_distance_rational_exact_sqrt():
     assert pd_distance(r1, r2, "inf") == Fraction(1)
 
 
+def test_pd_distance_rational_matches_fraction_sums():
+    # the integer route against the pair differences summed as Fractions:
+    # mixed denominators, and entries above 2**61 whose squares and sums
+    # leave int64
+    rng = np.random.default_rng(9)
+    for big in (1, Fraction(2**70 + 1, 3)):
+        for n in (1, 2, 7, 15):
+            labs = [f"t{k}" for k in range(n)]
+            tabs = []
+            for _ in range(2):
+                cut = [Fraction(int(a), int(b)) for a, b in zip(rng.integers(1, 9, n), rng.choice([1, 3, 7], n))]
+                # a star metric: d(x, y) = cut_x + cut_y
+                tabs.append([[0 if x == y else big * (cut[x] + cut[y]) for y in range(n)] for x in range(n)])
+            r1, r2 = (semimetric_from_table(labs, t, mode="rational") for t in tabs)
+            diffs = [abs(tabs[0][x][y] - tabs[1][x][y]) for x in range(n) for y in range(x + 1, n)]
+            assert pd_distance(r1, r2, 1) == sum(diffs, Fraction(0))
+            assert pd_distance(r1, r2, "inf") == max(diffs, default=Fraction(0))
+            assert pd_distance_squared(r1, r2) == sum((d * d for d in diffs), Fraction(0))
+            assert all(
+                isinstance(pd_distance(r1, r2, k), Fraction) for k in (1, "inf")
+            )
+
+
 def test_pd_distance_rational_irrational_sqrt_raises():
     tabs = (
         [[0, 1, 2], [1, 0, 1], [2, 1, 0]],
