@@ -30,6 +30,10 @@ namely  min (-b).y  s.t.  A^T y + s = c,  y >= 0, s >= 0,  which has an
 immediately feasible all-slack basis whenever c >= 0.  Column r < m of
 the dual is pair row r, and column m + j the slack of x[j].  The caller
 recovers the primal optimum from the equality multipliers (x* = -pi).
+Every basis inverse of this dual has entries in {0, +-1/2, +-1}, so the
+kernel carries it exactly in float64 through product-form updates and
+solves no linear system; the proof, and why each threshold is relative,
+are in the comment above dual_simplex.
 """
 
 from __future__ import annotations
@@ -156,77 +160,108 @@ def tree_certificate(d, eps) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Revised simplex on the dual
+# Revised simplex on the dual, on an exact carried basis inverse
 # ---------------------------------------------------------------------------
-
-def dense_basis(i1, i2, basis, n):
-    """The n x n basis matrix of the dual's columns ``basis``: pair column
-    r has +1 at rows i1[r] and i2[r], slack column m + j has +1 at row j."""
-    m = i1.shape[0]
-    B = np.zeros((n, n))
-    pos = np.arange(n)
-    pair = basis < m
-    B[i1[basis[pair]], pos[pair]] = 1.0
-    B[i2[basis[pair]], pos[pair]] = 1.0
-    B[basis[~pair] - m, pos[~pair]] = 1.0
-    return B
-
+#
+# Read a basis of the dual as a graph on the n rows: pair column r is the
+# edge {i1[r], i2[r]} and slack column m + j a half-edge at row j.  A
+# component with k rows holds k basic columns, so it is a tree plus one
+# edge or half-edge, and its block is nonsingular exactly when that extra
+# column is a half-edge or closes an odd cycle (around an even cycle,
+# alternating signs are a kernel vector).  Solve B z = e_v by peeling
+# leaves: the one basic column at a leaf row takes what is left of that
+# row's right-hand side, which is 0 or +-1, since only row v starts with
+# a 1.  What remains is the half-edge, whose entry is then 0 or +-1, or
+# the odd cycle, whose entries alternate in sign around it, so that going
+# once around gives 2 z = 0 or +-1.  So B^-1 has entries in
+# {0, +-1/2, +-1}: the half-integrality of fractional matching and vertex
+# packing (Balinski 1965; Nemhauser-Trotter 1975).
+#
+# The kernel starts from the all-slack basis, B^-1 = I, and carries B^-1
+# through the product-form update (Dantzig-Orchard-Hays 1954): the entering
+# column a gives d = B^-1 a, the sum of one or two columns of B^-1, and
+# row leave of the new inverse is row leave of the old one over d[leave],
+# with d[i] times that row subtracted from each other row i with d[i] != 0
+# (only the rows of the entering column's component: a median of 4 of 400
+# on a weighted tree pair at n=400, so the update costs O(n) per such
+# row).  That new row has entries in {0, +-1/2, +-1} and is not zero, so
+# the pivot d[leave] is 1/2, 1 or 2.  Every operand is then a multiple of
+# 1/4 of size at most 3, which float64 holds exactly, so every update is
+# exact: the carried inverse never drifts and is never refactorized.  xB = B^-1 c and
+# pi^T = g_B^T B^-1 are recomputed from it at every pivot, in O(n^2), the
+# order of the O(m) pricing.
+#
+# Thresholds.  d is exact, so the ratio test takes d > 0 with no epsilon.
+# Reduced costs are linear in b, so the pricing test is relative to max|b|
+# (tol is relative); xB is linear in c, so the degeneracy and tie tests
+# are relative to max c.  Scaling b by a power of two then scales every
+# reduced cost, threshold and multiplier exactly, and the pivots, the
+# value and the argmin follow bitwise.  An absolute pricing threshold
+# stopped at the all-slack basis with value 0 when max|b| was below it.
 
 def dual_simplex(i1, i2, b, c_rhs, bland_after: int, tol: float, max_iter: int):
-    """Primal simplex on the dual problem; see module docstring.
+    """Primal simplex on the dual problem; see the module docstring and
+    the comment above.
 
-    Returns (status, basis, iterations, xB, pi): xB and pi solve
-    B xB = c and B^T pi = g[basis] for the returned basis on LP_OPTIMAL
-    and LP_DUAL_UNBOUNDED, and are None on LP_ITER_LIMIT.
+    tol is relative: an entering column needs a reduced cost below
+    -tol * max|b|.  Returns (status, basis, iterations, xB, pi, binv):
+    binv is the inverse of the returned basis, and xB = binv c and
+    pi = binv^T g[basis] on LP_OPTIMAL and LP_DUAL_UNBOUNDED; xB and pi are
+    None on LP_ITER_LIMIT.
     """
     n = c_rhs.shape[0]
     m = b.shape[0]
     g = np.concatenate([-b, np.zeros(n)])
+    price = tol * float(np.abs(b).max(initial=0.0))
+    cmax = float(c_rhs.max(initial=0.0))
+    # a pivot this short moves the objective by rounding only: degenerate
+    degen = 1e-11 * cmax
+    # ratios this close are equal up to the rounding of xB = binv c
+    tie = 1e-12 * cmax
     basis = np.arange(m, m + n, dtype=np.int64)
-    in_basis = np.zeros(m + n, dtype=bool)
-    in_basis[basis] = True
+    binv = np.eye(n)
     degenerate_streak = 0
 
     for it in range(1, max_iter + 1):
-        B = dense_basis(i1, i2, basis, n)
-        xB = np.linalg.solve(B, c_rhs)
-        pi = np.linalg.solve(B.T, g[basis])
+        xB = binv @ c_rhs
+        pi = g[basis] @ binv
         red = np.concatenate([g[:m] - pi[i1] - pi[i2], -pi])
-        red[in_basis] = 0.0
+        red[basis] = 0.0
 
         if degenerate_streak > bland_after:
-            cand = np.nonzero(red < -tol)[0]
+            cand = np.nonzero(red < -price)[0]
             entering = int(cand[0]) if cand.size else -1
         else:
             entering = int(np.argmin(red))
-            if red[entering] >= -tol:
+            if red[entering] >= -price:
                 entering = -1
         if entering < 0:
-            return (LP_OPTIMAL, basis, it, xB, pi)
+            return (LP_OPTIMAL, basis, it, xB, pi, binv)
 
-        a = np.zeros(n)
         if entering < m:
-            a[i1[entering]] = a[i2[entering]] = 1.0
+            d = binv[:, i1[entering]] + binv[:, i2[entering]]
         else:
-            a[entering - m] = 1.0
-        d = np.linalg.solve(B, a)
+            d = binv[:, entering - m].copy()
 
-        pos = d > 1e-11
+        pos = d > 0.0  # d is exact, so its sign is too
         if not pos.any():
-            return (LP_DUAL_UNBOUNDED, basis, it, xB, pi)
+            return (LP_DUAL_UNBOUNDED, basis, it, xB, pi, binv)
         ratios = np.where(pos, xB / np.where(pos, d, 1.0), np.inf)
         theta = float(ratios.min())
-        close = np.nonzero(ratios <= theta + 1e-12)[0]
+        close = np.nonzero(ratios <= theta + tie)[0]
         # Bland-compatible tie-break: smallest variable index leaves
         leave = int(close[np.argmin(basis[close])])
 
-        degenerate_streak = degenerate_streak + 1 if theta <= 1e-11 else 0
-        in_basis[basis[leave]] = False
-        in_basis[entering] = True
+        degenerate_streak = degenerate_streak + 1 if theta <= degen else 0
+        row = binv[leave] / d[leave]
+        # only the rows where d is nonzero change: a few, at any n
+        rows = d.nonzero()[0]
+        binv[rows] -= np.outer(d[rows], row)
+        binv[leave] = row
         basis = basis.copy()
         basis[leave] = entering
 
-    return (LP_ITER_LIMIT, basis, max_iter, None, None)
+    return (LP_ITER_LIMIT, basis, max_iter, None, None, binv)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from .core import (
     TreegromovError,
     ValidationError,
     _as_integers,
+    _triangle_lhs,
     format_scalar,
     parse_newick,
     parse_newick_file,
@@ -340,19 +341,19 @@ def cmd_experiment(args) -> int:
 
 
 def _triangle_witness(rho):
-    """First (i, j, k) in lexicographic order with
-    d(i,k) - d(i,j) - d(j,k) > tol, as labels, else None; one numpy step
-    over the (j, k) plane per i, on integers in rational mode."""
+    """First (i, j, k) in lexicographic order with d(i,k) - d(i,j) - d(j,k)
+    above the tolerance of d(i,k), as labels, else None: Semimetric
+    construction's rule (core._triangle_lhs on floats, exact on integers).
+    One numpy step over the (j, k) plane per i."""
     labs = rho.taxa.labels
     tab = rho.table
     if rho.mode == MODE_FLOAT:
-        scale = max(1.0, float(np.max(np.asarray(tab, dtype=float), initial=0.0)))
-        tol = 1e-9 * scale
+        lhs = _triangle_lhs(tab)
     else:
         tab, _ = _as_integers(tab)
-        tol = 0
+        lhs = tab
     for i, row in enumerate(tab):
-        bad = (row[None, :] - row[:, None]) - tab > tol
+        bad = (lhs[i][None, :] - row[:, None]) - tab > 0
         if bad.any():
             j, k = np.argwhere(bad)[0]
             return labs[i], labs[j], labs[k]

@@ -176,13 +176,22 @@ class TaxonSet:
 # Semimetric
 # ---------------------------------------------------------------------------
 
-def _worst_triangle(d: np.ndarray):
-    """Return (excess, i, j, k) maximizing d[i,j] - d[i,k] - d[k,j], the
-    first maximum in k-major, then row-major order; floats or integers."""
+def _triangle_lhs(d: np.ndarray) -> np.ndarray:
+    """The float table d less each entry's own triangle tolerance,
+    TRIANGLE_RTOL * max(1, d): d(i,j) breaks the triangle through k when
+    this exceeds d(i,k) + d(k,j)."""
+    return d - TRIANGLE_RTOL * np.maximum(1.0, d)
+
+
+def _worst_triangle(d: np.ndarray, lhs: np.ndarray):
+    """Return (excess, i, j, k) maximizing lhs[i,j] - d[i,k] - d[k,j], the
+    first maximum in k-major, then row-major order; floats or integers.
+    lhs is d itself, or d less each entry's own tolerance, so that one
+    pass judges every entry by its own rule."""
     n = d.shape[0]
     worst = (-math.inf, 0, 0, 0)
     for k in range(n):
-        excess = d - (d[:, k : k + 1] + d[k : k + 1, :])
+        excess = lhs - (d[:, k : k + 1] + d[k : k + 1, :])
         t = int(np.argmax(excess))
         i, j = divmod(t, n)
         if excess[i, j] > worst[0]:
@@ -204,8 +213,9 @@ class Semimetric:
     """Symmetric nonnegative distance table over a TaxonSet.
 
     Zero off-diagonal entries are allowed (semimetric, not metric).  The
-    triangle inequality is validated exactly in rational mode and with
-    relative tolerance ``TRIANGLE_RTOL`` in float mode.
+    triangle inequality is validated exactly in rational mode; in float
+    mode d(i,j) may exceed d(i,k) + d(k,j) by TRIANGLE_RTOL * max(1, d(i,j)),
+    each entry judged by its own tolerance.
     """
 
     __slots__ = ("taxa", "table", "mode")
@@ -251,8 +261,8 @@ class Semimetric:
             if (d < 0).any():
                 i, j = np.argwhere(d < 0)[0]
                 raise ValidationError(f"negative entry d({labs[i]},{labs[j]})={d[i, j]}")
-            excess, i, j, k = _worst_triangle(d)
-            violated = excess > TRIANGLE_RTOL * max(1.0, float(d[i, j]))
+            excess, i, j, k = _worst_triangle(d, _triangle_lhs(d))
+            violated = excess > 0
         else:
             for i in range(n):
                 if d[i, i] != 0:
@@ -265,7 +275,8 @@ class Semimetric:
                     if d[i, j] < 0:
                         raise ValidationError(f"negative entry d({labs[i]},{labs[j]})={d[i, j]}")
             # exact, and scaling keeps the first maximum in place
-            excess, i, j, k = _worst_triangle(_as_integers(d)[0])
+            ints = _as_integers(d)[0]
+            excess, i, j, k = _worst_triangle(ints, ints)
             violated = excess > 0
         if violated:
             raise ValidationError(

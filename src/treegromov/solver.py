@@ -20,7 +20,12 @@ matter how many rows the primal has (rows here grow quadratically in the
 taxon count while variables grow linearly).  The all-slack dual basis is
 feasible exactly when c >= 0, so solve_lp accepts nonnegative objectives
 only; every program this package assembles has one, and with c >= 0 and a
-feasible primal the dual is bounded.
+feasible primal the dual is bounded.  The kernel carries the basis
+inverse exactly, because its entries are 0, +-1/2 and +-1, so it solves
+no linear system and cannot meet a singular one.  Its pricing threshold
+is PIVOT_TOL times max|b| and its other thresholds are relative to
+max c, so scaling the data by a power of two scales the value and the
+argmin exactly (see _kernels.dual_simplex).
 
 Every exact solve, and the float one without taxon weights, runs the
 transportation kernel _kernels.max_transport instead.  Rows with b <= 0
@@ -65,17 +70,15 @@ relative to the data scale s = max(1, max|b|, max|2wx|): stationarity,
 primal (rows and x >= 0) and dual parts against KKT_TOL * s,
 complementarity against KKT_TOL * s^2.
 
-A singular linear system inside the float simplex or the QP's multiplier
-solve, a kernel that stops without an optimum, or a failed audit is
-reported as a TreegromovError with an instance summary, never as a bare
-numpy error.
+A singular linear system in the QP's multiplier solve, a kernel that
+stops without an optimum, or a failed audit is reported as a
+TreegromovError with an instance summary, never as a bare numpy error.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
@@ -97,7 +100,7 @@ STATUS_OPTIMAL = "optimal"
 FEAS_ATOL = 1e-9
 GAP_RTOL = 1e-8
 KKT_TOL = 1e-9
-PIVOT_TOL = 1e-9
+PIVOT_TOL = 1e-9  # relative to max|b|
 BLAND_AFTER = 50
 
 
@@ -378,7 +381,7 @@ def _lp_float_dual(i1, i2, b, c):
     n = len(c)
     m = len(b)
     max_iter = 20000 + 100 * n
-    status, basis, iters, xB, pi = _kernels.dual_simplex(
+    status, basis, iters, xB, pi, _ = _kernels.dual_simplex(
         i1, i2, b, c, BLAND_AFTER, PIVOT_TOL, max_iter
     )
     if status == _kernels.LP_ITER_LIMIT:
@@ -399,19 +402,6 @@ def _lp_float_dual(i1, i2, b, c):
 # ---------------------------------------------------------------------------
 # solve_lp
 # ---------------------------------------------------------------------------
-
-@contextmanager
-def _singular_as_error(route, b, n_vars):
-    """Re-raise a LinAlgError from the float kernels or the certificate
-    solves as a TreegromovError carrying an instance summary."""
-    try:
-        yield
-    except np.linalg.LinAlgError as exc:
-        raise TreegromovError(
-            f"{route} hit a singular linear system ({exc}); instance: "
-            f"{_instance(b, n_vars)}"
-        ) from exc
-
 
 def solve_lp(lp: LinearProgram, mode: str | None = None) -> OptResult:
     """Globally solve the LP and audit its primal and dual solutions (see
@@ -437,8 +427,7 @@ def solve_lp(lp: LinearProgram, mode: str | None = None) -> OptResult:
     i1, i2 = lp.i1, lp.i2
     b = np.asarray(lp.b, dtype=np.float64)
     c = np.asarray(lp.c, dtype=np.float64)
-    with _singular_as_error("simplex", b, lp.n_vars):
-        out = _lp_float_dual(i1, i2, b, c)
+    out = _lp_float_dual(i1, i2, b, c)
     x, y, value, gap = _certify("simplex", i1, i2, b, c, out["x"], out["y"], mode)
     return OptResult(
         STATUS_OPTIMAL,
@@ -591,8 +580,13 @@ def solve_qp(qp: QuadraticProgram, mode: str = MODE_FLOAT) -> OptResult:
         AW[np.arange(k), i2[work]] = 1.0
         AWD = AW / w[None, :]
         G = AWD @ AW.T
-        with _singular_as_error("active-set QP multipliers", b, n):
+        try:
             nu = 2.0 * np.linalg.solve(G, b[work])
+        except np.linalg.LinAlgError as exc:
+            raise TreegromovError(
+                f"active-set QP multipliers hit a singular linear system ({exc}); "
+                f"instance: {_instance(b, n)}"
+            ) from exc
         mu[work] = nu
     grad = 2.0 * w * x
     stationarity = float(np.abs(grad - _scatter_rows(i1, i2, mu, n)).max(initial=0.0))

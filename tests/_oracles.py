@@ -12,9 +12,12 @@ The package's former norm-2 kernel, a primal active-set method that
 solves each working-set system from scratch, is kept as a reference for
 the dual active-set kernel that replaced it, and so are its former exact
 norm-1 routes, the Fraction dual simplex and the Hungarian assignment
-kernel, for the transportation kernel that replaced both.  A dense two-phase primal
-simplex, independent of the package's dual route, is here as well; it and the vertex enumeration also solve programs
-the package no longer builds, such as the norm-inf epigraph LP
+kernel, for the transportation kernel that replaced both, and its former
+float norm-1 kernel, a dual simplex that rebuilt and solved the dense
+basis at every pivot, for the carried exact inverse that replaced it.  A
+dense two-phase primal simplex, independent of the package's dual route,
+is here as well; it and the vertex enumeration also solve programs the
+package no longer builds, such as the norm-inf epigraph LP
 (assemble_dense with epigraph=True), whose optimum is the closed form
 max|rho - rho'| / 2.
 """
@@ -27,6 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from treegromov._kernels import LP_DUAL_UNBOUNDED, LP_ITER_LIMIT, LP_OPTIMAL
 from treegromov.treemetric import FOUR_POINT_RTOL
 
 FEAS_TOL = 1e-9
@@ -460,6 +464,80 @@ def primal_start(b, n):
 
 
 # ---------------------------------------------------------------------------
+# The package's former float norm-1 kernel, replaced by the carried exact
+# basis inverse of _kernels.dual_simplex
+
+
+def dense_basis(i1, i2, basis, n):
+    """The n x n basis matrix of the dual's columns ``basis``: pair column
+    r has +1 at rows i1[r] and i2[r], slack column m + j has +1 at row j."""
+    m = i1.shape[0]
+    B = np.zeros((n, n))
+    pos = np.arange(n)
+    pair = basis < m
+    B[i1[basis[pair]], pos[pair]] = 1.0
+    B[i2[basis[pair]], pos[pair]] = 1.0
+    B[basis[~pair] - m, pos[~pair]] = 1.0
+    return B
+
+
+def dense_dual_simplex(i1, i2, b, c_rhs, bland_after, tol, max_iter):
+    """The former _kernels.dual_simplex: the same pricing and ratio test
+    with absolute thresholds, rebuilding the dense basis and solving three
+    linear systems per pivot.  Returns (status, basis, iterations, xB, pi)
+    with the _kernels status codes.  About 14 s at n=400; keep it to
+    n <= 200."""
+    n = c_rhs.shape[0]
+    m = b.shape[0]
+    g = np.concatenate([-b, np.zeros(n)])
+    basis = np.arange(m, m + n, dtype=np.int64)
+    in_basis = np.zeros(m + n, dtype=bool)
+    in_basis[basis] = True
+    degenerate_streak = 0
+
+    for it in range(1, max_iter + 1):
+        B = dense_basis(i1, i2, basis, n)
+        xB = np.linalg.solve(B, c_rhs)
+        pi = np.linalg.solve(B.T, g[basis])
+        red = np.concatenate([g[:m] - pi[i1] - pi[i2], -pi])
+        red[in_basis] = 0.0
+
+        if degenerate_streak > bland_after:
+            cand = np.nonzero(red < -tol)[0]
+            entering = int(cand[0]) if cand.size else -1
+        else:
+            entering = int(np.argmin(red))
+            if red[entering] >= -tol:
+                entering = -1
+        if entering < 0:
+            return (LP_OPTIMAL, basis, it, xB, pi)
+
+        a = np.zeros(n)
+        if entering < m:
+            a[i1[entering]] = a[i2[entering]] = 1.0
+        else:
+            a[entering - m] = 1.0
+        d = np.linalg.solve(B, a)
+
+        pos = d > 1e-11
+        if not pos.any():
+            return (LP_DUAL_UNBOUNDED, basis, it, xB, pi)
+        ratios = np.where(pos, xB / np.where(pos, d, 1.0), np.inf)
+        theta = float(ratios.min())
+        close = np.nonzero(ratios <= theta + 1e-12)[0]
+        # Bland-compatible tie-break: smallest variable index leaves
+        leave = int(close[np.argmin(basis[close])])
+
+        degenerate_streak = degenerate_streak + 1 if theta <= 1e-11 else 0
+        in_basis[basis[leave]] = False
+        in_basis[entering] = True
+        basis = basis.copy()
+        basis[leave] = entering
+
+    return (LP_ITER_LIMIT, basis, max_iter, None, None)
+
+
+# ---------------------------------------------------------------------------
 # The package's former exact norm-1 routes: the Fraction dual simplex and
 # the Hungarian assignment kernel, both replaced by _kernels.max_transport
 
@@ -718,17 +796,20 @@ def worst_triangle_loop(table):
 
 def triangle_witness_loop(rho):
     """First (i, j, k) by a triple loop in lexicographic order with
-    d(i,k) - d(i,j) - d(j,k) above the tolerance of the CLI's validate
-    (1e-9 times max(1, max d) on floats, 0 on Fractions), as labels, else
-    None; the CLI's former route, cell by cell."""
+    d(i,k) - d(i,j) - d(j,k) above the tolerance of d(i,k) (1e-9 times
+    max(1, d(i,k)) on floats, subtracted from d(i,k) as Semimetric
+    construction does, and 0 on Fractions), as labels, else None; the
+    CLI's former route, cell by cell."""
     labs = rho.taxa.labels
     tab = rho.table
     n = len(labs)
-    tol = 0 if rho.mode == "rational" else 1e-9 * max(1.0, float(tab.max(initial=0.0)))
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                if tab[i, k] - tab[i, j] - tab[j, k] > tol:
+                lhs = tab[i, k]
+                if rho.mode != "rational":
+                    lhs = lhs - 1e-9 * max(1.0, lhs)
+                if lhs - tab[i, j] - tab[j, k] > 0:
                     return labs[i], labs[j], labs[k]
     return None
 

@@ -282,7 +282,7 @@ def test_weighted_d1_rational_matches_float():
         assert float(exact.value) == pytest.approx(approx.value, rel=1e-12)
 
 
-@pytest.mark.parametrize("n", [100, 200])
+@pytest.mark.parametrize("n", [100, 200, 400])
 def test_large_weighted_d1_matches_highs(n):
     optimize = pytest.importorskip("scipy.optimize")
     sparse = pytest.importorskip("scipy.sparse")

@@ -411,6 +411,23 @@ def test_validate_triangle_violation(tmp_path, capsys):
     assert "four-point: SKIPPED" in out
 
 
+def test_validate_and_dist_agree_on_a_small_triangle_break(tmp_path, capsys):
+    # d(a,b) breaks the triangle through c by 1e-7, above its own tolerance
+    # 1e-9 * max(1, d(a,b)); validate once judged every triple against the
+    # largest entry, 1000, and passed the table that dist rejects
+    labs = ["a", "b", "c", "z"]
+    tab = [[0, 1 + 1e-7, 0.5, 1000], [1 + 1e-7, 0, 0.5, 1000],
+           [0.5, 0.5, 0, 1000], [1000, 1000, 1000, 0]]
+    p = tmp_path / "near.csv"
+    p.write_text(semimetric_to_csv(semimetric_from_table(labs, tab, validate=False)))
+    code, out, _ = run(capsys, ["validate", str(p)])
+    assert code == 3
+    assert "triangle: FAIL (d(a,b) > d(a,c) + d(c,b))" in out
+    code, _, err = run(capsys, ["dist", str(p), str(p)])
+    assert code == 3
+    assert "triangle inequality violated: d(a,b)" in err
+
+
 @pytest.mark.parametrize("mode", ["float", "rational"])
 def test_triangle_witness_matches_the_loop(mode):
     # random symmetric tables break the triangle inequality in many places;

@@ -231,6 +231,26 @@ def test_semimetric_reports_the_first_of_tied_triangle_violations(mode, unit):
     assert str(err.value) == want.format(*(num.format(v * unit) for v in (7, 3, 3)))
 
 
+def test_semimetric_judges_every_triangle_by_its_own_entry():
+    # five taxa on a line at a=0, b=1, c=0.5, d=-99.5, e=100.5; d(a,b)
+    # breaks the triangle through c by 3e-9, above its tolerance 1e-9.  A
+    # second break of 5e-8 at d(d,e) = 200 is within that entry's own
+    # tolerance (2e-7) and has the larger excess, and judging only the
+    # worst triple against its own entry once accepted the table
+    pos = {"a": 0.0, "b": 1.0, "c": 0.5, "d": -99.5, "e": 100.5}
+    labs = list(pos)
+    tab = np.array([[abs(pos[x] - pos[y]) for y in labs] for x in labs])
+    tab[0, 1] = tab[1, 0] = 1 + 3e-9
+    semimetric_from_table(labs, tab, validate=False)
+    for bent in (tab, tab.copy()):
+        bent[3, 4] = bent[4, 3] = 200 + 5e-8
+        with pytest.raises(ValidationError, match=r"violated: d\(a,b\)=1.000000003 > d\(a,c\)"):
+            semimetric_from_table(labs, bent)
+    # within every entry's tolerance, the same line is accepted
+    tab[0, 1] = tab[1, 0] = 1 + 0.5e-9
+    semimetric_from_table(labs, tab)
+
+
 @pytest.mark.parametrize("unit", [1, Fraction(1, 6), 10**19])
 def test_semimetric_rational_triangle_check_matches_the_loop(unit):
     import _oracles as orc

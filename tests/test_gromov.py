@@ -1,6 +1,7 @@
 """Distance values, invariants, certificates, extension realization."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -643,6 +644,39 @@ def test_taxon_weights_scale_objective():
     base2 = _dist(r1, r2, 2)
     res = gromov_distance(r1, r2, GromovSpec(norm=2, taxon_weights=(2, 2, 2, 2)))
     assert res.value == pytest.approx(math.sqrt(2) * base2, abs=1e-9)
+
+
+def _exact_twin(r):
+    """r in rational mode, each float entry converted to a Fraction exactly."""
+    table = [[Fraction(x) for x in row] for row in r.table.tolist()]
+    return Semimetric(r.taxa, table, mode="rational", validate=False)
+
+
+@pytest.mark.parametrize("n", [8, 40])
+@pytest.mark.parametrize("variant", ["lower", "full"])
+def test_weighted_d1_is_scale_equivariant(n, variant):
+    # scaling by 2**k is exact in float64, so the weighted simplex must
+    # return exactly 2**k times its value and argmin at scale 1, and that
+    # value must be the exact optimum of the float data to 1e-15.  With an
+    # absolute pricing threshold the n=40 pair returned 0.0 at 2**-40 and
+    # 2**-60 with a zero duality gap (the optima are 1.72e-10 and 1.64e-16)
+    r1, r2 = (tree_to_semimetric(random_binary_tree(n, s, "uniform01")) for s in (1, 101))
+    rng = random.Random(5)
+    w = [0.5 + 1.5 * rng.random() for _ in range(n)]
+    spec = GromovSpec(norm=1, variant=variant, taxon_weights=w)
+    base = gromov_distance(r1, r2, spec)
+    assert base.method == "dual"
+    exact = gromov_distance(
+        _exact_twin(r1),
+        _exact_twin(r2),
+        GromovSpec(norm=1, variant=variant, taxon_weights=[Fraction(x) for x in w]),
+    )
+    assert abs(Fraction(base.value) - exact.value) <= Fraction(1e-15) * exact.value
+    for k in (-60, -40, -20, 20, 40, 60):
+        s = 2.0**k
+        res = gromov_distance(r1.scaled(s), r2.scaled(s), spec)
+        assert res.value == s * base.value, k
+        assert (res.argmin.values == s * base.argmin.values).all(), k
 
 
 def test_taxon_weights_against_oracle():

@@ -370,6 +370,68 @@ def test_lp_iteration_limit_is_loud(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# LP, the carried basis inverse against the former dense kernel
+
+
+def _weighted_rows(n, scale):
+    """The pair rows of D1 between two uniform(0,1] trees on n taxa, both
+    scaled, and taxon weights uniform in [0.5, 2]."""
+    r1, r2 = (
+        tree_to_semimetric(random_binary_tree(n, s, "uniform01")).scaled(scale)
+        for s in (n, n + 100)
+    )
+    return (*_pair_arrays(r1, r2), np.random.default_rng(n).uniform(0.5, 2.0, n))
+
+
+def _check_inverse(i1, i2, basis, binv):
+    """2 binv is integral with entries of size at most 1 (so binv has
+    entries in {0, +-1/2, +-1}), and binv inverts the basis exactly."""
+    n = len(binv)
+    assert (2 * binv == np.round(2 * binv)).all()
+    assert np.abs(binv).max() <= 1
+    assert (binv @ orc.dense_basis(i1, i2, basis, n) == np.eye(n)).all()
+
+
+def _certified_value(i1, i2, b, c, status, basis, xB, pi):
+    """The value of a kernel's optimal basis, after solve_lp's audit."""
+    assert status == _kernels.LP_OPTIMAL
+    m = len(b)
+    y = np.zeros(m)
+    y[basis[basis < m]] = xB[basis < m]
+    return solver._certify("simplex", i1, i2, b, c, -pi, y, "float")[2]
+
+
+@pytest.mark.parametrize("n", [20, 60, 120])
+def test_carried_inverse_matches_the_dense_kernel(n):
+    # the same pricing on an exact inverse: the optima agree with the
+    # former kernel's, both certify, and the final inverse is exact
+    for scale in (1e-3, 1e-2, 1e-1, 1.0, 1e1):
+        i1, i2, b, c = rows = _weighted_rows(n, scale)
+        args = (*rows, solver.BLAND_AFTER, solver.PIVOT_TOL, 100_000)
+        status, basis, _, xB, pi, binv = _kernels.dual_simplex(*args)
+        new = _certified_value(i1, i2, b, c, status, basis, xB, pi)
+        _check_inverse(i1, i2, basis, binv)
+        status, basis, _, xB, pi = orc.dense_dual_simplex(*args)
+        old = _certified_value(i1, i2, b, c, status, basis, xB, pi)
+        assert new == pytest.approx(old, rel=1e-12), scale
+
+
+def test_carried_inverse_is_exact_at_every_pivot():
+    # a run cut off after k pivots returns the basis and inverse it holds
+    i1, i2, b, c = _weighted_rows(20, 1.0)
+    status, _, iters, *_ = _kernels.dual_simplex(
+        i1, i2, b, c, solver.BLAND_AFTER, solver.PIVOT_TOL, 1000
+    )
+    assert status == _kernels.LP_OPTIMAL and iters > 20
+    for k in range(1, iters):
+        status, basis, _, _, _, binv = _kernels.dual_simplex(
+            i1, i2, b, c, solver.BLAND_AFTER, solver.PIVOT_TOL, k
+        )
+        assert status == _kernels.LP_ITER_LIMIT
+        _check_inverse(i1, i2, basis, binv)
+
+
+# ---------------------------------------------------------------------------
 # QP
 
 
