@@ -24,8 +24,7 @@ from .core import (
     TaxonSet,
     TreegromovError,
     ValidationError,
-    _as_integers,
-    _triangle_lhs,
+    axiom_witnesses,
     format_scalar,
     parse_newick,
     parse_newick_file,
@@ -340,26 +339,6 @@ def cmd_experiment(args) -> int:
 # validate
 
 
-def _triangle_witness(rho):
-    """First (i, j, k) in lexicographic order with d(i,k) - d(i,j) - d(j,k)
-    above the tolerance of d(i,k), as labels, else None: Semimetric
-    construction's rule (core._triangle_lhs on floats, exact on integers).
-    One numpy step over the (j, k) plane per i."""
-    labs = rho.taxa.labels
-    tab = rho.table
-    if rho.mode == MODE_FLOAT:
-        lhs = _triangle_lhs(tab)
-    else:
-        tab, _ = _as_integers(tab)
-        lhs = tab
-    for i, row in enumerate(tab):
-        bad = (lhs[i][None, :] - row[:, None]) - tab > 0
-        if bad.any():
-            j, k = np.argwhere(bad)[0]
-            return labs[i], labs[j], labs[k]
-    return None
-
-
 def cmd_validate(args) -> int:
     mode = args.mode
     text = _read_text(args.input) if os.path.exists(args.input) else args.input
@@ -375,46 +354,27 @@ def cmd_validate(args) -> int:
     out = _open_out(args.out)
     failed = False
     try:
-        tab = rho.table
         n = len(rho.taxa)
         labs = rho.taxa.labels
-        sym_bad = next(
-            (
-                (labs[i], labs[j])
-                for i in range(n)
-                for j in range(i + 1, n)
-                if tab[i, j] != tab[j, i]
-            ),
-            None,
-        )
-        diag_bad = next((labs[i] for i in range(n) if tab[i, i] != 0), None)
-        neg_bad = next(
-            (
-                (labs[i], labs[j])
-                for i in range(n)
-                for j in range(n)
-                if tab[i, j] < 0
-            ),
-            None,
-        )
-        tri_bad = _triangle_witness(rho)
+        witnesses = axiom_witnesses(rho.table, rho.mode)
         checks = [
-            ("symmetric", sym_bad, lambda w: f"asymmetric at ({w[0]},{w[1]})"),
-            ("zero-diagonal", diag_bad, lambda w: f"nonzero at {w}"),
-            ("nonnegative", neg_bad, lambda w: f"negative at ({w[0]},{w[1]})"),
+            ("symmetric", lambda i, j: f"asymmetric at ({labs[i]},{labs[j]})"),
+            ("zero-diagonal", lambda i: f"nonzero at {labs[i]}"),
+            ("nonnegative", lambda i, j: f"negative at ({labs[i]},{labs[j]})"),
             (
                 "triangle",
-                tri_bad,
-                lambda w: f"d({w[0]},{w[2]}) > d({w[0]},{w[1]}) + d({w[1]},{w[2]})",
+                lambda i, j, k: (
+                    f"d({labs[i]},{labs[k]}) > d({labs[i]},{labs[j]}) + d({labs[j]},{labs[k]})"
+                ),
             ),
         ]
-        for name, witness, render in checks:
+        for (name, render), witness in zip(checks, witnesses):
             if witness is None:
                 out.write(f"{name}: PASS\n")
             else:
                 failed = True
-                out.write(f"{name}: FAIL ({render(witness)})\n")
-        if sym_bad is None and diag_bad is None and neg_bad is None and tri_bad is None:
+                out.write(f"{name}: FAIL ({render(*witness)})\n")
+        if not failed:
             ok, quad = four_point_check(rho)
             if ok:
                 out.write("four-point: PASS\n")

@@ -5,6 +5,12 @@ and ``"rational"`` uses :class:`fractions.Fraction` held in numpy object
 arrays.  Every container records its mode, and mode mismatches raise
 :class:`ValidationError` instead of converting.
 
+Every float verdict on data follows one rule: quantities at data scale S,
+the largest |entry| of the tables or program being judged, are compared
+with tolerance RTOL * S and no floor (``tolerance``).  When S = 0, and
+always in rational mode, the comparison is exact.  So a verdict on 2^k x
+is the verdict on x for every power of two that keeps float64 exact.
+
 All types are immutable after construction (numpy buffers are marked
 read-only), so concurrent readers need no locking.
 """
@@ -22,7 +28,7 @@ MODE_FLOAT = "float"
 MODE_RATIONAL = "rational"
 MODES = (MODE_FLOAT, MODE_RATIONAL)
 
-TRIANGLE_RTOL = 1e-9
+RTOL = 1e-9
 
 
 class TreegromovError(Exception):
@@ -176,27 +182,12 @@ class TaxonSet:
 # Semimetric
 # ---------------------------------------------------------------------------
 
-def _triangle_lhs(d: np.ndarray) -> np.ndarray:
-    """The float table d less each entry's own triangle tolerance,
-    TRIANGLE_RTOL * max(1, d): d(i,j) breaks the triangle through k when
-    this exceeds d(i,k) + d(k,j)."""
-    return d - TRIANGLE_RTOL * np.maximum(1.0, d)
-
-
-def _worst_triangle(d: np.ndarray, lhs: np.ndarray):
-    """Return (excess, i, j, k) maximizing lhs[i,j] - d[i,k] - d[k,j], the
-    first maximum in k-major, then row-major order; floats or integers.
-    lhs is d itself, or d less each entry's own tolerance, so that one
-    pass judges every entry by its own rule."""
-    n = d.shape[0]
-    worst = (-math.inf, 0, 0, 0)
-    for k in range(n):
-        excess = lhs - (d[:, k : k + 1] + d[k : k + 1, :])
-        t = int(np.argmax(excess))
-        i, j = divmod(t, n)
-        if excess[i, j] > worst[0]:
-            worst = (excess[i, j], i, j, k)
-    return worst
+def tolerance(*data, mode: str = MODE_FLOAT):
+    """RTOL times S, the largest |entry| of data (arrays or scalars), with
+    no floor; 0, an exact comparison, when S = 0 or in rational mode."""
+    if mode == MODE_RATIONAL:
+        return 0
+    return RTOL * max((float(np.abs(a).max(initial=0.0)) for a in data), default=0.0)
 
 
 def _as_integers(d: np.ndarray):
@@ -209,13 +200,55 @@ def _as_integers(d: np.ndarray):
     return np.array(ints, dtype=np.int64 if small else object).reshape(d.shape), den
 
 
+def axiom_witnesses(d: np.ndarray, mode: str):
+    """The first witness of each semimetric axiom that d breaks, or None:
+    (symmetry, diagonal, sign, triangle) as index tuples (i, j), (i,),
+    (i, j) and (i, j, k), each first in lexicographic order.
+
+    Symmetry breaks where |d(i,j) - d(j,i)| > RTOL * max(|d(i,j)|, |d(j,i)|)
+    (i < j), the diagonal where d(i,i) != 0, sign where d(i,j) < 0, and the
+    triangle where d(i,k) - RTOL * |d(i,k)| > d(i,j) + d(j,k).  A rational
+    table is scaled to integers once (_as_integers), which keeps every
+    comparison, and judged with tolerance 0.
+
+    Each triangle entry carries its own tolerance.  Rounding can make a
+    float table that is a semimetric on the reals (a tree metric summed
+    along paths, say) look broken only where d(i,k) is within rounding of
+    d(i,j) + d(j,k).  There d(i,k) is the largest of the three nonnegative
+    entries, so rounding errors of many ulps of the sums stay below
+    RTOL * d(i,k), at every scale of the table.
+    """
+    if mode == MODE_RATIONAL:
+        d = _as_integers(d)[0]
+        rtol = 0
+    else:
+        rtol = RTOL
+    n = d.shape[0]
+    a = np.abs(d)
+    sym = np.abs(d - d.T) > rtol * np.maximum(a, a.T)
+    lhs = d - rtol * a
+    tri = None
+    buf = np.empty_like(d)
+    for i in range(n):
+        # buf[j, k] = d(i,j) + d(j,k), against d(i,k) less its tolerance
+        np.add(d[i][:, None], d, out=buf)
+        bad = lhs[i] > buf
+        if bad.any():
+            tri = (i, *divmod(int(bad.argmax()), n))
+            break
+
+    def first(mask):
+        return tuple(int(x) for x in np.argwhere(mask)[0]) if mask.any() else None
+
+    return first(sym), first(d.diagonal() != 0), first(d < 0), tri
+
+
 class Semimetric:
     """Symmetric nonnegative distance table over a TaxonSet.
 
     Zero off-diagonal entries are allowed (semimetric, not metric).  The
-    triangle inequality is validated exactly in rational mode; in float
-    mode d(i,j) may exceed d(i,k) + d(k,j) by TRIANGLE_RTOL * max(1, d(i,j)),
-    each entry judged by its own tolerance.
+    axioms are judged by axiom_witnesses: exactly in rational mode, and in
+    float mode with each entry's own tolerance, RTOL times its size.
     """
 
     __slots__ = ("taxa", "table", "mode")
@@ -244,44 +277,27 @@ class Semimetric:
 
     @staticmethod
     def _validate(taxa, d, mode):
-        n = len(taxa)
+        """Raise ValidationError on the first broken axiom, in the order
+        symmetry, diagonal, sign, triangle."""
         labs = taxa.labels
-        if mode == MODE_FLOAT:
-            scale = np.maximum(1.0, np.maximum(np.abs(d), np.abs(d.T)))
-            bad = np.abs(d - d.T) > TRIANGLE_RTOL * scale
-            if bad.any():
-                i, j = np.argwhere(bad)[0]
-                raise ValidationError(
-                    f"asymmetric table: d({labs[i]},{labs[j]})={d[i, j]} "
-                    f"but d({labs[j]},{labs[i]})={d[j, i]}"
-                )
-            if (np.abs(np.diag(d)) > 0).any():
-                i = int(np.argmax(np.abs(np.diag(d)) > 0))
-                raise ValidationError(f"nonzero diagonal at {labs[i]}: {d[i, i]}")
-            if (d < 0).any():
-                i, j = np.argwhere(d < 0)[0]
-                raise ValidationError(f"negative entry d({labs[i]},{labs[j]})={d[i, j]}")
-            excess, i, j, k = _worst_triangle(d, _triangle_lhs(d))
-            violated = excess > 0
-        else:
-            for i in range(n):
-                if d[i, i] != 0:
-                    raise ValidationError(f"nonzero diagonal at {labs[i]}: {d[i, i]}")
-                for j in range(n):
-                    if d[i, j] != d[j, i]:
-                        raise ValidationError(
-                            f"asymmetric table: d({labs[i]},{labs[j]}) != d({labs[j]},{labs[i]})"
-                        )
-                    if d[i, j] < 0:
-                        raise ValidationError(f"negative entry d({labs[i]},{labs[j]})={d[i, j]}")
-            # exact, and scaling keeps the first maximum in place
-            ints = _as_integers(d)[0]
-            excess, i, j, k = _worst_triangle(ints, ints)
-            violated = excess > 0
-        if violated:
+        sym, diag, neg, tri = axiom_witnesses(d, mode)
+        if sym is not None:
+            i, j = sym
             raise ValidationError(
-                f"triangle inequality violated: d({labs[i]},{labs[j]})={d[i, j]} > "
-                f"d({labs[i]},{labs[k]})+d({labs[k]},{labs[j]})={d[i, k]}+{d[k, j]}"
+                f"asymmetric table: d({labs[i]},{labs[j]})={d[i, j]} "
+                f"but d({labs[j]},{labs[i]})={d[j, i]}"
+            )
+        if diag is not None:
+            (i,) = diag
+            raise ValidationError(f"nonzero diagonal at {labs[i]}: {d[i, i]}")
+        if neg is not None:
+            i, j = neg
+            raise ValidationError(f"negative entry d({labs[i]},{labs[j]})={d[i, j]}")
+        if tri is not None:
+            i, j, k = tri
+            raise ValidationError(
+                f"triangle inequality violated: d({labs[i]},{labs[k]})={d[i, k]} > "
+                f"d({labs[i]},{labs[j]})+d({labs[j]},{labs[k]})={d[i, j]}+{d[j, k]}"
             )
 
     def __len__(self):

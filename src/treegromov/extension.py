@@ -18,7 +18,6 @@ import numpy as np
 from . import _kernels
 from .core import (
     MODE_FLOAT,
-    MODE_RATIONAL,
     ParseError,
     Semimetric,
     TaxonSet,
@@ -27,9 +26,9 @@ from .core import (
     as_scalar,
     check_mode,
     parse_scalar,
+    tolerance,
 )
 
-EXTEND_RTOL = 1e-9
 DEFAULT_CYCLE_CAP = 16
 
 
@@ -129,17 +128,9 @@ def check_extendable(graph: WeightedGraph):
     """(True, None) iff every edge weight equals the shortest-path
     distance between its endpoints; otherwise (False, witness_edge)."""
     d = _all_pairs(graph)
-    if graph.mode == MODE_FLOAT:
-        scale = max(1.0, float(max((float(w) for _, _, w in graph.edges), default=0.0)))
-        tol = EXTEND_RTOL * scale
-    else:
-        tol = 0
+    tol = tolerance([w for _, _, w in graph.edges], mode=graph.mode)
     for iu, iv, w in graph.edges:
-        if graph.mode == MODE_FLOAT:
-            gap = float(w) - d[iu, iv]
-        else:
-            gap = w - d[iu, iv]
-        if gap > tol:
+        if w - d[iu, iv] > tol:
             return False, (graph.vertices[iu], graph.vertices[iv], w)
     return True, None
 
@@ -185,11 +176,7 @@ def check_extendable_minimal_cycles(graph: WeightedGraph, cap: int = DEFAULT_CYC
     for iu, iv, w in graph.edges:
         weight[(iu, iv)] = w
         weight[(iv, iu)] = w
-    if graph.mode == MODE_FLOAT:
-        scale = max(1.0, float(max((float(w) for _, _, w in graph.edges), default=0.0)))
-        tol = EXTEND_RTOL * scale
-    else:
-        tol = 0
+    tol = tolerance([w for _, _, w in graph.edges], mode=graph.mode)
     for cycle in chordless_cycles(graph, cap):
         pairs = list(zip(cycle, cycle[1:] + cycle[:1]))
         total = sum(weight[p] for p in pairs)
@@ -204,7 +191,10 @@ def amalgamate(d1: Semimetric, d2: Semimetric) -> Semimetric:
 
     The union graph carries a clique for each input; the output restricts
     to d1 and d2 exactly (detours through the other side can always be
-    contracted across the shared set by the triangle inequality).
+    contracted across the shared set by the triangle inequality).  The
+    shared pairs must agree, and the output is audited to restrict to
+    both inputs, exactly in rational mode and within core.tolerance of
+    both tables in float mode.
     """
     if d1.mode != d2.mode:
         raise ValidationError("modes differ")
@@ -213,7 +203,7 @@ def amalgamate(d1: Semimetric, d2: Semimetric) -> Semimetric:
     only2 = [lab for lab in d2.taxa.labels if lab not in d1.taxa]
     if not shared and only1 and only2:
         raise ValidationError("no shared taxa: the union would be disconnected")
-    tol = 0 if d1.mode == MODE_RATIONAL else EXTEND_RTOL
+    tol = tolerance(d1.table, d2.table, mode=d1.mode)
     for x in shared:
         for y in shared:
             if abs(d1.dist(x, y) - d2.dist(x, y)) > tol:

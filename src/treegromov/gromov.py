@@ -43,6 +43,20 @@ breaks the triangle inequality the difference audit can fail; that is a
 ValidationError, never a silent second solve.  A failed bound audit
 contradicts the proof and raises TreegromovError.
 
+In float mode both audits, like quadrangle_feasible and realize_extension,
+judge against tol = RTOL * S, S the largest |entry| of rho and rho'
+(core.tolerance), with no floor.  Every quantity they compare is at most
+2S: delta_x <= max g <= S at the optimum, Dinf <= S/2, and the difference
+rows set |delta_x - delta_y| against (rho + rho')(x, y) <= 2S.  The
+solvers return delta within rounding of an exact optimum (the
+transportation kernel sums gap entries, the simplex carries an exact
+basis inverse, and every step of the QP is relative to the data), and the
+sums that form each side round by a few ulps of 2S; both stay far below
+tol, so the audits pass where the proof says they must.  Scaling both
+tables by 2^k scales delta, S and tol exactly and leaves every verdict
+unchanged; at S = 0 both tables are zero, so is delta, and the
+comparisons are exact.
+
 Norm 1 is half a maximum-profit transportation problem (Nemhauser-Trotter
 1975, the bipartite double cover; Kuhn 1955 for unit weights, where it is
 an assignment).  Mirror g into a symmetric n x n table with g(x, x) = 0,
@@ -117,6 +131,7 @@ from .core import (
     ValidationError,
     _as_integers,
     as_scalar,
+    tolerance,
 )
 from .solver import (
     STATUS_OPTIMAL,
@@ -128,8 +143,6 @@ from .solver import (
     solve_qp,
 )
 from .treemetric import normalize_norm, tree_to_semimetric
-
-FEAS_RTOL = 1e-9
 
 VARIANT_FULL = "full"
 VARIANT_LOWER = "lower"
@@ -244,8 +257,8 @@ def dinf_closed_form(rho: Semimetric, rho_prime: Semimetric):
     """max |rho - rho'| / 2, the exact norm-inf optimum of both variants.
 
     The max runs over the whole table rather than the pair arrays: a
-    validated float table may differ from its transpose within
-    TRIANGLE_RTOL, and either triangle may hold the larger gap."""
+    validated float table may differ from its transpose within core.RTOL
+    of the entry, and either triangle may hold the larger gap."""
     _check_pair(rho, rho_prime)
     return _max_abs_gap(rho.table, rho_prime.table, rho.mode) / 2
 
@@ -265,22 +278,13 @@ def _gap_table(rho, rho_prime):
     return g
 
 
-def _feas_tol(rho, rho_prime):
-    """Audit tolerance: FEAS_RTOL times the data scale in float mode, zero
-    in rational mode."""
-    if rho.mode == MODE_RATIONAL:
-        return 0
-    return FEAS_RTOL * max(
-        1.0, float(rho.table.max(initial=0.0)), float(rho_prime.table.max(initial=0.0))
-    )
-
-
 def _audit_bound_rows(rho, rho_prime, delta):
     """Raise unless the lower optimum delta meets the bound rows
     delta_x <= 2 * Dinf, which the module docstring proves it always does."""
     bound = 2 * dinf_closed_form(rho, rho_prime)
     top = delta.values.max(initial=0)
-    if not top - bound <= _feas_tol(rho, rho_prime):  # NaN fails
+    tol = tolerance(rho.table, rho_prime.table, mode=rho.mode)
+    if not top - bound <= tol:  # NaN fails
         raise TreegromovError(
             f"the lower optimum breaks a bound row: max delta {top} exceeds "
             f"2*Dinf = {bound}"
@@ -399,14 +403,14 @@ def quadrangle_feasible(rho: Semimetric, rho_prime: Semimetric, delta: DeltaVect
     the (positive) excess.  Exact in rational mode, where the comparisons
     run on the pair entries of both tables and delta times the lcm of all
     their denominators (core._as_integers) and only the amounts are turned
-    back into Fractions; relative tolerance FEAS_RTOL in float mode.
+    back into Fractions; within core.tolerance of both tables in float mode.
     """
     _check_pair(rho, rho_prime)
     if delta.taxa != rho.taxa:
         raise ValidationError("delta taxa differ from the semimetrics'")
     labs = rho.taxa.labels
     dv = delta.values
-    tol = _feas_tol(rho, rho_prime)
+    tol = tolerance(rho.table, rho_prime.table, mode=rho.mode)
     iu, ju = np.triu_indices(len(labs), 1)
     d, dp = rho.table[iu, ju], rho_prime.table[iu, ju]
     if rho.mode == MODE_RATIONAL:
@@ -498,7 +502,7 @@ def realize_extension(
     module docstring: rho and rho' on the two halves and
     C(x, y') = min_z rho(x, z) + delta_z + rho'(z, y) across.  Its
     premises are re-verified (exactly in rational mode, within
-    FEAS_RTOL times the scale of both tables in float mode): delta is
+    core.tolerance of both tables in float mode): delta is
     quadrangle-feasible (else ValidationError), rho and rho' are symmetric
     with a zero diagonal and meet the triangle inequality, and
     C(x, x') = delta_x; a failure raises TreegromovError.
@@ -509,7 +513,7 @@ def realize_extension(
             f"delta is not quadrangle-feasible; first violation: {violations[0]}"
         )
     mode = rho.mode
-    tol = _feas_tol(rho, rho_prime)
+    tol = tolerance(rho.table, rho_prime.table, mode=rho.mode)
     blocks = []
     for want, name in ((rho, "rho"), (rho_prime, "rho'")):
         block = _clique_block(want.table, mode)
@@ -592,9 +596,8 @@ def format_certificate(
             lines.append("active pair rows (delta_x + delta_y = |rho - rho'|):")
             labs = delta.taxa.labels
             iu, ju, gap = _pair_arrays(rho, rho_prime)
-            # relative to the gaps alone: a floor at 1 would mark every
-            # row active on small-scale data
-            tol = 0 if result.mode == MODE_RATIONAL else FEAS_RTOL * gap.max(initial=0.0)
+            # relative to the gaps alone, the scale of the pair rows
+            tol = tolerance(gap, mode=result.mode)
             dv = delta.values
             for k in np.flatnonzero(dv[iu] + dv[ju] - gap <= tol):
                 lines.append(f"  ({labs[iu[k]]},{labs[ju[k]]}): rhs {gap[k]}")

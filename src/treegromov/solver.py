@@ -23,7 +23,7 @@ only; every program this package assembles has one, and with c >= 0 and a
 feasible primal the dual is bounded.  The kernel carries the basis
 inverse exactly, because its entries are 0, +-1/2 and +-1, so it solves
 no linear system and cannot meet a singular one.  Its pricing threshold
-is PIVOT_TOL times max|b| and its other thresholds are relative to
+is core.RTOL times max|b| and its other thresholds are relative to
 max c, so scaling the data by a power of two scales the value and the
 argmin exactly (see _kernels.dual_simplex).
 
@@ -46,10 +46,12 @@ kernel or its audit; the same code runs on floats.  Both return solve_lp's
 certificate keys ("dual" with one entry per pair row, "duality_gap").
 
 Both routes certify the same kind of program, and one O(m + n) audit
-judges both results: the pair rows and x >= 0 within FEAS_ATOL of the data
-scale max(1, max|b|), y >= 0 and A^T y <= c within FEAS_ATOL of
-max(1, max c), and the duality gap |b.y - c.x| within GAP_RTOL relative;
-in rational mode every check is exact and the gap must be zero.  The
+judges both results by the package's one rule (core.tolerance, RTOL times
+the scale with no floor): the pair rows and x >= 0 at the scale max|b|,
+y >= 0 and A^T y <= c at max c (1 for unit weights), and the duality gap
+|b.y - c.x| at |c.x|.  At scale 0 a check is exact, so the program of
+two equal tables (b = 0) must certify with value and gap exactly 0; in
+rational mode every check is exact and the gap must be zero.  The
 transportation answers are audited on their integer program times
 2 lcm (see _transport), which gives the same verdicts.
 
@@ -66,9 +68,9 @@ combination of the working rows and the working set stays independent
 with no rank checks.  Every test in the kernel is relative, so scaling b
 scales the solution and changes no step.  The multipliers are solved
 again on the returned working set, and the KKT residuals are audited
-relative to the data scale s = max(1, max|b|, max|2wx|): stationarity,
-primal (rows and x >= 0) and dual parts against KKT_TOL * s,
-complementarity against KKT_TOL * s^2.
+at the data scale s = max(max|b|, max|2wx|): stationarity, primal (rows
+and x >= 0) and dual parts against RTOL * s, complementarity against
+RTOL * s^2, so at s = 0 every part must be exactly zero.
 
 A singular linear system in the QP's multiplier solve, a kernel that
 stops without an optimum, or a failed audit is reported as a
@@ -77,7 +79,6 @@ TreegromovError with an instance summary, never as a bare numpy error.
 
 from __future__ import annotations
 
-import math
 import numbers
 from fractions import Fraction
 
@@ -89,18 +90,16 @@ from .core import (
     MODE_RATIONAL,
     TreegromovError,
     ValidationError,
+    RTOL,
     _as_integers,
     as_scalar,
     check_mode,
     scalar_array,
+    tolerance,
 )
 
 STATUS_OPTIMAL = "optimal"
 
-FEAS_ATOL = 1e-9
-GAP_RTOL = 1e-8
-KKT_TOL = 1e-9
-PIVOT_TOL = 1e-9  # relative to max|b|
 BLAND_AFTER = 50
 
 
@@ -315,11 +314,10 @@ def _certify(route, i1, i2, b, c, x, y, mode, scales=(1, 1)):
     instance = _instance(b, n, sx)
     if mode == MODE_FLOAT:
         xs, ys = x, y
-        tol = FEAS_ATOL * max(1.0, float(np.abs(b).max(initial=0.0)))
-        ytol = FEAS_ATOL * max(1.0, 1.0 if c is None else float(c.max(initial=0.0)))
     else:
         xs, ys = np.array(x, dtype=object), np.array(y, dtype=object)
-        tol = ytol = 0
+    tol = tolerance(b, mode=mode)
+    ytol = tolerance(1.0 if c is None else c, mode=mode)
 
     def units(amount, scale):
         return amount if scale == 1 else Fraction(amount, scale)
@@ -355,7 +353,7 @@ def _certify(route, i1, i2, b, c, x, y, mode, scales=(1, 1)):
     if mode == MODE_FLOAT:
         value = float(xs.sum()) if c is None else float(np.dot(c, xs))
         gap = abs(float(np.dot(b, ys)) - value)
-        ok = gap <= GAP_RTOL * max(1.0, abs(value))  # NaN fails
+        ok = gap <= tolerance(value)  # NaN fails
     else:
         if c is None:
             value = sum(xs.tolist())
@@ -381,8 +379,9 @@ def _lp_float_dual(i1, i2, b, c):
     n = len(c)
     m = len(b)
     max_iter = 20000 + 100 * n
+    # pricing at RTOL * max|b|, the one relative tolerance of the package
     status, basis, iters, xB, pi, _ = _kernels.dual_simplex(
-        i1, i2, b, c, BLAND_AFTER, PIVOT_TOL, max_iter
+        i1, i2, b, c, BLAND_AFTER, RTOL, max_iter
     )
     if status == _kernels.LP_ITER_LIMIT:
         raise TreegromovError(
@@ -559,6 +558,8 @@ def solve_qp(qp: QuadraticProgram, mode: str = MODE_FLOAT) -> OptResult:
     n = qp.n_vars
     w = qp.weights
     max_iter = 1000 + 20 * (len(b) + n)
+    # feasibility at 1e-11 * max|b|, a hundredth of RTOL, so that the rows
+    # the kernel leaves pass the KKT audit's primal part with room to spare
     status, x, work, iters = _kernels.active_set_qp(i1, i2, b, w, 1e-11, max_iter)
     if status == _kernels.QP_ITER_LIMIT:
         raise TreegromovError(
@@ -595,16 +596,17 @@ def solve_qp(qp: QuadraticProgram, mode: str = MODE_FLOAT) -> OptResult:
     dual = float(np.maximum(-mu, 0.0).max(initial=0.0))
     comp = float(np.abs(mu * resid).max(initial=0.0))
     parts = {"stationarity": stationarity, "primal": primal, "dual": dual, "complementarity": comp}
-    # each part relative to the data scale; complementarity is a product of two
-    s = max(1.0, float(np.abs(b).max(initial=0.0)), float(np.abs(grad).max(initial=0.0)))
-    rel = {k: v / (s * s if k == "complementarity" else s) for k, v in parts.items()}
-    # a NaN part ranks above every number and fails the audit
-    worst = max(rel, key=lambda k: (math.isnan(rel[k]), rel[k]))
-    if not rel[worst] <= KKT_TOL:
-        raise TreegromovError(
-            f"active-set QP failed its KKT audit ({worst} {parts[worst]:.3e} at data "
-            f"scale {s:.3e}); instance: {_instance(b, n)}"
-        )
+    # each part at the data scale s; complementarity is a product of two
+    s = max(float(np.abs(b).max(initial=0.0)), float(np.abs(grad).max(initial=0.0)))
+    scale = {k: s * s if k == "complementarity" else s for k in parts}
+    for k, v in parts.items():
+        if not v <= tolerance(scale[k]):  # NaN fails
+            raise TreegromovError(
+                f"active-set QP failed its KKT audit ({k} {v:.3e} at data "
+                f"scale {s:.3e}); instance: {_instance(b, n)}"
+            )
+    # a part at scale 0 passed as exactly zero
+    residual = max(v / scale[k] if scale[k] else 0.0 for k, v in parts.items())
     x = np.maximum(x, 0.0)
     value = float(np.dot(w, x * x))
     return OptResult(
@@ -614,6 +616,6 @@ def solve_qp(qp: QuadraticProgram, mode: str = MODE_FLOAT) -> OptResult:
         int(iters),
         MODE_FLOAT,
         "active-set",
-        kkt_residual=rel[worst],
+        kkt_residual=residual,
         certificate={"multipliers": mu, "kkt": parts},
     )

@@ -22,10 +22,13 @@ not the triangle inequality:
   1990, ch. 2).  Every quadruple contains a base point, so its slack is at
   most 4*eps.
 
-In float mode eps = tol/8, where tol is the scan's own tolerance, so a
-certified table has slack at most tol/2; the other half of tol absorbs
-rounding on nonnegative tables, whose entries are all within the scale tol
-is relative to.  A certified table therefore never holds a quadruple the
+In float mode eps = tol/8, where tol = RTOL * S is the scan's own
+tolerance and S the largest entry (core.tolerance), so a certified table
+has slack at most tol/2.  The other half of tol absorbs rounding: on a
+nonnegative table every entry, Gromov product and pairing sum is at most
+2S, so the few roundings between them are a few ulps of 2S, far below
+tol/2 = 5e-10 S.  At S = 0 the table is zero, tol = 0 and nothing
+rounds.  A certified table therefore never holds a quadruple the
 scan would flag, and the scan runs only when the certificate fails.  In
 rational mode eps = 0, and the certificate holds exactly when the table is
 a tree metric; it runs on the table times the lcm of its denominators,
@@ -51,9 +54,8 @@ from .core import (
     _as_integers,
     as_scalar,
     check_mode,
+    tolerance,
 )
-
-FOUR_POINT_RTOL = 1e-9
 
 
 def normalize_norm(norm) -> str:
@@ -157,14 +159,14 @@ def four_point_check(rho: Semimetric):
     Returns (True, None) when for every quadruple the largest of the three
     pairing sums ties the second largest; otherwise (False, witness) with
     the first violating taxon quadruple in lexicographic order.  Exact in
-    rational mode, relative tolerance FOUR_POINT_RTOL in float mode.  An
+    rational mode, within core.tolerance of the table in float mode.  An
     O(n^2) certificate (see the module docstring) accepts tree metrics; the
     O(n^4) scan runs only when it fails.
     """
     d = rho.table
     if rho.mode == MODE_FLOAT:
-        tol = FOUR_POINT_RTOL * max(1.0, float(d.max(initial=0.0)))
-        # the docstring's rounding margin needs entries in [0, max(1, max d)]
+        tol = tolerance(d)
+        # the docstring's rounding margin needs entries in [0, max d]
         certified = d.min(initial=0.0) >= 0 and _kernels.tree_certificate(
             d.tolist(), tol / 8
         )

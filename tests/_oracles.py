@@ -31,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from treegromov._kernels import LP_DUAL_UNBOUNDED, LP_ITER_LIMIT, LP_OPTIMAL
-from treegromov.treemetric import FOUR_POINT_RTOL
+from treegromov.core import RTOL
 
 FEAS_TOL = 1e-9
 
@@ -779,27 +779,11 @@ def robinson_foulds_walk(t1, t2):
     return len(nontrivial[0] ^ nontrivial[1])
 
 
-def worst_triangle_loop(table):
-    """(i, j, k) of the first largest excess d(i,j) - d(i,k) - d(k,j) > 0
-    by a loop in k-major, then row-major order, else None; the former
-    rational route of Semimetric validation, exact on Fractions."""
-    n = len(table)
-    worst = None
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                excess = table[i][j] - table[i][k] - table[k][j]
-                if excess > 0 and (worst is None or excess > worst[0]):
-                    worst = (excess, i, j, k)
-    return None if worst is None else worst[1:]
-
-
 def triangle_witness_loop(rho):
     """First (i, j, k) by a triple loop in lexicographic order with
-    d(i,k) - d(i,j) - d(j,k) above the tolerance of d(i,k) (1e-9 times
-    max(1, d(i,k)) on floats, subtracted from d(i,k) as Semimetric
-    construction does, and 0 on Fractions), as labels, else None; the
-    CLI's former route, cell by cell."""
+    d(i,k) less its tolerance (RTOL times |d(i,k)| on floats, 0 on
+    Fractions) above d(i,j) + d(j,k), as labels, else None; the rule of
+    core.axiom_witnesses, cell by cell."""
     labs = rho.taxa.labels
     tab = rho.table
     n = len(labs)
@@ -808,23 +792,23 @@ def triangle_witness_loop(rho):
             for k in range(n):
                 lhs = tab[i, k]
                 if rho.mode != "rational":
-                    lhs = lhs - 1e-9 * max(1.0, lhs)
-                if lhs - tab[i, j] - tab[j, k] > 0:
+                    lhs = lhs - RTOL * abs(lhs)
+                if lhs > tab[i, j] + tab[j, k]:
                     return labs[i], labs[j], labs[k]
     return None
 
 
-def four_point_oracle(table, rtol=FOUR_POINT_RTOL):
+def four_point_oracle(table, rtol=RTOL):
     """First quadruple (by index order) where the largest of the three
     pairing sums exceeds the middle one by more than rtol times the data
-    scale max(1, max d), the package's float tolerance, else None.  A
+    scale max|d|, the package's float tolerance, else None.  A
     table of Fractions (object dtype) is scanned exactly, with tolerance 0."""
     d = np.asarray(table)
     if d.dtype == object:
         tol = 0
     else:
         d = d.astype(float)
-        tol = rtol * max(1.0, float(d.max(initial=0.0)))
+        tol = rtol * float(np.abs(d).max(initial=0.0))
     n = d.shape[0]
     for quad in itertools.combinations(range(n), 4):
         i, j, k, l = quad

@@ -220,14 +220,14 @@ def test_scalar_array_rational_coerces_every_cell_into_a_new_array():
 def test_semimetric_reports_the_first_of_tied_triangle_violations(mode, unit):
     # d(a,b) = d(c,d) = 7 and every other pair 3 (in units of `unit`; the
     # last one is too large for int64 sums): each long pair breaks the
-    # triangle inequality through both other points, and the first maximum
-    # in k-major, then row-major order is (c,d) through a
+    # triangle inequality through both other points, and the first triple
+    # (i, j, k) in lexicographic order is (a, c, b), d(a,b) through c
     tab = [[0, 7, 3, 3], [7, 0, 3, 3], [3, 3, 0, 7], [3, 3, 7, 0]]
     tab = np.array(tab, dtype=float) if mode == "float" else [[x * unit for x in row] for row in tab]
     with pytest.raises(ValidationError) as err:
         semimetric_from_table(list("abcd"), tab, mode=mode)
     num = "{}.0" if mode == "float" else "{}"
-    want = "triangle inequality violated: d(c,d)={} > d(c,a)+d(a,d)={}+{}"
+    want = "triangle inequality violated: d(a,b)={} > d(a,c)+d(c,b)={}+{}"
     assert str(err.value) == want.format(*(num.format(v * unit) for v in (7, 3, 3)))
 
 
@@ -262,14 +262,15 @@ def test_semimetric_rational_triangle_check_matches_the_loop(unit):
         n = int(rng.integers(3, 9))
         d = np.triu(rng.integers(1, 10, size=(n, n)), 1)
         tab = [[int(x) * unit for x in row] for row in d + d.T]
-        want = orc.worst_triangle_loop(tab)
+        rho = semimetric_from_table(labs[:n], tab, mode="rational", validate=False)
+        want = orc.triangle_witness_loop(rho)
         if want is None:
             semimetric_from_table(labs[:n], tab, mode="rational")
             continue
-        i, j, k = want
+        i, j, k = (labs.index(lab) for lab in want)
         message = (
-            f"triangle inequality violated: d({labs[i]},{labs[j]})={tab[i][j]} > "
-            f"d({labs[i]},{labs[k]})+d({labs[k]},{labs[j]})={tab[i][k]}+{tab[k][j]}"
+            f"triangle inequality violated: d({labs[i]},{labs[k]})={tab[i][k]} > "
+            f"d({labs[i]},{labs[j]})+d({labs[j]},{labs[k]})={tab[i][j]}+{tab[j][k]}"
         )
         with pytest.raises(ValidationError) as err:
             semimetric_from_table(labs[:n], tab, mode="rational")

@@ -21,7 +21,7 @@ from treegromov import (  # noqa: E402
     semimetric_from_table,
     tree_to_semimetric,
 )
-from treegromov.treemetric import FOUR_POINT_RTOL  # noqa: E402
+from treegromov.core import RTOL  # noqa: E402
 
 
 def _closure(n, weights):
@@ -112,7 +112,7 @@ def bumped_trees(draw, mode="float"):
         model = draw(st.sampled_from(["unit", "uniform01"]))
         tab = tree_to_semimetric(random_binary_tree(n, seed, model)).table.copy()
         tab *= 10.0 ** draw(st.integers(-6, 8))
-        tol = FOUR_POINT_RTOL * max(1.0, tab.max())
+        tol = RTOL * tab.max()
         step = st.floats(-8.0, 8.0).map(lambda f: f * tol)
     else:
         tab = tree_to_semimetric(random_binary_tree(n, seed, mode="rational")).table.copy()

@@ -23,6 +23,7 @@ from treegromov import (
     tree_to_semimetric,
 )
 from treegromov import _kernels, solver
+from treegromov.core import RTOL
 from treegromov.gromov import _pair_arrays
 from treegromov.solver import STATUS_OPTIMAL
 
@@ -407,7 +408,7 @@ def test_carried_inverse_matches_the_dense_kernel(n):
     # former kernel's, both certify, and the final inverse is exact
     for scale in (1e-3, 1e-2, 1e-1, 1.0, 1e1):
         i1, i2, b, c = rows = _weighted_rows(n, scale)
-        args = (*rows, solver.BLAND_AFTER, solver.PIVOT_TOL, 100_000)
+        args = (*rows, solver.BLAND_AFTER, RTOL, 100_000)
         status, basis, _, xB, pi, binv = _kernels.dual_simplex(*args)
         new = _certified_value(i1, i2, b, c, status, basis, xB, pi)
         _check_inverse(i1, i2, basis, binv)
@@ -420,12 +421,12 @@ def test_carried_inverse_is_exact_at_every_pivot():
     # a run cut off after k pivots returns the basis and inverse it holds
     i1, i2, b, c = _weighted_rows(20, 1.0)
     status, _, iters, *_ = _kernels.dual_simplex(
-        i1, i2, b, c, solver.BLAND_AFTER, solver.PIVOT_TOL, 1000
+        i1, i2, b, c, solver.BLAND_AFTER, RTOL, 1000
     )
     assert status == _kernels.LP_OPTIMAL and iters > 20
     for k in range(1, iters):
         status, basis, _, _, _, binv = _kernels.dual_simplex(
-            i1, i2, b, c, solver.BLAND_AFTER, solver.PIVOT_TOL, k
+            i1, i2, b, c, solver.BLAND_AFTER, RTOL, k
         )
         assert status == _kernels.LP_ITER_LIMIT
         _check_inverse(i1, i2, basis, binv)

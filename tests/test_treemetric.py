@@ -30,7 +30,8 @@ from treegromov import (
     tree_to_semimetric,
 )
 from treegromov import _kernels
-from treegromov.treemetric import FOUR_POINT_RTOL, normalize_norm
+from treegromov.core import RTOL
+from treegromov.treemetric import normalize_norm
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +254,7 @@ def test_near_tree_metrics_are_certified(monkeypatch):
         tab = tree_to_semimetric(
             random_binary_tree(n, seed=trial, weight_model="uniform01")
         ).table * 10.0 ** rng.integers(-6, 9)
-        tol = FOUR_POINT_RTOL * max(1.0, tab.max())
+        tol = RTOL * tab.max()
         i, j = sorted(rng.choice(n, size=2, replace=False))
         tab[i, j] = tab[j, i] = tab[i, j] + rng.choice([-0.1, 0.1]) * tol
         rho = semimetric_from_table(_labels(n), tab, validate=False)
@@ -294,7 +295,7 @@ def test_near_tolerance_witness_matches_oracle(factor):
         tab = tree_to_semimetric(
             random_binary_tree(8, seed=trial, weight_model="uniform01")
         ).table * scale
-        tol = FOUR_POINT_RTOL * max(1.0, tab.max())
+        tol = RTOL * tab.max()
         i, j = sorted(rng.choice(8, size=2, replace=False))
         sign = 1.0 if trial % 2 else -1.0
         tab[i, j] = tab[j, i] = tab[i, j] + sign * factor * tol
@@ -611,8 +612,16 @@ def test_one_nni_unit_pairs_have_dinf_half():
         for variant in ("full", "lower"):
             res = gromov_distance(r1, r2, GromovSpec(norm="inf", variant=variant))
             assert res.value == pytest.approx(0.5, abs=1e-12)
-    # enumeration oracle confirms on one instance
+    # the norm-inf epigraph LP confirms on one instance: the dense primal
+    # simplex at five taxa, and vertex enumeration at four
     t = random_binary_tree(5, seed=2)
+    t2 = apply_nni(t, nni_moves(t)[0])
+    r1, r2 = tree_to_semimetric(t), tree_to_semimetric(t2)
+    A, b, _ = orc.assemble_dense(r1.table, r2.table, "full", epigraph=True)
+    c = np.zeros(A.shape[1])
+    c[-1] = 1.0
+    assert orc.lp_primal_oracle(c, A, b)[0] == pytest.approx(0.5)
+    t = random_binary_tree(4, seed=2)
     t2 = apply_nni(t, nni_moves(t)[0])
     r1, r2 = tree_to_semimetric(t), tree_to_semimetric(t2)
     assert orc.gromov_oracle(r1.table, r2.table, "inf", "full") == pytest.approx(0.5)
