@@ -46,6 +46,7 @@ DIST = [
     ("((a,b),(c,d));", "((a,c),(b,d));", ["--csv"]),
     ("t1.csv", "t2.csv", ["--norm", "all", "--variant", "both"]),
     ("t1.csv", "t2.csv", ["--csv", "--bounded"]),
+    ("square.csv", "square2.csv", ["--csv"]),
     # hostile inputs
     ("deep.nwk", "deep.nwk", []),
     ("deep.nwk", "((a:2,c),b);", ["--csv"]),
@@ -56,6 +57,8 @@ DIST = [
     ("t1.csv", "unit_a.nwk", []),
     ("triangle.csv", "triangle.csv", []),
     ("((a:1/0,b),c);", "((a,b),c);", []),
+    ("((a,b),(c,d);", "((a,c),(b,d));", []),
+    ("inf.csv", "t2.csv", []),
 ]
 
 MATRIX = [
@@ -82,6 +85,8 @@ VALIDATE = [
     "neg.csv",
     "triangle.csv",
     "square.csv",
+    "asym_tiny.csv",
+    "tiny_triangle.csv",
     "nan.csv",
     "nan.nwk",
     "deep.nwk",
