@@ -49,7 +49,6 @@ from .solver import (
     LinearProgram,
     OptResult,
     QuadraticProgram,
-    solve_assignment,
     solve_lp,
     solve_qp,
 )
@@ -121,7 +120,6 @@ __all__ = [
     "semimetric_from_csv",
     "semimetric_from_table",
     "semimetric_to_csv",
-    "solve_assignment",
     "solve_lp",
     "solve_qp",
     "splits_of",

@@ -30,7 +30,7 @@ from .core import (
     parse_newick_file,
     semimetric_from_csv,
 )
-from .gromov import GromovSpec, gromov_distance, pairwise_matrix, tree_distance
+from .gromov import GromovSpec, gromov_distance, pairwise_matrix
 from .treemetric import (
     four_point_check,
     caterpillar_swap_pair,

@@ -74,16 +74,19 @@ because the diagonal is zero.  By weak duality every feasible delta has
 sum w delta >= b.y; at an optimal flow the two sums meet, so D1 = Dt1 =
 T / 2, and delta with y is the same dual certificate ("dual",
 "duality_gap") the simplex returns.  The solver audits exactly these three
-facts, with the audit solve_lp runs.  Float weighted norm 1 stays on the
-LP simplex; every other norm-1 solve runs the transportation kernel.
+facts, with the audit the simplex's answer gets.  Float weighted norm 1
+stays on the LP simplex; every other norm-1 solve runs the transportation
+kernel.
 
-The program is assembled from one set of pair arrays: the upper-triangle
-pairs i < j in row-major order (np.triu_indices), with |rho - rho'| on
-them.  The same arrays feed the pair rows, the gap table of the
-assignment, the tight pair of the norm-inf closed form and the active-row
-list of format_certificate.  In rational mode the transportation and its
-audit run on that gap table and the weights scaled to integers (in
-solver.solve_assignment, or solve_lp with taxon weights), and
+Every program is the gap table g = |rho - rho'| on the upper-triangle
+pairs i < j in row-major order (np.triu_indices), mirrored into a
+symmetric table with a zero diagonal, plus the spec's taxon weights:
+gromov_distance chooses only by norm, solve_lp(LinearProgram) for norm 1
+and solve_qp(QuadraticProgram) for norm 2, and solve_lp chooses the
+kernel (see the solver module docstring).  The same pair arrays give the
+tight pair of the norm-inf closed form and the active-row list of
+format_certificate.  In rational mode the transportation and its audit
+run on the gap table and the weights scaled to integers, and
 quadrangle_feasible, which also needs rho + rho', compares the pair
 entries of both tables and delta scaled by one common lcm; Fractions
 appear only in what they return.
@@ -138,7 +141,6 @@ from .solver import (
     LinearProgram,
     OptResult,
     QuadraticProgram,
-    solve_assignment,
     solve_lp,
     solve_qp,
 )
@@ -247,8 +249,7 @@ def _check_pair(rho: Semimetric, rho_prime: Semimetric):
 
 def _pair_arrays(rho, rho_prime):
     """(iu, ju, gap): the pairs iu < ju in row-major order with
-    |rho - rho'| on them, in the semimetrics' mode; also the pair rows
-    x_iu + x_ju >= gap, as (i1, i2, b) for solver.from_sparse."""
+    |rho - rho'| on them, in the semimetrics' mode."""
     iu, ju = np.triu_indices(len(rho.taxa), 1)
     return iu, ju, np.abs(rho.table[iu, ju] - rho_prime.table[iu, ju])
 
@@ -265,8 +266,8 @@ def dinf_closed_form(rho: Semimetric, rho_prime: Semimetric):
 
 def _gap_table(rho, rho_prime):
     """|rho - rho'| on the pairs, mirrored into a symmetric n x n table with
-    a zero diagonal: the assignment sees the pair rows' data, also on
-    tables built with validate=False."""
+    a zero diagonal, the gap table of every program: the solvers see the
+    pair entries' data, also on tables built with validate=False."""
     iu, ju, gap = _pair_arrays(rho, rho_prime)
     n = len(rho.taxa)
     if rho.mode == MODE_FLOAT:
@@ -342,25 +343,17 @@ def gromov_distance(rho: Semimetric, rho_prime: Semimetric, spec: GromovSpec) ->
             certificate={"tight_pair": _argmax_pair(rho, rho_prime)},
         )
 
-    weights = spec.taxon_weights or tuple([1] * n)
-    if len(weights) != n:
-        raise ValidationError(f"need {n} taxon weights, got {len(weights)}")
     if spec.norm == "2" and mode == MODE_RATIONAL:
         raise ValidationError(
             "norm-2 distances are float-only (quadratic solves); "
             "convert with .to_float()"
         )
-    weights = [as_scalar(w, mode) for w in weights]
-
+    g = _gap_table(rho, rho_prime)
     if spec.norm == "1":
-        if spec.taxon_weights is None:
-            result = solve_assignment(_gap_table(rho, rho_prime), mode)
-        else:
-            lp = LinearProgram.from_sparse(weights, _pair_arrays(rho, rho_prime), mode=mode)
-            result = solve_lp(lp)
+        result = solve_lp(LinearProgram.from_sparse(spec.taxon_weights, g, mode))
         result = result.with_updates(argmin=DeltaVector(taxa, result.argmin, mode))
     else:  # norm 2
-        result = solve_qp(QuadraticProgram.from_sparse(weights, _pair_arrays(rho, rho_prime)))
+        result = solve_qp(QuadraticProgram.from_sparse(spec.taxon_weights, g))
         raw = result.value
         cert = dict(result.certificate)
         cert["raw_objective"] = raw

@@ -1,49 +1,46 @@
-"""Dense LP, assignment and convex-QP solvers sized for a few hundred
-variables.
+"""LP, transportation and convex-QP solvers for the distance programs,
+sized for a few hundred variables.
 
-A program is a set of pair rows, stored as arrays with one entry per row:
+Every program is a gap table plus taxon weights.  The gap table g is a
+symmetric n x n table with a zero diagonal and no negative entry
+(|rho - rho'| in the gromov module), and the program has one pair row
 
-    x[i1[r]] + x[i2[r]] >= b[r],    i1[r] != i2[r]
+    x_i + x_j >= g[i, j]    for every pair i < j
 
-which is every row the distance computations build.
-LinearProgram.from_sparse and QuadraticProgram.from_sparse are the only
-constructors; they validate the arrays in vectorised checks and store them
-read-only.  The constant vector max(b, 0) meets every pair row, so no
-program is ever infeasible.
+with the pairs in np.triu_indices order, stored as the arrays (i1, i2, b)
+with b = g[i1, i2].  LinearProgram.from_sparse and
+QuadraticProgram.from_sparse are the only constructors; they check the
+table and the weights once, name the first bad entry, and store them
+read-only.  from_sparse keeps its name only because the benchmark's layer
+tracer wraps it by that name.  The constant vector max g meets every pair
+row, so no program is ever infeasible.
 
-In float mode the linear solver solves the dual of
+solve_lp minimises sum_x c_x x_x over the pair rows and x >= 0.  Without
+weights (c = 1), and for every rational program, it runs the
+transportation kernel _kernels.max_transport: the LP is half the
+maximum-profit transportation on g with row and column capacities c (the
+proof is in the gromov module docstring).  Potentials u, v give
+x = (u + v) / 2 and the flow F gives the dual y_ij = (F_ij + F_ji) / 2;
+with weights, a row with b = 0 reports y = 0.  Without weights the kernel
+is the Hungarian method and F a permutation matrix.  In rational mode g
+and c are scaled to Python ints by the lcms of their denominators, so no
+Fraction reaches the kernel or its audit; the same code runs on floats.
+
+Float programs with weights run the dual of
 
     min c.x   s.t.  A x >= b,  x >= 0
 
 with a revised primal simplex, because the dual's basis is only n x n no
-matter how many rows the primal has (rows here grow quadratically in the
-taxon count while variables grow linearly).  The all-slack dual basis is
-feasible exactly when c >= 0, so solve_lp accepts nonnegative objectives
-only; every program this package assembles has one, and with c >= 0 and a
-feasible primal the dual is bounded.  The kernel carries the basis
-inverse exactly, because its entries are 0, +-1/2 and +-1, so it solves
-no linear system and cannot meet a singular one.  Its pricing threshold
-is core.RTOL times max|b| and its other thresholds are relative to
-max c, so scaling the data by a power of two scales the value and the
-argmin exactly (see _kernels.dual_simplex).
-
-Every exact solve, and the float one without taxon weights, runs the
-transportation kernel _kernels.max_transport instead.  Rows with b <= 0
-are implied by x >= 0 and a pair's rows by its largest b, so the LP is
-
-    min sum_x c_x x_x   s.t.  x_i + x_j >= g[i, j]  (i < j),  x >= 0
-
-on the symmetric table g of the largest b on each pair (0 without a
-positive one), which is half the maximum-profit transportation on g with
-row and column capacities c (the proof is in the gromov module
-docstring).  Potentials u, v give x = (u + v) / 2 and the flow F gives
-the dual y_ij = (F_ij + F_ji) / 2 on the first row attaining g[i, j].
-solve_assignment takes g itself with unit capacities, where the kernel is
-the Hungarian method and F a permutation matrix; solve_lp in rational
-mode builds g from the rows.  In rational mode g and c are scaled to
-Python ints by the lcms of their denominators, so no Fraction reaches the
-kernel or its audit; the same code runs on floats.  Both return solve_lp's
-certificate keys ("dual" with one entry per pair row, "duality_gap").
+matter how many rows the primal has (rows grow quadratically in the taxon
+count while variables grow linearly).  The all-slack dual basis is
+feasible because c >= 0, and with c >= 0 and a feasible primal the dual
+is bounded.  The kernel carries the basis inverse exactly, because its
+entries are 0, +-1/2 and +-1, so it solves no linear system and cannot
+meet a singular one.  Its pricing threshold is core.RTOL times max|b| and
+its other thresholds are relative to max c, so scaling the data by a
+power of two scales the value and the argmin exactly (see
+_kernels.dual_simplex).  Both routes return the certificate keys "dual"
+(one entry per pair row) and "duality_gap".
 
 Both routes certify the same kind of program, and one O(m + n) audit
 judges both results by the package's one rule (core.tolerance, RTOL times
@@ -56,7 +53,7 @@ transportation answers are audited on their integer program times
 2 lcm (see _transport), which gives the same verdicts.
 
 The quadratic solver is the dual active-set method of Goldfarb and Idnani
-(1983) for strictly convex diagonal objectives sum w_j x_j^2 over pair
+(1983) for strictly convex diagonal objectives sum w_j x_j^2 over the pair
 rows.  With A >= 0 entrywise, raising a negative x_j to 0 keeps every row
 and lowers the objective, so the optimum is >= 0 without an x >= 0 row.
 It starts at the unconstrained minimiser x = 0, adds the most violated
@@ -79,7 +76,6 @@ TreegromovError with an instance summary, never as a bare numpy error.
 
 from __future__ import annotations
 
-import numbers
 from fractions import Fraction
 
 import numpy as np
@@ -92,8 +88,6 @@ from .core import (
     ValidationError,
     RTOL,
     _as_integers,
-    as_scalar,
-    check_mode,
     scalar_array,
     tolerance,
 )
@@ -107,62 +101,63 @@ BLAND_AFTER = 50
 # Problem containers
 # ---------------------------------------------------------------------------
 
-def _scalars(values, mode):
-    """1-D array of values in the mode's type: float64, or Fractions in an
-    object array (as_scalar rejects floats there)."""
-    if mode == MODE_FLOAT:
-        return np.array(values, dtype=np.float64)
-    return np.array([as_scalar(x, mode) for x in values], dtype=object)
-
-
 def _check(ok, message):
-    """Raise ValidationError naming the first entry where ok is False."""
-    bad = np.flatnonzero(~ok)
-    if bad.size:
-        raise ValidationError(f"{message} (entry {bad[0]})")
+    """Raise ValidationError naming the first entry, in row-major order,
+    where the boolean array ok is False."""
+    if not ok.all():
+        bad = np.argwhere(~ok)[0]
+        raise ValidationError(f"{message} (entry {', '.join(map(str, bad))})")
 
 
-def _indices(a):
-    """The 1-D index array a as int64; ValidationError at its first entry
-    that is not an integer, or is one too large for int64."""
-    if a.dtype.kind not in "iu":
-        values = a.tolist()
-        _check(
-            np.array(
-                [isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in values],
-                dtype=bool,
-            ),
-            "row indices must be integers",
-        )
-        _check(np.array([abs(v) < 2**63 for v in values], dtype=bool), "variable index out of range")
-    return a.astype(np.int64)
+def _weights(weights, n, mode, strict):
+    """The n weights as a read-only array in the mode's type; finite in
+    float mode, and > 0 if strict, else >= 0."""
+    w = scalar_array(weights, mode)
+    if w.shape != (n,):
+        raise ValidationError(f"need {n} weights, got {w.size}")
+    if mode == MODE_FLOAT:
+        _check(np.isfinite(w), "weights must be finite")
+    if strict:
+        _check(w > 0, "weights must be strictly positive")
+    else:
+        _check(w >= 0, "weights must be nonnegative")
+    w.flags.writeable = False
+    return w
 
 
-class _RowProgram:
-    """Shared storage: read-only pair-row arrays (i1, i2, b)."""
+class _GapProgram:
+    """Shared storage: the read-only gap table g and its pair rows
+    (i1, i2, b), see the module docstring; in rational mode also
+    scaled = (ints, lcm), g times the lcm of its denominators."""
 
-    __slots__ = ("n_vars", "i1", "i2", "b", "mode")
+    __slots__ = ("n_vars", "g", "i1", "i2", "b", "mode", "scaled")
 
-    def _init_rows(self, n_vars, rows, mode):
-        check_mode(mode)
+    def _init_table(self, g, mode):
         try:
-            i1, i2, b = (np.array(a) for a in rows)
-            b = _scalars(b, mode)
+            g = scalar_array(g, mode)
         except (TypeError, ValueError) as exc:
-            raise ValidationError(f"rows must be three arrays (i1, i2, b): {exc}") from None
-        if i1.ndim != 1 or len({a.shape for a in (i1, i2, b)}) != 1:
-            raise ValidationError("row arrays must be 1-D and of equal length")
-        i1, i2 = _indices(i1), _indices(i2)
-        _check((0 <= i1) & (i1 < n_vars) & (0 <= i2) & (i2 < n_vars),
-               "variable index out of range")
-        _check(i1 != i2, "variable appears twice in one row")
+            raise ValidationError(f"gap table must hold numbers: {exc}") from None
+        if g.ndim != 2 or g.shape[0] != g.shape[1]:
+            raise ValidationError(f"gap table must be square, got shape {g.shape}")
+        n = len(g)
         if mode == MODE_FLOAT:
-            _check(np.isfinite(b), "rhs must be finite")
-        for name, arr in (("i1", i1), ("i2", i2), ("b", b)):
+            _check(np.isfinite(g), "gap table must be finite")
+            scaled, t = None, g
+        else:
+            # the integers keep every comparison, at int64 speed
+            scaled = _as_integers(g)
+            t = scaled[0]
+        _check(t == t.T, "gap table must be symmetric")
+        _check(np.diagonal(t) == 0, "gap table must have a zero diagonal")
+        _check(t >= 0, "gap table must be nonnegative")
+        i1, i2 = np.triu_indices(n, 1)
+        for name, arr in (("g", g), ("i1", i1), ("i2", i2), ("b", g[i1, i2])):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "n_vars", int(n_vars))
+        object.__setattr__(self, "n_vars", n)
         object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "scaled", scaled)
+        return n
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -172,20 +167,19 @@ class _RowProgram:
         return len(self.b)
 
 
-class LinearProgram(_RowProgram):
-    """min c.x subject to the stored pair rows and 0 <= x."""
+class LinearProgram(_GapProgram):
+    """min c.x subject to the gap table's pair rows and 0 <= x; c is None
+    for unit weights."""
 
     __slots__ = ("c",)
 
     @classmethod
-    def from_sparse(cls, objective, rows, mode=MODE_FLOAT):
-        """rows: (i1, i2, b), see the module docstring."""
+    def from_sparse(cls, weights, g, mode=MODE_FLOAT):
+        """weights: n finite nonnegative weights, or None for unit weights;
+        g: the gap table (see the module docstring)."""
         self = object.__new__(cls)
-        c = _scalars(objective, mode)
-        if mode == MODE_FLOAT:
-            _check(np.isfinite(c), "objective must be finite")
-        self._init_rows(len(c), rows, mode)
-        c.flags.writeable = False
+        n = self._init_table(g, mode)
+        c = None if weights is None else _weights(weights, n, mode, strict=False)
         object.__setattr__(self, "c", c)
         return self
 
@@ -196,21 +190,19 @@ class LinearProgram(_RowProgram):
         )
 
 
-class QuadraticProgram(_RowProgram):
-    """min sum_j w_j x_j^2 subject to the stored pair rows; w finite and
-    strictly positive, float mode only."""
+class QuadraticProgram(_GapProgram):
+    """min sum_j w_j x_j^2 subject to the gap table's pair rows; w finite
+    and strictly positive, float mode only."""
 
     __slots__ = ("weights",)
 
     @classmethod
-    def from_sparse(cls, weights, rows):
-        """rows: (i1, i2, b), see the module docstring."""
+    def from_sparse(cls, weights, g):
+        """weights: n finite positive weights, or None for unit weights;
+        g: the gap table (see the module docstring)."""
         self = object.__new__(cls)
-        w = _scalars(weights, MODE_FLOAT)
-        _check(np.isfinite(w), "quadratic weights must be finite")
-        _check(w > 0, "quadratic weights must be strictly positive")
-        self._init_rows(len(w), rows, MODE_FLOAT)
-        w.flags.writeable = False
+        n = self._init_table(g, MODE_FLOAT)
+        w = _weights(np.ones(n) if weights is None else weights, n, MODE_FLOAT, strict=True)
         object.__setattr__(self, "weights", w)
         return self
 
@@ -286,7 +278,7 @@ def _instance(b, n_vars, scale=1):
 
 
 # ---------------------------------------------------------------------------
-# The norm-1 audit, shared by solve_lp and solve_assignment
+# The norm-1 audit, shared by both solve_lp routes
 # ---------------------------------------------------------------------------
 
 def _certify(route, i1, i2, b, c, x, y, mode, scales=(1, 1)):
@@ -402,71 +394,55 @@ def _lp_float_dual(i1, i2, b, c):
 # solve_lp
 # ---------------------------------------------------------------------------
 
-def solve_lp(lp: LinearProgram, mode: str | None = None) -> OptResult:
+def solve_lp(lp: LinearProgram) -> OptResult:
     """Globally solve the LP and audit its primal and dual solutions (see
-    the module docstring): in float mode with the dual-route simplex
-    (method "dual"), in rational mode as a transportation problem on the
-    lcm-scaled integers (method "assignment").
-
-    mode defaults to the program's own mode; a rational program may be
-    solved in float mode (exact data converted down), never the reverse.
-    The objective must be nonnegative; a negative entry is a
-    ValidationError in both modes.
-    """
-    if mode is None:
-        mode = lp.mode
-    check_mode(mode)
-    if mode == MODE_RATIONAL and lp.mode == MODE_FLOAT:
-        raise ValidationError("cannot solve a float program in rational mode")
-    if (lp.c < 0).any():
-        raise ValidationError("solve_lp requires a nonnegative objective")
-    if mode == MODE_RATIONAL:
-        return _lp_transport(lp)
-
-    i1, i2 = lp.i1, lp.i2
-    b = np.asarray(lp.b, dtype=np.float64)
-    c = np.asarray(lp.c, dtype=np.float64)
-    out = _lp_float_dual(i1, i2, b, c)
-    x, y, value, gap = _certify("simplex", i1, i2, b, c, out["x"], out["y"], mode)
+    the module docstring): as a transportation problem (method
+    "assignment") in rational mode or without weights, else with the
+    dual-route simplex (method "dual")."""
+    if lp.mode == MODE_RATIONAL or lp.c is None:
+        return _transport(lp)
+    out = _lp_float_dual(lp.i1, lp.i2, lp.b, lp.c)
+    x, y, value, gap = _certify("simplex", lp.i1, lp.i2, lp.b, lp.c, out["x"], out["y"], MODE_FLOAT)
     return OptResult(
         STATUS_OPTIMAL,
         value,
         x,
         out["iterations"],
-        mode,
+        MODE_FLOAT,
         "dual",
         certificate={"dual": y, "duality_gap": gap},
     )
 
 
-# ---------------------------------------------------------------------------
-# Norm 1 as a transportation problem: solve_assignment and rational solve_lp
-# ---------------------------------------------------------------------------
-
-def _transport(g, cap, rows, carry, c, mode, scales=(1, 1)):
-    """Run _kernels.max_transport on the table g (a list of row lists) with
-    the capacities cap, and audit x = (u + v) / 2 and, on the rows carry,
-    y = (F_ij + F_ji) / 2 (0 elsewhere) on the pair rows (i1, i2, b) with
-    costs c (None for unit costs).  In float mode every cap is 1.  In
-    rational mode g and b are Lb times the data and cap and c are Lc times
-    it, all integers, for scales = (Lb, Lc); the audit runs on the program
-    times (2 Lb, 2 Lc), where b' = 2b, x' = u + v, c' = 2c and y' = F_ij +
-    F_ji are integers, and only value, argmin and dual become Fractions.
+def _transport(lp):
+    """Run _kernels.max_transport on the gap table with the weights as
+    capacities (1 without weights), and audit x = (u + v) / 2 and
+    y = (F_ij + F_ji) / 2 on the pair rows, y = 0 on a weighted program's
+    rows with b = 0.  In rational mode g and b are Lb times the data and
+    cap and c are Lc times it, all integers, Lb and Lc the lcms of their
+    denominators; the audit runs on the program times (2 Lb, 2 Lc), where
+    b' = 2b, x' = u + v, c' = 2c and y' = F_ij + F_ji are integers, and
+    only value, argmin and dual become Fractions.
     """
-    i1, i2, b = rows
-    n = len(g)
-    sent, u, v, steps = _kernels.max_transport(g, cap)
+    n, i1, i2, mode = lp.n_vars, lp.i1, lp.i2, lp.mode
+    if mode == MODE_FLOAT:
+        g, c = lp.g, lp.c
+    else:
+        g, lb = lp.scaled
+        c, lc = (np.ones(n, dtype=np.int64), 1) if lp.c is None else _as_integers(lp.c)
+    b = g[i1, i2]
+    sent, u, v, steps = _kernels.max_transport(g.tolist(), [1] * n if c is None else c.tolist())
     flow = np.zeros((n, n), dtype=np.int64 if mode == MODE_FLOAT else object)
     for j, col in enumerate(sent):
         for i, f in col.items():
             flow[i, j] = f
-    y2 = np.zeros(len(b), dtype=flow.dtype)
-    y2[carry] = flow[i1[carry], i2[carry]] + flow[i2[carry], i1[carry]]
+    y2 = flow[i1, i2] + flow[i2, i1]
+    if lp.c is not None:
+        y2[b == 0] = 0
     if mode == MODE_FLOAT:
         x = (np.array(u, dtype=np.float64) + np.array(v, dtype=np.float64)) / 2
         x, y, value, gap = _certify("assignment", i1, i2, b, c, x, y2 / 2, mode)
     else:
-        lb, lc = scales
         x2 = np.array([p + q for p, q in zip(u, v)], dtype=object)
         _, _, value, gap = _certify(
             "assignment", i1, i2, 2 * b, 2 * c, x2, y2, mode, scales=(2 * lb, 2 * lc)
@@ -481,59 +457,6 @@ def _transport(g, cap, rows, carry, c, mode, scales=(1, 1)):
         mode,
         "assignment",
         certificate={"dual": y, "duality_gap": gap},
-    )
-
-
-def _lp_transport(lp):
-    """The rational LP as a transportation problem (see the module
-    docstring) on b and c times the lcms Lb and Lc of their denominators;
-    the first row that attains a positive g_ij carries its pair's dual."""
-    n = lp.n_vars
-    b, lb = _as_integers(lp.b)
-    c, lc = _as_integers(lp.c)
-    g = [[0] * n for _ in range(n)]
-    first = [[-1] * n for _ in range(n)]
-    for r, (p, q, br) in enumerate(zip(lp.i1.tolist(), lp.i2.tolist(), b.tolist())):
-        if br > g[p][q]:
-            g[p][q] = g[q][p] = br
-            first[p][q] = first[q][p] = r
-    carry = [r for p, row in enumerate(first) for r in row[p + 1 :] if r >= 0]
-    return _transport(
-        g, c.tolist(), (lp.i1, lp.i2, b), np.array(carry, dtype=np.int64), c,
-        MODE_RATIONAL, scales=(lb, lc),
-    )
-
-
-def solve_assignment(g, mode: str = MODE_FLOAT) -> OptResult:
-    """min sum_x x_x subject to x_i + x_j >= g[i, j] for every pair i < j
-    and x >= 0, solved as half a maximum-weight assignment on g.
-
-    g is a symmetric n x n table with a zero diagonal and nonnegative
-    entries.  The assignment potentials u, v give x = (u + v) / 2, and the
-    permutation matrix P gives the dual y_ij = (P_ij + P_ji) / 2, one entry
-    per pair row in np.triu_indices order (see the module docstring).
-    Both pass solve_lp's audit of the same program with unit weights; a
-    failed check raises TreegromovError.  In rational mode the kernel runs
-    on g times the lcm of its denominators (see _transport).
-    """
-    check_mode(mode)
-    g = scalar_array(g, mode)
-    n = len(g)
-    if g.shape != (n, n):
-        raise ValidationError(f"gap table must be square, got shape {g.shape}")
-    if mode == MODE_FLOAT and not np.isfinite(g).all():
-        raise ValidationError("gap table must be finite")
-    den = 1
-    if mode == MODE_RATIONAL:
-        g, den = _as_integers(g)
-    if (g != g.T).any() or (g.diagonal() != 0).any() or (g < 0).any():
-        raise ValidationError(
-            "gap table must be symmetric and nonnegative with a zero diagonal"
-        )
-    iu, ju = np.triu_indices(n, 1)
-    ones = None if mode == MODE_FLOAT else np.ones(n, dtype=np.int64)
-    return _transport(
-        g.tolist(), [1] * n, (iu, ju, g[iu, ju]), slice(None), ones, mode, scales=(den, 1)
     )
 
 

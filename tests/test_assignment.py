@@ -1,8 +1,7 @@
 """Norm 1 on the transportation kernel.
 
-gromov_distance sends every norm-1 solve without taxon weights to
-solver.solve_assignment, and rational solve_lp runs the same kernel with
-the taxon weights as capacities.  The references here
+solver.solve_lp sends every norm-1 program without taxon weights, and
+every rational one, to this kernel, with the taxon weights as capacities.  The references here
 are the float LP simplex (explicit unit taxon weights in float mode), the
 package's former Fraction dual simplex and Hungarian kernel (kept in
 tests/_oracles.py), exact vertex enumeration, brute-force assignment and
@@ -18,17 +17,15 @@ import pytest
 import _oracles as orc
 from treegromov import (
     GromovSpec,
-    Semimetric,
-    TaxonSet,
+    LinearProgram,
     TreegromovError,
-    ValidationError,
     gromov_distance,
     parse_newick,
     quadrangle_feasible,
     random_binary_tree,
     random_caterpillar,
     semimetric_from_table,
-    solve_assignment,
+    solve_lp,
     tree_to_semimetric,
 )
 from treegromov import _kernels, solver
@@ -300,7 +297,7 @@ def test_large_weighted_d1_matches_highs(n):
     _check_certificate(res, r1, r2, list(w))
 
 
-def test_solve_assignment_on_fractions_equals_brute_force():
+def test_unit_rational_lp_on_fractions_equals_brute_force():
     rng = np.random.default_rng(8)
     for n in range(1, 7):
         for _ in range(10):
@@ -308,7 +305,7 @@ def test_solve_assignment_on_fractions_equals_brute_force():
             for i in range(n):
                 for j in range(i + 1, n):
                     g[i, j] = g[j, i] = Fraction(int(rng.integers(0, 30)), int(rng.choice([1, 3, 7, 11])))
-            res = solve_assignment(g, mode="rational")
+            res = solve_lp(LinearProgram.from_sparse(None, g, mode="rational"))
             assert res.value == Fraction(_brute_assignment(g.tolist())) / 2
             assert res.certificate["duality_gap"] == 0
             assert all(isinstance(x, Fraction) for x in res.argmin)
@@ -407,21 +404,3 @@ def test_nan_potentials_fail_closed(monkeypatch):
     r1, r2 = _pair(6, 1, "uniform01")
     with pytest.raises(TreegromovError):
         gromov_distance(r1, r2, GromovSpec(norm=1))
-
-
-def test_solve_assignment_validates_its_table():
-    taxa = TaxonSet(["a", "b", "c"])
-    r = Semimetric(taxa, [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
-    res = solve_assignment(r.table)
-    assert res.method == "assignment" and res.value == 2.0
-    for bad in (
-        [[0, 1], [2, 0]],  # asymmetric
-        [[1, 1], [1, 0]],  # nonzero diagonal
-        [[0, -1], [-1, 0]],  # negative
-        [[0, float("nan")], [float("nan"), 0]],
-        [[0, 1, 2]],  # not square
-    ):
-        with pytest.raises(ValidationError):
-            solve_assignment(bad)
-    with pytest.raises(ValidationError, match="float"):
-        solve_assignment([[0.0, 0.5], [0.5, 0.0]], mode="rational")

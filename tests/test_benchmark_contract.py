@@ -4,9 +4,10 @@ perfbench/layers.py replaces package functions and classmethods by name to
 record spans.  A rename in the package would otherwise only surface in a
 traced benchmark run; here the tracer is installed on the package, an
 unweighted and a weighted norm-1 distance in each mode and a D2 distance
-run under it, and the originals must be back after uninstall.  Unweighted
-norm 1 takes the assignment route, so the LP spans come from the weighted
-calls (int weights, which rational mode solves exactly).
+run under it, and the originals must be back after uninstall.  Every
+norm-1 distance crosses solve_lp, so each mode records two LP spans: the
+unweighted call and the weighted one (int weights, which rational mode
+solves exactly).
 """
 
 from pathlib import Path
@@ -57,8 +58,8 @@ def test_layer_tracer_installs_and_records_solver_spans(monkeypatch):
     spans = {name for name, *_ in tracer.spans}
     assert EXPECTED_SPANS <= spans, EXPECTED_SPANS - spans
     summary = tracer.summary()
-    assert summary["solver.solve_lp.rational"]["calls"] == 1
-    assert summary["solver.solve_lp.float"]["calls"] == 1
+    assert summary["solver.solve_lp.rational"]["calls"] == 2
+    assert summary["solver.solve_lp.float"]["calls"] == 2
     # unweighted norm 1 in both modes and rational weighted norm 1 run the
     # transportation kernel; float weighted norm 1 runs the simplex
     assert tracer.counts["gromov.gromov_distance.route.assignment"] == 3

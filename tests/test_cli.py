@@ -1,7 +1,5 @@
 """Command line interface: output shapes, exit codes, determinism."""
 
-import math
-import os
 from fractions import Fraction
 
 import numpy as np

@@ -5,7 +5,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-import _oracles as orc
 from treegromov import (
     TreegromovError,
     ValidationError,

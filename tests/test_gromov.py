@@ -346,14 +346,13 @@ def test_bounded_audit_rejects_delta_above_two_dinf(monkeypatch, norm, mode):
     # must raise, never be re-solved
     from treegromov import gromov
 
-    name = "solve_assignment" if norm == 1 else "solve_qp"
+    name = "solve_lp" if norm == 1 else "solve_qp"
     real = getattr(gromov, name)
 
-    def lifted(data, *args):
-        res = real(data, *args)
-        rhs = data if norm == 1 else data.b  # the gap table, or the QP rows' b
+    def lifted(prog):
+        res = real(prog)
         x = np.array(res.argmin, dtype=object if mode == "rational" else float)
-        x[0] = 2 * np.sum(rhs) + 1  # above max|rho - rho'| = 2 Dinf
+        x[0] = 2 * np.sum(prog.b) + 1  # above max|rho - rho'| = 2 Dinf
         return res.with_updates(argmin=x)
 
     monkeypatch.setattr(gromov, name, lifted)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from treegromov import (
+    LinearProgram,
     DeltaVector,
     GromovSpec,
     TreegromovError,
@@ -28,7 +29,7 @@ from treegromov import (
     realize_extension,
     semimetric_from_table,
     semimetric_to_csv,
-    solve_assignment,
+    solve_lp,
     tree_to_semimetric,
 )
 from treegromov.cli import main
@@ -186,7 +187,7 @@ def test_amalgamate_rejects_a_disagreeing_shared_pair_at_every_scale():
 
 def test_norm1_audit_judges_bent_solutions_at_every_scale():
     a, b = _tree_table(8), _tree_table(9)
-    res = solve_assignment(_gap_table(_sm(a), _sm(b)))
+    res = solve_lp(LinearProgram.from_sparse(None, _gap_table(_sm(a), _sm(b))))
     x, y = np.asarray(res.argmin, dtype=float), res.certificate["dual"]
     top = float(x.max())
     for k in (0,) + KS:

@@ -1,9 +1,10 @@
 """LP and QP solvers against hand instances and enumeration oracles.
 
-Programs are given as pair-row arrays (i1, i2, b): row r reads
-x[i1[r]] + x[i2[r]] >= b[r] with i1[r] != i2[r], which covers every
-program the distance computations assemble; the oracles re-solve the same
-systems by brute force.
+Programs are gap tables g (symmetric, zero diagonal, no negative entry)
+with taxon weights: one pair row x_i + x_j >= g[i, j] for every pair
+i < j, which is the only program the distance computations assemble; a
+zero entry is a pair whose row x >= 0 already implies.  The oracles
+re-solve the same systems by brute force.
 """
 
 from fractions import Fraction
@@ -24,27 +25,34 @@ from treegromov import (
 )
 from treegromov import _kernels, solver
 from treegromov.core import RTOL
-from treegromov.gromov import _pair_arrays
+from treegromov.gromov import _gap_table, _pair_arrays
 from treegromov.solver import STATUS_OPTIMAL
 
 
-def _rows(*rows):
-    """Row arrays from (i1, i2, b) tuples, one per row."""
-    return tuple(list(col) for col in zip(*rows))
+def _table(n, *entries, exact=False):
+    """The n x n gap table with g[i, j] = g[j, i] = v for each (i, j, v)
+    and 0 elsewhere; of Fractions if exact, else of floats."""
+    g = np.full((n, n), Fraction(0), dtype=object) if exact else np.zeros((n, n))
+    for i, j, v in entries:
+        g[i, j] = g[j, i] = v
+    return g
 
 
-def _dense_from_rows(rows, nvars):
-    i1, i2, b = (np.asarray(col) for col in rows)
-    A = np.zeros((len(b), nvars))
-    r = np.arange(len(b))
-    A[r, i1] = 1.0
-    A[r, i2] = 1.0
-    return A, b.astype(float)
+def _random_table(rng, n, value, exact=False):
+    """A random gap table on n variables, entries from value(); about a
+    third of the pairs are 0."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return _table(n, *((i, j, value()) for i, j in pairs if rng.random() < 0.7), exact=exact)
 
 
-def _random_rows(rng, nv, count, rhs):
-    """count pair rows on nv variables, right-hand sides from rhs()."""
-    return _rows(*((*rng.choice(nv, size=2, replace=False), rhs()) for _ in range(count)))
+def _dense(g):
+    """The pair rows of g as a dense matrix A and right-hand side b."""
+    n = len(g)
+    iu, ju = np.triu_indices(n, 1)
+    A = np.zeros((len(iu), n))
+    A[np.arange(len(iu)), iu] = 1.0
+    A[np.arange(len(iu)), ju] = 1.0
+    return A, np.asarray(g, dtype=float)[iu, ju]
 
 
 # ---------------------------------------------------------------------------
@@ -52,19 +60,19 @@ def _random_rows(rng, nv, count, rhs):
 
 
 def test_lp_single_pair_row():
-    # min x0 + x1 subject to x0 + x1 >= 4
-    lp = LinearProgram.from_sparse([1, 1], _rows((0, 1, 4)))
-    res = solve_lp(lp)
-    assert res.status == STATUS_OPTIMAL
-    assert res.value == pytest.approx(4.0)
-    assert res.argmin.sum() == pytest.approx(4.0)
+    # min x0 + x1 subject to x0 + x1 >= 4, on both float routes
+    for weights, method in ((None, "assignment"), ([1, 1], "dual")):
+        res = solve_lp(LinearProgram.from_sparse(weights, _table(2, (0, 1, 4.0))))
+        assert res.status == STATUS_OPTIMAL and res.method == method
+        assert res.value == pytest.approx(4.0)
+        assert res.argmin.sum() == pytest.approx(4.0)
 
 
 def test_lp_rational_exact():
     # x0 carries both rows at cost 1, cheaper than x1 + x2 at cost 5
     lp = LinearProgram.from_sparse(
         [Fraction(1), Fraction(2), Fraction(3)],
-        _rows((0, 1, Fraction(7, 3)), (0, 2, Fraction(1, 2))),
+        _table(3, (0, 1, Fraction(7, 3)), (0, 2, Fraction(1, 2)), exact=True),
         mode="rational",
     )
     res = solve_lp(lp)
@@ -75,37 +83,23 @@ def test_lp_rational_exact():
     assert res.certificate["duality_gap"] == 0
 
 
-def test_lp_mode_guards():
-    lp = LinearProgram.from_sparse([1.0, 1.0], _rows((0, 1, 1.5)))
-    with pytest.raises(ValidationError):
-        solve_lp(lp, mode="rational")
-
-
-def test_lp_rejects_negative_objective():
-    rows = _rows((0, 1, 1))
-    with pytest.raises(ValidationError, match="nonnegative objective"):
-        solve_lp(LinearProgram.from_sparse([1.0, -0.5], rows))
-    lp = LinearProgram.from_sparse([Fraction(1), Fraction(-1, 2)], rows, mode="rational")
-    for mode in ("rational", "float"):
-        with pytest.raises(ValidationError, match="nonnegative objective"):
-            solve_lp(lp, mode=mode)
-
-
 def test_lp_methods_agree():
-    # the dual-route simplex against two independent references: the dense
+    # both float routes (the simplex with weights, the transportation
+    # kernel without) against two independent references: the dense
     # two-phase primal simplex and vertex enumeration
     rng = np.random.default_rng(11)
     for _ in range(20):
         nv = int(rng.integers(2, 5))
-        rows = _random_rows(rng, nv, int(rng.integers(2, 7)), lambda: float(rng.integers(-4, 8)))
-        c = rng.integers(1, 5, size=nv).astype(float)
-        res = solve_lp(LinearProgram.from_sparse(list(c), rows))
-        A, b = _dense_from_rows(rows, nv)
-        primal, _ = orc.lp_primal_oracle(c, A, b)
-        assert res.status == STATUS_OPTIMAL
-        assert res.value == pytest.approx(primal, abs=1e-8)
-        want, _ = orc.lp_vertex_oracle(c, A, b)
-        assert res.value == pytest.approx(want, abs=1e-8)
+        g = _random_table(rng, nv, lambda: float(rng.integers(1, 8)))
+        A, b = _dense(g)
+        for c, method in ((rng.integers(1, 5, size=nv).astype(float), "dual"), (None, "assignment")):
+            res = solve_lp(LinearProgram.from_sparse(c, g))
+            c = np.ones(nv) if c is None else c
+            primal, _ = orc.lp_primal_oracle(c, A, b)
+            assert res.status == STATUS_OPTIMAL and res.method == method
+            assert res.value == pytest.approx(primal, abs=1e-8)
+            want, _ = orc.lp_vertex_oracle(c, A, b)
+            assert res.value == pytest.approx(want, abs=1e-8)
 
 
 def test_primal_oracle_handles_negative_objective():
@@ -125,10 +119,10 @@ def test_lp_oracle_sweep_with_bounds():
     rng = np.random.default_rng(23)
     for _ in range(15):
         nv = int(rng.integers(2, 5))
-        rows = _random_rows(rng, nv, int(rng.integers(2, 6)), lambda: float(rng.integers(1, 9)))
+        g = _random_table(rng, nv, lambda: float(rng.integers(1, 9)))
         c = rng.integers(1, 4, size=nv).astype(float)
-        res = solve_lp(LinearProgram.from_sparse(list(c), rows))
-        A, b = _dense_from_rows(rows, nv)
+        res = solve_lp(LinearProgram.from_sparse(c, g))
+        A, b = _dense(g)
         upper = [b.max()] * nv
         want, _ = orc.lp_vertex_oracle(c, A, b, upper)
         assert res.value == pytest.approx(want, abs=1e-8)
@@ -139,115 +133,150 @@ def test_lp_rational_oracle_sweep():
     rng = np.random.default_rng(5)
     for _ in range(8):
         nv = int(rng.integers(2, 4))
-        rows = []
-        dense_rows = []
-        for _ in range(int(rng.integers(2, 5))):
-            i, j = sorted(rng.choice(nv, size=2, replace=False))
-            rhs = Fraction(int(rng.integers(1, 9)), int(rng.integers(1, 4)))
-            rows.append((i, j, rhs))
-            dense = [Fraction(0)] * nv
-            dense[i] = dense[j] = Fraction(1)
-            dense_rows.append(dense)
-        rows = _rows(*rows)
+        g = _random_table(
+            rng, nv, lambda: Fraction(int(rng.integers(1, 9)), int(rng.integers(1, 4))), exact=True
+        )
+        iu, ju = np.triu_indices(nv, 1)
+        dense_rows = [[Fraction(int(k in (i, j))) for k in range(nv)] for i, j in zip(iu, ju)]
         c = [Fraction(int(rng.integers(1, 4))) for _ in range(nv)]
-        lp = LinearProgram.from_sparse(c, rows, mode="rational")
-        res = solve_lp(lp)
-        want, _ = orc.lp_vertex_oracle_exact(c, dense_rows, rows[2])
-        assert res.status == STATUS_OPTIMAL
-        assert res.value == want  # exact equality, no tolerance
+        for weights in (c, None):
+            res = solve_lp(LinearProgram.from_sparse(weights, g, mode="rational"))
+            want, _ = orc.lp_vertex_oracle_exact(weights or [1] * nv, dense_rows, g[iu, ju])
+            assert res.status == STATUS_OPTIMAL
+            assert res.value == want  # exact equality, no tolerance
 
 
 def test_rational_lp_matches_the_fraction_simplex():
-    # the transportation route against the former Fraction dual simplex on
-    # general pair-row LPs: repeated pairs, right-hand sides <= 0, pairs
-    # without a row, zero costs and no rows at all
-    lp = LinearProgram.from_sparse([1, 1], _rows((0, 1, 1), (1, 0, 2), (0, 1, 2)), mode="rational")
-    assert list(solve_lp(lp).certificate["dual"]) == [0, 1, 0]
+    # the transportation route against the former Fraction dual simplex:
+    # zero gaps, zero costs and a single variable
+    lp = LinearProgram.from_sparse([1, 1], _table(2, (0, 1, 2), exact=True), mode="rational")
+    assert list(solve_lp(lp).certificate["dual"]) == [1]
     rng = np.random.default_rng(41)
     for _ in range(60):
-        nv = int(rng.integers(2, 7))
-        rows = ([], [], [])
-        for _ in range(int(rng.integers(0, 12))):
-            i, j = rng.choice(nv, size=2, replace=False)
-            rhs = Fraction(int(rng.integers(-4, 9)), int(rng.choice([1, 2, 3, 5])))
-            for col, val in zip(rows, (int(i), int(j), rhs)):
-                col.append(val)
+        nv = int(rng.integers(1, 7))
+        g = _random_table(
+            rng, nv, lambda: Fraction(int(rng.integers(1, 9)), int(rng.choice([1, 2, 3, 5]))),
+            exact=True,
+        )
         c = [Fraction(int(rng.integers(0, 4)), int(rng.choice([1, 2, 3]))) for _ in range(nv)]
-        res = solve_lp(LinearProgram.from_sparse(c, rows, mode="rational"))
-        want, _, _ = orc.exact_dual_simplex(*rows, c)
+        res = solve_lp(LinearProgram.from_sparse(c, g, mode="rational"))
+        iu, ju = np.triu_indices(nv, 1)
+        want, _, _ = orc.exact_dual_simplex(iu, ju, g[iu, ju], c)
         assert res.method == "assignment"
         assert res.value == want and res.certificate["duality_gap"] == 0
-        # the dual sits only on the first row with its pair's largest b > 0
-        top = {}
-        for r, (i, j, rhs) in enumerate(zip(*rows)):
-            pair = min(i, j), max(i, j)
-            if rhs > top.get(pair, (0, -1))[0]:
-                top[pair] = rhs, r
-        carriers = {r for _, r in top.values()}
+        # with weights, the dual sits only on rows with b > 0
         y = res.certificate["dual"]
-        assert all(y[r] == 0 for r in range(len(y)) if r not in carriers)
+        assert all(yk == 0 for yk, bk in zip(y, g[iu, ju]) if bk == 0)
 
 
 def test_lp_degenerate_instances_terminate():
     # many coinciding right-hand sides produce degenerate vertices; the
     # pivot rule must still terminate and agree with enumeration
     rng = np.random.default_rng(97)
+    g = np.full((4, 4), 2.0) - 2.0 * np.eye(4)
+    A, b = _dense(g)
     for _ in range(10):
-        nv = 4
-        rows = _rows(*((i, j, 2.0) for i in range(nv) for j in range(i + 1, nv)))
-        c = rng.integers(1, 3, size=nv).astype(float)
-        lp = LinearProgram.from_sparse(list(c), rows)
-        res = solve_lp(lp)
-        A, b = _dense_from_rows(rows, nv)
+        c = rng.integers(1, 3, size=4).astype(float)
+        res = solve_lp(LinearProgram.from_sparse(c, g))
         want, _ = orc.lp_vertex_oracle(c, A, b)
         assert res.value == pytest.approx(want, abs=1e-9)
 
 
-def test_lp_sparse_row_validation():
-    # one case per check; each names the offending entry
-    good = _rows((0, 1, 1), (1, 2, -2))
-    LinearProgram.from_sparse([1, 1, 1], good)
-    cases = [
-        (([0, 5],) + good[1:], r"out of range \(entry 1\)"),
-        ((good[0], [1, -1], good[2]), r"out of range \(entry 1\)"),
-        ((good[0], [1, 2**70], good[2]), r"out of range \(entry 1\)"),
-        ((good[0], [1, 1], good[2]), r"appears twice in one row \(entry 1\)"),
-        (([0.0, 1.0],) + good[1:], r"indices must be integers \(entry 0\)"),
-        ((good[0], [1, 2.5], good[2]), r"indices must be integers \(entry 0\)"),
-        ((good[0], [1, None], good[2]), r"indices must be integers \(entry 1\)"),
-        (good[:2] + ([1.0],), "equal length"),
-        (good[:2] + ([1.0, float("nan")],), r"rhs must be finite \(entry 1\)"),
-        (good[:2] + ([1.0, float("inf")],), r"rhs must be finite \(entry 1\)"),
-        (good[:2], "three arrays"),
-        (([0, 1], [1, 1.0], [1, -1], [2, 0], [1, -2]), "three arrays"),
+def test_constructors_reject_bad_tables_and_weights():
+    # one case per check, for both constructors and the LP in both modes;
+    # each names the offending entry
+    builders = [
+        lambda w, g: LinearProgram.from_sparse(w, g),
+        lambda w, g: LinearProgram.from_sparse(w, g, mode="rational"),
+        lambda w, g: QuadraticProgram.from_sparse(w, g),
     ]
-    for rows, message in cases:
-        with pytest.raises(ValidationError, match=message):
-            LinearProgram.from_sparse([1, 1, 1], rows)
-        with pytest.raises(ValidationError, match=message):
-            QuadraticProgram.from_sparse([1, 1, 1], rows)
+    good = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+    half, nan, inf = Fraction(1, 2), float("nan"), float("inf")
+    cases = [
+        ([[0, 1, 2]], r"must be square, got shape \(1, 3\)"),
+        ([0, 1], r"must be square, got shape \(2,\)"),
+        ([[0, "x"], ["x", 0]], "must hold numbers"),
+        ([[0, 1, 2], [1, 0, 1], [2, 1 + half, 0]], r"must be symmetric \(entry 1, 2\)"),
+        ([[0, 1], [1, half]], r"must have a zero diagonal \(entry 1\)"),
+        ([[0, 1, -2], [1, 0, 1], [-2, 1, 0]], r"must be nonnegative \(entry 0, 2\)"),
+    ]
+    weights = [
+        ([1, 2], "need 3 weights, got 2"),
+        ([1, -half, 1], r"weights must be (nonnegative|strictly positive) \(entry 1\)"),
+    ]
+    for build in builders:
+        build(None, good)
+        build([1, 2, 3], good)
+        for g, message in cases:
+            with pytest.raises(ValidationError, match="gap table " + message):
+                build(None, g)
+        for w, message in weights:
+            with pytest.raises(ValidationError, match=message):
+                build(w, good)
+    for build in builders[::2]:  # float mode only
+        for g, message in [
+            ([[0, nan], [nan, 0]], r"must be finite \(entry 0, 1\)"),
+            ([[0, 1], [1, inf]], r"must be finite \(entry 1, 1\)"),
+        ]:
+            with pytest.raises(ValidationError, match="gap table " + message):
+                build(None, g)
+        for w, message in [
+            ([1, nan, 1], r"weights must be finite \(entry 1\)"),
+            ([1, 1, inf], r"weights must be finite \(entry 2\)"),
+        ]:
+            with pytest.raises(ValidationError, match=message):
+                build(w, good)
+
+
+def test_lp_rejects_negative_objective():
+    # the simplex's all-slack start needs c >= 0, so the LP refuses a
+    # negative weight in both modes; a zero weight is a cost of nothing
+    good = [[0, 1], [1, 0]]
+    assert solve_lp(LinearProgram.from_sparse([0, 1], good)).value == 0
+    assert solve_lp(LinearProgram.from_sparse([0, 1], good, mode="rational")).value == 0
+    with pytest.raises(ValidationError, match=r"nonnegative \(entry 1\)"):
+        LinearProgram.from_sparse([1.0, -0.5], good)
+    with pytest.raises(ValidationError, match=r"nonnegative \(entry 1\)"):
+        LinearProgram.from_sparse([1, Fraction(-1, 2)], good, mode="rational")
+
+
+def test_lp_mode_guards():
+    # a rational program refuses float entries and float weights, and the
+    # mode must be one of the two
+    good = [[0, 1], [1, 0]]
+    for w, g in ((None, [[0, 0.5], [0.5, 0]]), ([1.0, 1], good)):
+        with pytest.raises(ValidationError, match="does not accept float"):
+            LinearProgram.from_sparse(w, g, mode="rational")
+    with pytest.raises(ValidationError, match="mode must be one of"):
+        LinearProgram.from_sparse(None, good, mode="exact")
+
+
+def test_qp_rejects_bad_weights():
+    good = [[0, 1], [1, 0]]
+    for bad in (0, -1):
+        with pytest.raises(ValidationError, match=r"strictly positive \(entry 0\)"):
+            QuadraticProgram.from_sparse([bad, 1], good)
     for bad in (float("nan"), float("inf")):
-        with pytest.raises(ValidationError, match=r"objective must be finite \(entry 1\)"):
-            LinearProgram.from_sparse([1, bad, 1], good)
+        with pytest.raises(ValidationError, match=r"weights must be finite \(entry 0\)"):
+            QuadraticProgram.from_sparse([bad, 1], good)
 
 
 def test_program_arrays_are_read_only_copies():
-    i1, i2, b = (np.array(col) for col in _rows((0, 1, 4.0)))
-    lp = LinearProgram.from_sparse([1, 1], (i1, i2, b))
-    assert lp.n_rows == 1
-    for arr in (lp.i1, lp.i2, lp.b, lp.c):
+    g = _table(2, (0, 1, 4.0))
+    lp = LinearProgram.from_sparse([1, 1], g)
+    assert lp.n_rows == 1 and lp.n_vars == 2
+    for arr in (lp.g, lp.i1, lp.i2, lp.b, lp.c):
         with pytest.raises(ValueError):
             arr[0] = 0
-    b[0] = 5.0  # the caller's arrays stay writable and detached
-    assert lp.b[0] == 4.0
+    g[0, 1] = g[1, 0] = 5.0  # the caller's table stays writable and detached
+    assert lp.b[0] == 4.0 and lp.g[0, 1] == 4.0
+    assert LinearProgram.from_sparse(None, g.tolist()).c is None
 
 
 def test_rational_rows_stay_fractions():
-    # the exact route divides; int rows must not turn that into float
+    # the exact route divides; int entries must not turn that into float
     # division
-    lp = LinearProgram.from_sparse(
-        [1, 1, 1], _rows((0, 1, 1), (1, 2, 1), (0, 2, 1)), mode="rational"
-    )
+    lp = LinearProgram.from_sparse(None, [[0, 1, 1], [1, 0, 1], [1, 1, 0]], mode="rational")
     assert all(isinstance(x, Fraction) for x in lp.b)
     res = solve_lp(lp)
     assert res.value == Fraction(3, 2) and isinstance(res.value, Fraction)
@@ -288,7 +317,7 @@ def _bent_answer(monkeypatch, mode, dy=(0, 0, 0), dx0=0):
 
     def bent(g, cap):
         sent, u, v, steps = real(g, cap)
-        for (i, j), d in zip(((0, 1), (1, 2), (0, 2)), dy):
+        for (i, j), d in zip(((0, 1), (0, 2), (1, 2)), dy):
             sent[j][i] = sent[j].get(i, 0) + int(2 * d)
         u[0] += int(2 * dx0)
         return sent, u, v, steps
@@ -298,10 +327,10 @@ def _bent_answer(monkeypatch, mode, dy=(0, 0, 0), dx0=0):
 
 def _audit_lp(mode):
     # min x0 + x1 + x2 over the three pair rows >= 2: x = (1, 1, 1), and
-    # y = (1/2, 1/2, 1/2) puts A^T y = 1 on every variable
-    two = 2 if mode == "rational" else 2.0
-    rows = _rows((0, 1, two), (1, 2, two), (0, 2, two))
-    return LinearProgram.from_sparse([1, 1, 1], rows, mode=mode)
+    # y = (1/2, 1/2, 1/2) puts A^T y = 1 on every variable; explicit
+    # weights send float mode to the simplex
+    g = [[0, 2, 2], [2, 0, 2], [2, 2, 0]]
+    return LinearProgram.from_sparse([1, 1, 1], g, mode=mode)
 
 
 @pytest.mark.parametrize("mode", ["float", "rational"])
@@ -310,11 +339,11 @@ def _audit_lp(mode):
     [(0, r"dual puts y\[0\] = -.* below zero"), (1, r"dual breaks A\^T y <= c at x\[1\]")],
 )
 def test_lp_audit_rejects_a_bent_dual(monkeypatch, mode, where, match):
-    # lowering y0 by 1 and raising y1 by 1 breaks y >= 0; raising y1 by
-    # 1/2 puts A^T y = 3/2 on x1, above its cost 1
+    # lowering y0 by 1 and raising y1 by 1 breaks y >= 0; raising y2, on
+    # the pair (1, 2), by 1/2 puts A^T y = 3/2 on x1, above its cost 1
     lp = _audit_lp(mode)
     assert solve_lp(lp).certificate["dual"][0] == Fraction(1, 2)
-    _bent_answer(monkeypatch, mode, dy=[(-1, 1, 0), (0, Fraction(1, 2), 0)][where])
+    _bent_answer(monkeypatch, mode, dy=[(-1, 1, 0), (0, 0, Fraction(1, 2))][where])
     with pytest.raises(TreegromovError, match=match + ".*rows=3, vars=3, max.b.=2"):
         solve_lp(lp)
 
@@ -438,25 +467,23 @@ def test_carried_inverse_is_exact_at_every_pivot():
 
 def test_qp_projection_onto_halfspace():
     # min x0^2 + x1^2 with x0 + x1 >= 2: projection of the origin is (1, 1)
-    qp = QuadraticProgram.from_sparse([1, 1], _rows((0, 1, 2)))
-    res = solve_qp(qp)
-    assert res.status == STATUS_OPTIMAL
-    assert res.value == pytest.approx(2.0)
-    assert np.allclose(res.argmin, [1.0, 1.0], atol=1e-9)
-    assert res.kkt_residual <= 1e-9
+    for weights in (None, [1, 1]):
+        res = solve_qp(QuadraticProgram.from_sparse(weights, _table(2, (0, 1, 2.0))))
+        assert res.status == STATUS_OPTIMAL
+        assert res.value == pytest.approx(2.0)
+        assert np.allclose(res.argmin, [1.0, 1.0], atol=1e-9)
+        assert res.kkt_residual <= 1e-9
 
 
 def test_qp_weighted():
     # min 4 x0^2 + x1^2 with x0 + x1 >= 5: optimum at (1, 4)
-    qp = QuadraticProgram.from_sparse([4, 1], _rows((0, 1, 5)))
-    res = solve_qp(qp)
+    res = solve_qp(QuadraticProgram.from_sparse([4, 1], _table(2, (0, 1, 5.0))))
     assert np.allclose(res.argmin, [1.0, 4.0], atol=1e-8)
     assert res.value == pytest.approx(20.0)
 
 
 def test_qp_inactive_constraints_stay_at_zero():
-    qp = QuadraticProgram.from_sparse([1, 1, 1], _rows((0, 1, 2), (0, 2, -5)))
-    res = solve_qp(qp)
+    res = solve_qp(QuadraticProgram.from_sparse([1, 1, 1], _table(3, (0, 1, 2.0))))
     assert res.argmin[2] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -466,32 +493,20 @@ def test_qp_oracle_sweep():
     rng = np.random.default_rng(31)
     for _ in range(15):
         nv = int(rng.integers(2, 5))
-        rows = _random_rows(rng, nv, int(rng.integers(2, 7)), lambda: float(rng.integers(-3, 7)))
+        g = _random_table(rng, nv, lambda: float(rng.integers(1, 7)))
         w = rng.integers(1, 4, size=nv).astype(float)
-        qp = QuadraticProgram.from_sparse(list(w), rows)
-        A, b = _dense_from_rows(rows, nv)
+        A, b = _dense(g)
         want, _ = orc.qp_face_oracle(w, np.vstack([A, np.eye(nv)]), np.concatenate([b, np.zeros(nv)]))
-        res = solve_qp(qp)
+        res = solve_qp(QuadraticProgram.from_sparse(w, g))
         assert res.status == STATUS_OPTIMAL
         assert res.value == pytest.approx(want, abs=1e-8)
         assert (res.argmin >= 0).all()
         assert res.kkt_residual <= 1e-9
 
 
-def test_qp_rejects_coefficients_other_than_plus_one():
-    # rows carry no coefficients: the former (i1, v1, i2, v2, b) arrays
-    # with a -1 are refused, and so is a variable twice in one row
-    for rows in (
-        ([0, 0], [1, 1], [1, 1], [1, -1], [2, 2]),
-        _rows((0, 1, 2), (1, 1, -3)),
-    ):
-        with pytest.raises(ValidationError, match="three arrays|appears twice"):
-            QuadraticProgram.from_sparse([1, 1], rows)
-
-
 def test_qp_clips_small_negative_entries_and_counts_them(monkeypatch):
-    # x2 sits in no row; a kernel value just below zero counts in the
-    # primal KKT part and comes back clipped to 0
+    # x2 sits in no row with b > 0; a kernel value just below zero counts
+    # in the primal KKT part and comes back clipped to 0
     real = _kernels.active_set_qp
 
     def nudged(*args):
@@ -501,7 +516,7 @@ def test_qp_clips_small_negative_entries_and_counts_them(monkeypatch):
         return status, x, work, iters
 
     monkeypatch.setattr(_kernels, "active_set_qp", nudged)
-    res = solve_qp(QuadraticProgram.from_sparse([1, 1, 1], _rows((0, 1, 2))))
+    res = solve_qp(QuadraticProgram.from_sparse([1, 1, 1], _table(3, (0, 1, 2.0))))
     assert res.argmin[2] == 0.0 and not np.signbit(res.argmin[2])
     assert res.certificate["kkt"]["primal"] == 1e-13
 
@@ -515,12 +530,11 @@ def test_qp_kkt_audit_fails_closed_on_nan(monkeypatch):
 
     monkeypatch.setattr(_kernels, "active_set_qp", nan_point)
     with pytest.raises(TreegromovError, match="KKT audit"):
-        solve_qp(QuadraticProgram.from_sparse([1, 1], _rows((0, 1, 2))))
+        solve_qp(QuadraticProgram.from_sparse([1, 1], _table(2, (0, 1, 2.0))))
 
 
 def test_qp_certificate_multipliers():
-    qp = QuadraticProgram.from_sparse([1, 1], _rows((0, 1, 2)))
-    res = solve_qp(qp)
+    res = solve_qp(QuadraticProgram.from_sparse([1, 1], _table(2, (0, 1, 2.0))))
     mu = res.certificate["multipliers"]
     assert (np.asarray(mu) >= -1e-12).all()
     kkt = res.certificate["kkt"]
@@ -538,7 +552,7 @@ def test_qp_kkt_audit_rejects_a_perturbed_optimum(monkeypatch):
         return status, x + 1e-3, work, iters
 
     monkeypatch.setattr(_kernels, "active_set_qp", perturbed)
-    qp = QuadraticProgram.from_sparse([1, 1], _rows((0, 1, 2)))
+    qp = QuadraticProgram.from_sparse([1, 1], _table(2, (0, 1, 2.0)))
     with pytest.raises(TreegromovError, match="KKT audit.*rows=1, vars=2, max.b.=2"):
         solve_qp(qp)
 
@@ -550,8 +564,8 @@ def test_qp_iteration_limit_is_loud(monkeypatch):
         return real(i1, i2, b, w, tol, 1)
 
     monkeypatch.setattr(_kernels, "active_set_qp", one_step)
-    qp = QuadraticProgram.from_sparse([1, 1, 1], _rows((0, 1, 2), (1, 2, 3)))
-    with pytest.raises(TreegromovError, match=r"active-set QP iteration limit.*rows=2, vars=3, max.b.=3"):
+    qp = QuadraticProgram.from_sparse([1, 1, 1], _table(3, (0, 1, 2.0), (1, 2, 3.0)))
+    with pytest.raises(TreegromovError, match=r"active-set QP iteration limit.*rows=3, vars=3, max.b.=3"):
         solve_qp(qp)
 
 
@@ -560,7 +574,7 @@ def test_qp_kernel_without_a_finite_step_raises(monkeypatch):
         return _kernels.QP_NO_STEP, np.zeros(len(w)), np.zeros(0, dtype=np.int64), 1
 
     monkeypatch.setattr(_kernels, "active_set_qp", no_step)
-    qp = QuadraticProgram.from_sparse([1, 1], _rows((0, 1, 2)))
+    qp = QuadraticProgram.from_sparse([1, 1], _table(2, (0, 1, 2.0)))
     with pytest.raises(TreegromovError, match=r"active-set QP found a row with no finite step.*rows=1, vars=2"):
         solve_qp(qp)
 
@@ -581,8 +595,9 @@ def test_qp_matches_the_primal_active_set_reference(n, weighted):
         ]
         w = rng.uniform(0.5, 2.0, size=n) if weighted else np.ones(n)
         for scale in (1e-3, 1e-2, 1e-1, 1.0, 1e1):
-            i1, i2, b = _pair_arrays(*(r.scaled(scale) for r in base))
-            res = solve_qp(QuadraticProgram.from_sparse(w, (i1, i2, b)))
+            pair = [r.scaled(scale) for r in base]
+            i1, i2, b = _pair_arrays(*pair)
+            res = solve_qp(QuadraticProgram.from_sparse(w, _gap_table(*pair)))
             ok, x_ref, work_ref, _ = orc.primal_active_set_qp(i1, i2, b, w, orc.primal_start(b, n))
             assert ok
             x_ref = np.maximum(x_ref, 0.0)
@@ -601,23 +616,12 @@ def test_qp_matches_the_primal_active_set_reference(n, weighted):
     assert compared >= 5 or n >= 40
 
 
-def test_qp_rejects_bad_weights():
-    with pytest.raises(ValidationError):
-        QuadraticProgram.from_sparse([0, 1], _rows((0, 1, 1)))
-    with pytest.raises(ValidationError):
-        QuadraticProgram.from_sparse([-1, 1], _rows((0, 1, 1)))
-    for bad in (float("nan"), float("inf")):
-        with pytest.raises(ValidationError, match=r"weights must be finite \(entry 0\)"):
-            QuadraticProgram.from_sparse([bad, 1], _rows((0, 1, 1)))
-
-
 # ---------------------------------------------------------------------------
 # results
 
 
 def test_opt_result_with_updates():
-    lp = LinearProgram.from_sparse([1, 1], _rows((0, 1, 2)))
-    res = solve_lp(lp)
+    res = solve_lp(LinearProgram.from_sparse([1, 1], _table(2, (0, 1, 2.0))))
     res2 = res.with_updates(value=99.0)
     assert res2.value == 99.0
     assert res.value == pytest.approx(2.0)
