@@ -18,7 +18,9 @@ import _oracles as orc
 from treegromov import (
     GromovSpec,
     LinearProgram,
+    QuadraticProgram,
     TreegromovError,
+    ValidationError,
     gromov_distance,
     parse_newick,
     quadrangle_feasible,
@@ -309,6 +311,39 @@ def test_unit_rational_lp_on_fractions_equals_brute_force():
             assert res.value == Fraction(_brute_assignment(g.tolist())) / 2
             assert res.certificate["duality_gap"] == 0
             assert all(isinstance(x, Fraction) for x in res.argmin)
+
+
+def test_solve_assignment_validates_its_table():
+    # the gap table, for both constructors and the LP in both modes: one
+    # case per check, each naming the offending entry
+    builders = [
+        lambda g: LinearProgram.from_sparse(None, g),
+        lambda g: LinearProgram.from_sparse(None, g, mode="rational"),
+        lambda g: QuadraticProgram.from_sparse(None, g),
+    ]
+    good = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+    assert solve_lp(builders[1](good)).value == 2
+    half, nan, inf = Fraction(1, 2), float("nan"), float("inf")
+    cases = [
+        ([[0, 1, 2]], r"must be square, got shape \(1, 3\)"),
+        ([0, 1], r"must be square, got shape \(2,\)"),
+        ([[0, "x"], ["x", 0]], "must hold numbers"),
+        ([[0, 1, 2], [1, 0, 1], [2, 1 + half, 0]], r"must be symmetric \(entry 1, 2\)"),
+        ([[0, 1], [1, half]], r"must have a zero diagonal \(entry 1\)"),
+        ([[0, 1, -2], [1, 0, 1], [-2, 1, 0]], r"must be nonnegative \(entry 0, 2\)"),
+    ]
+    for build in builders:
+        build(good)
+        for g, message in cases:
+            with pytest.raises(ValidationError, match="gap table " + message):
+                build(g)
+    for build in builders[::2]:  # float mode only
+        for g, message in [
+            ([[0, nan], [nan, 0]], r"must be finite \(entry 0, 1\)"),
+            ([[0, 1], [1, inf]], r"must be finite \(entry 1, 1\)"),
+        ]:
+            with pytest.raises(ValidationError, match="gap table " + message):
+                build(g)
 
 
 def test_scaled_audit_reports_data_units():
