@@ -90,10 +90,10 @@ def _read_text(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from None
 
 
-def _load_metric_input(arg: str, mode: str):
+def _load_metric_input(arg: str, mode: str, validate: bool = True):
     """A tree file, a semimetric CSV file, or a literal Newick string.
 
-    Returns (semimetric, tree_or_None).
+    Returns (semimetric, tree_or_None); ``validate`` applies to a CSV table.
     """
     text = _read_text(arg) if os.path.exists(arg) else arg
     stripped = text.strip()
@@ -102,7 +102,7 @@ def _load_metric_input(arg: str, mode: str):
         return tree_to_semimetric(tree), tree
     if not os.path.exists(arg):
         raise ParseError(f"no such file and not a Newick string: {arg!r}")
-    rho = semimetric_from_csv(text, mode=mode)
+    rho = semimetric_from_csv(text, mode=mode, validate=validate)
     return rho, None
 
 
@@ -340,17 +340,8 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    mode = args.mode
-    text = _read_text(args.input) if os.path.exists(args.input) else args.input
-    if ";" in text:
-        tree = parse_newick(text.strip(), mode=mode)
-        rho = tree_to_semimetric(tree)
-        source = "tree"
-    else:
-        if not os.path.exists(args.input):
-            raise ParseError(f"no such file and not a Newick string: {args.input!r}")
-        rho = semimetric_from_csv(text, mode=mode, validate=False)
-        source = "table"
+    rho, tree = _load_metric_input(args.input, args.mode, validate=False)
+    source = "table" if tree is None else "tree"
     out = _open_out(args.out)
     failed = False
     try:

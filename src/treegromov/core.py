@@ -374,9 +374,18 @@ class PhyloTree:
     (degree-1 leaves in the binary case, but internal taxa are legal);
     unlabeled vertices must have degree >= 3 so the shape is determined
     by the induced distances.
+
+    The tree check is one depth-first pass from vertex 0, and the tree
+    keeps what it computes, for the tree-metric modules to read:
+
+    * ``_adj``: per vertex, its (neighbor, weight) pairs in edge order;
+    * ``_rooted``: (order, parent, weight), the vertices in depth-first
+      preorder (every subtree is one contiguous run headed by its root),
+      each vertex's parent (-1 at vertex 0) and the weight of the edge to
+      it (None at vertex 0).
     """
 
-    __slots__ = ("n_vertices", "edges", "leaf_map", "taxa", "mode")
+    __slots__ = ("n_vertices", "edges", "leaf_map", "taxa", "mode", "_adj", "_rooted")
 
     def __init__(self, n_vertices: int, edges, leaf_map: dict, mode: str = MODE_FLOAT):
         check_mode(mode)
@@ -384,7 +393,6 @@ class PhyloTree:
             raise ValidationError("tree needs at least one vertex")
         canon = []
         seen = set()
-        degree = [0] * n_vertices
         for u, v, w in edges:
             u, v = int(u), int(v)
             if not (0 <= u < n_vertices and 0 <= v < n_vertices):
@@ -400,13 +408,15 @@ class PhyloTree:
             if w <= 0:
                 raise ValidationError(f"edge ({u},{v}) weight {w} must be positive")
             canon.append((u, v, w))
-            degree[u] += 1
-            degree[v] += 1
         canon.sort(key=lambda e: (e[0], e[1]))
         if len(canon) != n_vertices - 1:
             raise ValidationError(
                 f"{len(canon)} edges for {n_vertices} vertices; a tree needs n-1"
             )
+        adj = [[] for _ in range(n_vertices)]
+        for u, v, w in canon:
+            adj[u].append((v, w))
+            adj[v].append((u, w))
         taxa = TaxonSet(leaf_map.keys())
         vert_of = {}
         for lab in taxa.labels:
@@ -418,33 +428,38 @@ class PhyloTree:
             vert_of[lab] = v
         labeled = set(vert_of.values())
         for v in range(n_vertices):
-            if v in labeled:
-                continue
-            if degree[v] < 3:
+            if v not in labeled and len(adj[v]) < 3:
                 raise ValidationError(
-                    f"unlabeled vertex {v} has degree {degree[v]} (must be >= 3)"
+                    f"unlabeled vertex {v} has degree {len(adj[v])} (must be >= 3)"
                 )
-        # connectivity: |E| = n-1 plus no cycles via union-find
-        parent = list(range(n_vertices))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for u, v, _ in canon:
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                raise ValidationError("edges contain a cycle")
-            parent[ru] = rv
-        if n_vertices > 1 and len({find(v) for v in range(n_vertices)}) != 1:
-            raise ValidationError("tree is disconnected")
+        # with n-1 edges, the pass from vertex 0 reaches every vertex once
+        # exactly when the edges form a tree; a cycle shows as a vertex
+        # reached twice (never vertex 0: its neighbours skip it as their
+        # parent) or, away from vertex 0, as a pass that ends short
+        parent = [-1] * n_vertices
+        weight = [None] * n_vertices
+        order = []
+        stack = [0]
+        while stack:
+            u = stack.pop()
+            order.append(u)
+            for v, w in adj[u]:
+                if v == parent[u]:
+                    continue
+                if parent[v] >= 0:
+                    raise ValidationError("edges contain a cycle")
+                parent[v] = u
+                weight[v] = w
+                stack.append(v)
+        if len(order) != n_vertices:
+            raise ValidationError("edges contain a cycle")
         object.__setattr__(self, "n_vertices", n_vertices)
         object.__setattr__(self, "edges", tuple(canon))
         object.__setattr__(self, "leaf_map", dict(vert_of))
         object.__setattr__(self, "taxa", taxa)
         object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "_adj", tuple(map(tuple, adj)))
+        object.__setattr__(self, "_rooted", (tuple(order), tuple(parent), tuple(weight)))
 
     def __setattr__(self, name, value):
         raise AttributeError("PhyloTree is immutable")
@@ -456,27 +471,11 @@ class PhyloTree:
         )
 
     def adjacency(self):
-        """List of (neighbor, weight) lists indexed by vertex."""
-        adj = [[] for _ in range(self.n_vertices)]
-        for u, v, w in self.edges:
-            adj[u].append((v, w))
-            adj[v].append((u, w))
-        return adj
+        """Tuple of (neighbor, weight) tuples indexed by vertex."""
+        return self._adj
 
     def degrees(self):
-        deg = [0] * self.n_vertices
-        for u, v, _ in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
-
-    def edge_weight(self, u: int, v: int):
-        if u > v:
-            u, v = v, u
-        for a, b, w in self.edges:
-            if (a, b) == (u, v):
-                return w
-        raise ValidationError(f"no edge ({u},{v})")
+        return [len(nbrs) for nbrs in self._adj]
 
     def labeled_vertices(self) -> set:
         return set(self.leaf_map.values())
@@ -666,7 +665,8 @@ def parse_newick(text: str, default_weight=1, mode: str = MODE_FLOAT) -> PhyloTr
         raise ParseError("tree has fewer than 2 labeled vertices")
 
     labeled = set(labels.values())
-    # suppress unlabeled vertices of degree 1 (dangling roots) and degree 2
+    # suppress unlabeled vertices of degree 1 (dangling roots) and degree 2;
+    # adj stays a tree, so the two neighbours joined are never adjacent
     changed = True
     while changed:
         changed = False
@@ -681,8 +681,6 @@ def parse_newick(text: str, default_weight=1, mode: str = MODE_FLOAT) -> PhyloTr
                 changed = True
             elif len(nbrs) == 2:
                 (a, wa), (b, wb) = nbrs.items()
-                if b in adj[a]:
-                    raise ParseError("suppression would create a parallel edge")
                 merged = None if wa is None or wb is None else wa + wb
                 del adj[a][v]
                 del adj[b][v]
@@ -718,9 +716,8 @@ def write_newick(tree: PhyloTree) -> str:
     label_of = {v: lab for lab, v in tree.leaf_map.items()}
     if tree.n_vertices == 1:
         return f"{label_of[0]};"
-    deg = tree.degrees()
-    adj = tree.adjacency()
-    internal = [v for v in range(tree.n_vertices) if deg[v] >= 2]
+    adj = tree._adj
+    internal = [v for v in range(tree.n_vertices) if len(adj[v]) >= 2]
     root = internal[0] if internal else 0
 
     # depth-first with an explicit stack of vertices still to write and

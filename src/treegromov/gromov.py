@@ -11,10 +11,10 @@ variants (written Dt in CSV headers); adding the bound rows
 delta_x <= 2 * Dinf gives the bounded flavor, which never changes the
 optimum.  Norm 1 is an LP (without taxon weights, an assignment; see
 below), norm 2 a strictly convex QP (the reported value is the square root
-of its optimum), and norm inf has the closed form max|rho - rho'| / 2: the
-constant vector at that value is feasible for both variants, and any
-feasible delta has max delta >= (delta_x + delta_y)/2 >= |rho - rho'|(x,
-y)/2 at the maximizing pair.
+of its optimum), and norm inf has the closed form max|rho - rho'| / 2 over
+the pairs: the constant vector at that value is feasible for both
+variants, and any feasible delta has max delta >= (delta_x + delta_y)/2
+>= |rho - rho'|(x, y)/2 at the maximizing pair.
 
 Only the pair rows are ever built: the difference rows are redundant on
 semimetrics and the bound rows never bind, so the full variant is the
@@ -254,14 +254,23 @@ def _pair_arrays(rho, rho_prime):
     return iu, ju, np.abs(rho.table[iu, ju] - rho_prime.table[iu, ju])
 
 
-def dinf_closed_form(rho: Semimetric, rho_prime: Semimetric):
-    """max |rho - rho'| / 2, the exact norm-inf optimum of both variants.
+def _dinf_and_tight_pair(rho, rho_prime):
+    """(Dinf, pair): half the largest gap over the pairs iu < ju, and the
+    labels of the first pair, in row-major order, that attains it (None
+    below two taxa)."""
+    iu, ju, gap = _pair_arrays(rho, rho_prime)
+    if not len(gap):
+        return as_scalar(0, rho.mode) / 2, None
+    k = int(np.argmax(gap))
+    labs = rho.taxa.labels
+    return as_scalar(gap[k], rho.mode) / 2, (labs[iu[k]], labs[ju[k]])
 
-    The max runs over the whole table rather than the pair arrays: a
-    validated float table may differ from its transpose within core.RTOL
-    of the entry, and either triangle may hold the larger gap."""
+
+def dinf_closed_form(rho: Semimetric, rho_prime: Semimetric):
+    """max |rho - rho'| / 2 over the pairs, the exact norm-inf optimum of
+    both variants: it reads the pair entries, as every program does."""
     _check_pair(rho, rho_prime)
-    return _max_abs_gap(rho.table, rho_prime.table, rho.mode) / 2
+    return _dinf_and_tight_pair(rho, rho_prime)[0]
 
 
 def _gap_table(rho, rho_prime):
@@ -331,7 +340,7 @@ def gromov_distance(rho: Semimetric, rho_prime: Semimetric, spec: GromovSpec) ->
     if spec.norm == "inf":
         if spec.taxon_weights is not None:
             raise ValidationError("taxon weights are supported for norms 1 and 2 only")
-        value = dinf_closed_form(rho, rho_prime)
+        value, pair = _dinf_and_tight_pair(rho, rho_prime)
         const = np.full(n, value) if mode == MODE_FLOAT else [value] * n
         return OptResult(
             STATUS_OPTIMAL,
@@ -340,7 +349,7 @@ def gromov_distance(rho: Semimetric, rho_prime: Semimetric, spec: GromovSpec) ->
             0,
             mode,
             "closed-form",
-            certificate={"tight_pair": _argmax_pair(rho, rho_prime)},
+            certificate={"tight_pair": pair},
         )
 
     if spec.norm == "2" and mode == MODE_RATIONAL:
@@ -367,16 +376,6 @@ def gromov_distance(rho: Semimetric, rho_prime: Semimetric, spec: GromovSpec) ->
     if spec.variant == VARIANT_FULL:
         _audit_difference_rows(rho, rho_prime, result.argmin)
     return result
-
-
-def _argmax_pair(rho, rho_prime):
-    """Labels of the first pair, in row-major order, with the largest gap."""
-    iu, ju, gap = _pair_arrays(rho, rho_prime)
-    if not len(gap):
-        return None
-    k = int(np.argmax(gap))
-    labs = rho.taxa.labels
-    return labs[iu[k]], labs[ju[k]]
 
 
 def tree_distance(t1: PhyloTree, t2: PhyloTree, spec: GromovSpec) -> OptResult:
@@ -513,7 +512,7 @@ def realize_extension(
         # the clique's path metric is the block only if no third point
         # gives a shortcut
         shortcut = block - _min_plus(block, block)
-        gap = max(_max_abs_gap(block, want.table, mode), as_scalar(shortcut.max(), mode))
+        gap = as_scalar(max(np.abs(block - want.table).max(), shortcut.max()), mode)
         if not gap <= tol:
             raise TreegromovError(
                 f"extension failed to restrict to {name} (gap {gap})"
@@ -535,10 +534,6 @@ def realize_extension(
     perm = np.array([at[lab] for lab in points.labels])
     table = np.block([[left, cross], [cross.T, right]])[np.ix_(perm, perm)]
     return ExtensionMetric(Semimetric(points, table, mode, validate=False), rho.taxa)
-
-
-def _max_abs_gap(a, b, mode):
-    return as_scalar(np.abs(a - b).max(initial=0), mode)
 
 
 def pairwise_matrix(trees, spec: GromovSpec) -> np.ndarray:

@@ -464,7 +464,7 @@ def _transport(lp):
 # solve_qp
 # ---------------------------------------------------------------------------
 
-def solve_qp(qp: QuadraticProgram, mode: str = MODE_FLOAT) -> OptResult:
+def solve_qp(qp: QuadraticProgram) -> OptResult:
     """Globally solve the strictly convex QP by the dual active-set method
     of Goldfarb and Idnani (see _kernels.active_set_qp).
 
@@ -474,9 +474,8 @@ def solve_qp(qp: QuadraticProgram, mode: str = MODE_FLOAT) -> OptResult:
     inside it: the multipliers are solved again on the returned working
     set, and the KKT audit judges x against them.  Entries of the kernel's x below zero
     count in the primal KKT part, and the returned argmin is x clipped at
-    zero, which keeps every pair row."""
-    if mode != MODE_FLOAT:
-        raise ValidationError("quadratic solves are float-only")
+    zero, which keeps every pair row.  A QuadraticProgram is float-only by
+    construction, so there is no mode to choose."""
     i1, i2, b = qp.i1, qp.i2, qp.b
     n = qp.n_vars
     w = qp.weights

@@ -73,33 +73,11 @@ def normalize_norm(norm) -> str:
 # Induced semimetric
 # ---------------------------------------------------------------------------
 
-def _rooted(tree: PhyloTree):
-    """Root the tree at vertex 0 with an explicit stack (no recursion, so
-    any depth works).
-
-    Returns (order, parent, weight): the vertices in depth-first preorder,
-    in which every subtree is one contiguous run headed by its root; each
-    vertex's parent (-1 at the root); and the weight of the edge to it."""
-    adj = tree.adjacency()
-    parent = [-1] * tree.n_vertices
-    weight = [None] * tree.n_vertices
-    order = []
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        order.append(u)
-        for v, w in adj[u]:
-            if v != parent[u]:
-                parent[v] = u
-                weight[v] = w
-                stack.append(v)
-    return order, parent, weight
-
-
 def tree_to_semimetric(tree: PhyloTree) -> Semimetric:
     """Path-length distances between taxa (exact in rational mode).
 
-    One rooted pass fills a (vertices x taxa) table D with D[v, x] =
+    Two sweeps over the tree's stored rooted form (PhyloTree._rooted,
+    rooted at vertex 0) fill a (vertices x taxa) table D with D[v, x] =
     dist_x(v).  The taxa are numbered in preorder, so the taxa below v
     form a column range [lo_v, hi_v).  With p the parent of v and w the
     weight of their edge, a post-order sweep sets D[p, lo_v:hi_v] =
@@ -113,7 +91,7 @@ def tree_to_semimetric(tree: PhyloTree) -> Semimetric:
     taxa = tree.taxa
     n = len(taxa)
     n_vertices = tree.n_vertices
-    order, parent, weight = _rooted(tree)
+    order, parent, weight = tree._rooted
     vert = [tree.leaf_map[lab] for lab in taxa.labels]
     taxon_at = [-1] * n_vertices
     for i, v in enumerate(vert):
@@ -298,9 +276,10 @@ class Split:
 
 def _split_masks(tree: PhyloTree):
     """Every edge's split as an int bitmask over canonical taxon positions:
-    the taxa below the edge's lower end when the tree is rooted at vertex
-    0, gathered in one post-order pass."""
-    order, parent, _ = _rooted(tree)
+    the taxa below the edge's lower end in the tree's stored rooted form
+    (PhyloTree._rooted, rooted at vertex 0), gathered in one post-order
+    pass."""
+    order, parent, _ = tree._rooted
     mask = [0] * tree.n_vertices
     for lab, v in tree.leaf_map.items():
         mask[v] = 1 << tree.taxa.index[lab]
@@ -411,7 +390,7 @@ def apply_nni(tree: PhyloTree, move: NniMove) -> PhyloTree:
     labeled = tree.labeled_vertices()
     if u in labeled or v in labeled:
         raise ValidationError(f"edge {move.edge} is not internal")
-    adj = tree.adjacency()
+    adj = tree._adj
     a1, a2 = sorted(nbr for nbr, _ in adj[u] if nbr != v)
     b1, b2 = sorted(nbr for nbr, _ in adj[v] if nbr != u)
     swap_b = b1 if move.choice == 1 else b2

@@ -328,10 +328,15 @@ def test_semimetric_csv_comments_skipped():
 
 
 def test_phylo_tree_invariants():
-    with pytest.raises(ValidationError):  # cycle
+    with pytest.raises(ValidationError):  # n edges: stops at the edge count
         PhyloTree(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)], {"a": 0, "b": 1, "c": 2})
     with pytest.raises(ValidationError):  # disconnected
         PhyloTree(4, [(0, 1, 1.0), (2, 3, 1.0)], {"a": 0, "b": 1, "c": 2, "d": 3})
+    four = {"a": 0, "b": 1, "c": 2, "d": 3}
+    # n-1 edges holding a cycle, through vertex 0 and away from it
+    for cycle in ((0, 1), (1, 2), (0, 2)), ((1, 2), (2, 3), (1, 3)):
+        with pytest.raises(ValidationError, match="edges contain a cycle"):
+            PhyloTree(4, [(u, v, 1.0) for u, v in cycle], four)
     with pytest.raises(ValidationError):  # nonpositive weight
         PhyloTree(2, [(0, 1, 0.0)], {"a": 0, "b": 1})
     with pytest.raises(ValidationError):  # unlabeled degree-2 vertex

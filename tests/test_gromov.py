@@ -490,6 +490,22 @@ def test_rational_dinf_and_tight_pair_exact():
     assert all(v == Fraction(1, 6) for v in res.argmin.values)
 
 
+def test_dinf_reads_the_pair_entries_of_a_table_asymmetric_within_rtol():
+    # b[1, 0] differs from b[0, 1] by 5e-10, well within RTOL of the
+    # entries, so the table validates; the lower triangle's larger gap
+    # must not reach Dinf, which every program reads off the pairs i < j
+    a = np.full((4, 4), 2.0) - 2.0 * np.eye(4)
+    b = a.copy()
+    b[0, 1], b[1, 0] = 1.0, 1.0 - 5e-10
+    r1 = semimetric_from_table(list("abcd"), a)
+    r2 = semimetric_from_table(list("abcd"), b)
+    assert dinf_closed_form(r1, r2) == 0.5
+    assert dinf_closed_form(r1, r2) == pd_distance(r1, r2, "inf") / 2
+    res = gromov_distance(r1, r2, GromovSpec(norm="inf"))
+    assert res.value == 0.5 and res.certificate["tight_pair"] == ("a", "b")
+    assert all(v == 0.5 for v in res.argmin.values)
+
+
 def test_d2_kkt_residual_is_relative_to_data_scale():
     # branch lengths near 1e8: complementarity is ~1e2 in absolute terms
     # (it scales with the data squared) while each part is ~1e-16 of scale
