@@ -59,6 +59,16 @@ DIST = [
     ("((a:1/0,b),c);", "((a,b),c);", []),
     ("((a,b),(c,d);", "((a,c),(b,d));", []),
     ("inf.csv", "t2.csv", []),
+    # malformed Newick: structural faults first, then labels and lengths
+    # in depth-first order
+    ("( ,b);", "((a,b),c);", []),
+    ("(a,b:);", "((a,b),c);", []),
+    ("(a, b) ;x", "((a,b),c);", []),
+    ("((a,b)a,c);", "((a,b),c);", []),
+    ("(a,(b,c)d:1,(e,f)d:-1);", "((a,b),c);", []),
+    ("(a:x,a);", "((a,b),c);", []),
+    # a length on the root alone ends the topology-only reading
+    ("((a,b),(c,d)):1;", "((a,b),(c,d));", ["--csv"]),
 ]
 
 MATRIX = [

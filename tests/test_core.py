@@ -442,6 +442,47 @@ def test_parse_error_carries_position():
         raise AssertionError("expected ParseError")
 
 
+# structural faults first, then label and length faults in depth-first
+# order; a node's position is the index right after the '(' or ',' before
+# it, white space included
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("( ,b);", "expected a label or '('", 2),
+        ("(a,b:);", "expected a branch length after ':'", 5),
+        ("(a,b)", "expected ';'", 5),
+        ("(a, b) ;x", "trailing characters after ';'", 8),
+        ("(a, a);", "duplicate label 'a'", 3),
+        ("(a:0,b);", "branch length 0 must be positive", 1),
+        ("((a,b)a,c);", "duplicate label 'a'", 2),
+        ("(a,(b,c)d:1,(e,f)d:-1);", "duplicate label 'd'", 12),
+        ("(a:x,a);", "bad number 'x'", None),
+    ],
+)
+@pytest.mark.parametrize("mode", ["float", "rational"])
+def test_parse_newick_error_messages_and_positions(text, message, position, mode):
+    with pytest.raises(ParseError) as info:
+        parse_newick(text, mode=mode)
+    assert str(info.value).startswith(message)
+    assert info.value.position == position
+    if position is not None:
+        assert str(info.value) == f"{message} (at position {position})"
+
+
+@pytest.mark.parametrize(
+    "text, edges, leaf_map",
+    [
+        # a length on the root alone makes the statement carry lengths
+        ("((g\n))q :0.2;", ((0, 1, 2.0),), {"g": 0, "q": 1}),
+        ("((g))q;", ((0, 1, 1.0),), {"g": 0, "q": 1}),
+        ("(a b,c);", ((0, 1, 1.0),), {"a b": 0, "c": 1}),
+    ],
+)
+def test_parse_newick_reader_results(text, edges, leaf_map):
+    t = parse_newick(text)
+    assert t.edges == edges and t.leaf_map == leaf_map
+
+
 # ---------------------------------------------------------------------------
 # Newick writing
 

@@ -6,10 +6,10 @@ name that a module-level import binds and the module never reads.  A read
 is a Name node in any expression, or the name listed in the module's
 __all__; every import in an __init__.py is a re-export and counts as read.
 
-The definition scan fails on a function, class or method of
-src/treegromov, dunders aside, whose name occurs in the Python files of
-src/, tests/ and perfbench/ and in README.md no more often than it is
-defined in the package.  One pass counts every word (a run of word
+The definition scan fails on a function, class, method or module-level
+constant of src/treegromov, dunders aside, whose name occurs in the Python
+files of src/, tests/ and perfbench/ and in README.md no more often than
+it is defined in the package.  One pass counts every word (a run of word
 characters) in those files.
 """
 
@@ -97,6 +97,22 @@ def _definitions(tree):
         todo += [(child, prefix) for child in ast.iter_child_nodes(node)]
 
 
+def _constants(tree):
+    """(name, line) of every name bound by an assignment in the module
+    body."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name):
+                    yield name.id, node.lineno
+
+
 def unnamed_definitions():
     files = [p for top in DIRS for p in sorted((ROOT / top).rglob("*.py"))]
     files.append(ROOT / "README.md")
@@ -107,7 +123,7 @@ def unnamed_definitions():
     for path in sorted((ROOT / "src" / "treegromov").rglob("*.py")):
         rel = path.relative_to(ROOT).as_posix()
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=rel)
-        for qual, line in _definitions(tree):
+        for qual, line in [*_definitions(tree), *_constants(tree)]:
             name = qual.rsplit(".", 1)[-1]
             if not (name.startswith("__") and name.endswith("__")):
                 defs.append((name, f"{rel}:{line}: {qual}"))
@@ -122,3 +138,8 @@ def test_every_definition_is_named_elsewhere():
 def test_the_scan_sees_a_nested_definition():
     tree = ast.parse("class A:\n    def f(self):\n        def g():\n            pass\n")
     assert sorted(q for q, _ in _definitions(tree)) == ["A", "A.f", "A.f.g"]
+
+
+def test_the_scan_sees_module_level_constants_only():
+    tree = ast.parse("A = 1\nB, (C, D) = 2, (3, 4)\nE: int = 5\ndef f():\n    G = 6\n")
+    assert sorted(name for name, _ in _constants(tree)) == ["A", "B", "C", "D", "E"]
