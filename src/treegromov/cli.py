@@ -55,14 +55,10 @@ class ExperimentConfig:
     __slots__ = ("experiment", "n", "trials", "seed", "weight_model")
 
     def __init__(self, experiment, n=10, trials=10, seed=0, weight_model="unit"):
-        if experiment not in EXPERIMENTS:
-            raise ValidationError(f"unknown experiment {experiment!r}")
         if n < 4:
             raise ValidationError(f"need n >= 4, got {n}")
         if trials < 1:
             raise ValidationError(f"need trials >= 1, got {trials}")
-        if weight_model not in WEIGHT_MODELS:
-            raise ValidationError(f"unknown weight model {weight_model!r}")
         self.experiment = experiment
         self.n = int(n)
         self.trials = int(trials)
@@ -110,29 +106,30 @@ def _requested_norms(norm_flag: str):
     return NORMS_ALL if norm_flag == "all" else (norm_flag,)
 
 
-def _distance_value(rho, rho_prime, norm, variant, bounded, mode):
-    """One distance, for both its D and its Dt cell: the full variant is
-    the lower solve plus an audit (see the gromov module docstring), so
-    callers solve once per norm, with variant full whenever a D cell is
-    wanted.  Norm-2 in rational mode falls back to floats (quadratic
-    solves are float-only) and reports a float cell."""
-    if norm == "2" and mode == MODE_RATIONAL:
-        res = gromov_distance(
-            rho.to_float(),
-            rho_prime.to_float(),
-            GromovSpec(norm=norm, variant=variant, bounded=bounded),
-        )
-        return res.value
-    res = gromov_distance(
-        rho, rho_prime, GromovSpec(norm=norm, variant=variant, bounded=bounded)
-    )
-    return res.value
-
-
-def _pd_value(rho, rho_prime, norm):
-    if norm == "2" and rho.mode == MODE_RATIONAL:
-        return pd_distance(rho.to_float(), rho_prime.to_float(), norm)
-    return pd_distance(rho, rho_prime, norm)
+def _cells(rho1, rho2, norms, variant, bounded, trees):
+    """(name, value) of the D, Dt, PD and RF cells of one pair; variant is
+    "full", "lower" or "both", and RF needs both trees.  The full variant
+    is the lower solve plus an audit (see the gromov module docstring), so
+    D and Dt of a norm come from one solve, with variant full whenever a D
+    cell is wanted.  Norm-2 cells are float in both modes (quadratic
+    solves are float-only)."""
+    pairs = {nm: (rho1, rho2) for nm in norms}
+    if "2" in pairs:
+        pairs["2"] = (rho1.to_float(), rho2.to_float())
+    solve = "lower" if variant == "lower" else "full"
+    values = [
+        gromov_distance(*pairs[nm], GromovSpec(norm=nm, variant=solve, bounded=bounded)).value
+        for nm in norms
+    ]
+    cells = []
+    if variant in ("full", "both"):
+        cells += [(f"D{nm}", v) for nm, v in zip(norms, values)]
+    if variant in ("lower", "both"):
+        cells += [(f"Dt{nm}", v) for nm, v in zip(norms, values)]
+    cells += [(f"PD{nm}", pd_distance(*pairs[nm], nm)) for nm in norms]
+    if None not in trees:
+        cells.append(("RF", robinson_foulds(*trees)))
+    return cells
 
 
 # ---------------------------------------------------------------------------
@@ -148,17 +145,7 @@ def cmd_dist(args) -> int:
             f"taxon sets differ: {rho1.taxa.labels} vs {rho2.taxa.labels}"
         )
     norms = _requested_norms(args.norm)
-    variant = "lower" if args.variant == "lower" else "full"
-    values = [_distance_value(rho1, rho2, nm, variant, args.bounded, mode) for nm in norms]
-    cells = []
-    if args.variant in ("full", "both"):
-        cells += [(f"D{nm}", v) for nm, v in zip(norms, values)]
-    if args.variant in ("lower", "both"):
-        cells += [(f"Dt{nm}", v) for nm, v in zip(norms, values)]
-    for nm in norms:
-        cells.append((f"PD{nm}", _pd_value(rho1, rho2, nm)))
-    if t1 is not None and t2 is not None:
-        cells.append(("RF", robinson_foulds(t1, t2)))
+    cells = _cells(rho1, rho2, norms, args.variant, args.bounded, (t1, t2))
     out = _open_out(args.out)
     try:
         if args.csv:
@@ -199,17 +186,6 @@ def cmd_matrix(args) -> int:
 # experiments
 
 
-def _metric_row(rho1, rho2, t1, t2, mode):
-    """All ten metric columns for one tree pair; D_i and Dt_i come from
-    one solve."""
-    dist = [_distance_value(rho1, rho2, nm, "full", False, mode) for nm in NORMS_ALL]
-    vals = dist + dist
-    for nm in NORMS_ALL:
-        vals.append(_pd_value(rho1, rho2, nm))
-    vals.append(robinson_foulds(t1, t2))
-    return vals
-
-
 def _compare_row(config, trial, mode, caterpillar=False):
     n = config.n
     if caterpillar:
@@ -226,7 +202,7 @@ def _compare_row(config, trial, mode, caterpillar=False):
             n, _pair_seed(config.seed, trial, 1), weight_model=config.weight_model, mode=mode
         )
     r1, r2 = tree_to_semimetric(t1), tree_to_semimetric(t2)
-    return _metric_row(r1, r2, t1, t2, mode)
+    return [v for _, v in _cells(r1, r2, NORMS_ALL, "both", False, (t1, t2))]
 
 
 def _caterpillar_bound(n: int):

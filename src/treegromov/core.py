@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -504,162 +505,119 @@ class PhyloTree:
 # Newick
 # ---------------------------------------------------------------------------
 
-_LABEL_STOP = set("(),:;")
-
-
-class _Node:
-    __slots__ = ("label", "length", "children", "pos")
-
-    def __init__(self, label, length, children, pos):
-        self.label = label
-        self.length = length
-        self.children = children
-        self.pos = pos
-
-
-class _NewickReader:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.saw_length = False
-
-    def fail(self, message):
-        raise ParseError(message, position=self.pos)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        self.skip_ws()
-        if self.pos >= len(self.text):
-            return ""
-        return self.text[self.pos]
-
-    def read_statement(self) -> _Node:
-        node = self.read_subtree()
-        if self.peek() != ";":
-            self.fail("expected ';'")
-        self.pos += 1
-        self.skip_ws()
-        if self.pos != len(self.text):
-            self.fail("trailing characters after ';'")
-        return node
-
-    def read_subtree(self) -> _Node:
-        """One subtree, read with an explicit stack of open groups so that
-        nesting depth is bounded by memory, not by the recursion limit."""
-        groups = []  # (start, children) of each open '('
-        while True:
-            start = self.pos
-            if self.peek() == "(":
-                self.pos += 1
-                groups.append((start, []))
-                continue
-            label = self.read_label()
-            if not label:
-                self.fail("expected a label or '('")
-            node = _Node(label, self.read_length(), [], start)
-            while groups:
-                groups[-1][1].append(node)
-                if self.peek() == ",":
-                    self.pos += 1
-                    break
-                if self.peek() != ")":
-                    self.fail("expected ')' or ','")
-                self.pos += 1
-                start, children = groups.pop()
-                label = self.read_label()
-                node = _Node(label, self.read_length(), children, start)
-            else:
-                return node
-
-    def read_length(self):
-        if self.peek() != ":":
-            return None
-        self.pos += 1
-        self.saw_length = True
-        return self.read_number()
-
-    def read_label(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] not in _LABEL_STOP:
-            self.pos += 1
-        return self.text[start : self.pos].strip()
-
-    def read_number(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] not in _LABEL_STOP:
-            self.pos += 1
-        token = self.text[start : self.pos].strip()
-        if not token:
-            self.fail("expected a branch length after ':'")
-        return token
+_TOKEN = re.compile(r"[(),:;]|[^(),:;]+")
 
 
 def parse_newick(text: str, default_weight=1, mode: str = MODE_FLOAT) -> PhyloTree:
     """Parse one Newick statement into an unrooted PhyloTree.
 
-    Unlabeled vertices of degree <= 2 (including the synthetic root) are
-    suppressed, their incident edge weights summed.  Interior labels are
-    kept as taxa.  Missing branch lengths take ``default_weight``; when the
-    statement carries no lengths at all it is treated as pure topology and
-    every edge of the *unrooted* tree gets the default, which makes
-    "((A,B),(C,D));" the quartet with five unit edges rather than a tree
-    with a doubled middle edge.
+    A label or a branch length is a run of characters other than
+    "(),:;", stripped of white space; a label may hold inner spaces.
+    Every leaf needs a label, a group's label is optional, and a length
+    follows ':'.  Unlabeled vertices of degree <= 2 (including the
+    synthetic root) are suppressed, their incident edge weights summed.
+    Interior labels are kept as taxa.  Missing branch lengths take
+    ``default_weight``; when the statement carries no lengths at all (a
+    length on the root counts, although it is never read) it is treated
+    as pure topology and every edge of the *unrooted* tree gets the
+    default, which makes "((A,B),(C,D));" the quartet with five unit
+    edges rather than a tree with a doubled middle edge.
+
+    The text is read in one pass over its tokens, so nesting depth is
+    bounded by memory, not by the recursion limit.  A structural fault is
+    raised first; then duplicate labels and bad or nonpositive lengths in
+    depth-first order.  A ParseError's position is the offending token's
+    first non-space character, or, for a duplicate label or a nonpositive
+    length, the index right after the '(' or ',' that opens the vertex; a
+    length that is not a number has none.
     """
     check_mode(mode)
     default = as_scalar(default_weight, mode)
     if default <= 0:
         raise ValidationError(f"default_weight must be positive, got {default}")
-    reader = _NewickReader(text)
-    root = reader.read_statement()
-    topology_only = not reader.saw_length
+    tokens = []  # (token, position); "" marks the end
+    for match in _TOKEN.finditer(text):
+        run = match.group().lstrip()
+        if run:
+            tokens.append((run.rstrip(), match.end() - len(run)))
+    tokens.append(("", len(text)))
+    stops = {"(", ")", ",", ":", ";", ""}
 
-    adj = {}  # vertex -> {neighbor: weight or None}
-    labels = {}
-    counter = 0
-
-    def new_vertex():
-        nonlocal counter
-        adj[counter] = {}
-        counter += 1
-        return counter - 1
-
-    def place(node: _Node) -> int:
-        v = new_vertex()
-        if node.label:
-            if node.label in labels:
-                raise ParseError(f"duplicate label {node.label!r}", position=node.pos)
-            labels[node.label] = v
-        return v
-
-    # depth-first with an explicit stack: vertices are numbered in preorder
-    # and each edge is added once its child's subtree is done
-    stack = [(root, place(root), iter(root.children))]
-    while stack:
-        node, v, pending = stack[-1]
-        child = next(pending, None)
-        if child is not None:
-            stack.append((child, place(child), iter(child.children)))
+    # one read, the vertices in preorder: their label, start, parent and
+    # length token; steps lists "v opens" as v and "v's length has been
+    # read" as ~v, in reading order, which is depth-first order
+    label, start, parent, length = [], [], [], []
+    steps = []
+    groups = []  # the vertex of each open '('
+    k = at = 0
+    while True:
+        tok, pos = tokens[k]
+        v = len(start)
+        steps.append(v)
+        label.append("")
+        start.append(at)
+        parent.append(groups[-1] if groups else -1)
+        length.append(None)
+        if tok == "(":
+            groups.append(v)
+            k, at = k + 1, pos + 1
             continue
-        stack.pop()
-        if not stack:
+        if tok in stops:
+            raise ParseError("expected a label or '('", position=pos)
+        while True:
+            # v's own label (required of a leaf) and length
+            if tok not in stops:
+                label[v] = tok
+                k += 1
+            tok, pos = tokens[k]
+            if tok == ":":
+                tok, pos = tokens[k + 1]
+                if tok in stops:
+                    raise ParseError("expected a branch length after ':'", position=pos)
+                length[v] = tok
+                k += 2
+                tok, pos = tokens[k]
+            if not groups:
+                break
+            steps.append(~v)
+            k += 1
+            if tok == ",":
+                break
+            if tok != ")":
+                raise ParseError("expected ')' or ','", position=pos)
+            v = groups.pop()
+            tok = tokens[k][0]
+        if not groups:
             break
-        parent = stack[-1][1]
-        if node.length is None:
+        at = pos + 1
+    if tok != ";":
+        raise ParseError("expected ';'", position=pos)
+    if tokens[k + 1][0]:
+        raise ParseError("trailing characters after ';'", position=tokens[k + 1][1])
+
+    # then labels and lengths, in the same order: vertices are numbered in
+    # preorder and each edge is added once its child's subtree is done
+    topology_only = not any(length)
+    adj = {v: {} for v in range(len(start))}  # vertex -> {neighbor: weight or None}
+    labels = {}
+    for v in steps:
+        if v >= 0:
+            if label[v]:
+                if label[v] in labels:
+                    raise ParseError(f"duplicate label {label[v]!r}", position=start[v])
+                labels[label[v]] = v
+            continue
+        v = ~v
+        if length[v] is None:
             w = None if topology_only else default
         else:
-            w = parse_scalar(node.length, mode)
+            w = parse_scalar(length[v], mode)
             if w <= 0:
                 raise ParseError(
-                    f"branch length {node.length} must be positive",
-                    position=node.pos,
+                    f"branch length {length[v]} must be positive", position=start[v]
                 )
-        adj[parent][v] = w
-        adj[v][parent] = w
+        adj[parent[v]][v] = w
+        adj[v][parent[v]] = w
 
     if len(labels) < 2:
         raise ParseError("tree has fewer than 2 labeled vertices")

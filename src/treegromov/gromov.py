@@ -338,8 +338,6 @@ def gromov_distance(rho: Semimetric, rho_prime: Semimetric, spec: GromovSpec) ->
     n = len(taxa)
 
     if spec.norm == "inf":
-        if spec.taxon_weights is not None:
-            raise ValidationError("taxon weights are supported for norms 1 and 2 only")
         value, pair = _dinf_and_tight_pair(rho, rho_prime)
         const = np.full(n, value) if mode == MODE_FLOAT else [value] * n
         return OptResult(
@@ -380,10 +378,6 @@ def gromov_distance(rho: Semimetric, rho_prime: Semimetric, spec: GromovSpec) ->
 
 def tree_distance(t1: PhyloTree, t2: PhyloTree, spec: GromovSpec) -> OptResult:
     """Distance between the induced semimetrics of two trees on one taxon set."""
-    if t1.taxa != t2.taxa:
-        raise ValidationError("taxon sets differ")
-    if t1.mode != t2.mode:
-        raise ValidationError("modes differ")
     return gromov_distance(tree_to_semimetric(t1), tree_to_semimetric(t2), spec)
 
 
